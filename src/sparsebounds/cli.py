@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedSizeError,
     WrongRegimeError,
 )
-from .estimators import EstimatorSpec, estimate_ml_unit, estimate_noise_exploiting
+from .estimators import EstimatorSpec, _ml_unit, _noise_exploiting
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -52,7 +52,7 @@ from .model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
-from .montecarlo import run_trials, sweep, trial_stream
+from .montecarlo import mse_stats, run_trials, sweep, trial_stream
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -60,6 +60,7 @@ DEFAULT_SEED = 1729
 SEED_ENV_VAR = "SPARSEBOUNDS_SEED"
 
 BOUNDS_HEADER = ("bound", "first_term", "correction", "gamma", "regime")
+HCRB_BOUNDS_HEADER = ("bound", "support_part", "nonsupport_part", "ratio", "regime")
 FIGURE_HEADER = ("x_value", "curve_id", "value", "std_error")
 SIMULATE_HEADER = (
     "sigma_n",
@@ -341,32 +342,28 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     """Least-squares versus noise-exploiting estimation at high dimension.
 
     The sensing matrix is the identity, so measurements are drawn from
-    the equivalent law without materializing it.
+    the equivalent law without materializing it, and both estimators run
+    on the same draw.
     """
     n = cfg.n if cfg.n is not None else 10_000
     trials = cfg.trials if cfg.trials is not None else 10_000
+    if trials < 1:
+        raise InvalidInputError("trials must be positive")
     sigma_e = 0.01
     x = np.zeros(n)
     x[0] = 1.0
     sx = sigma_e  # sigma_x^2 = sigma_e^2 ||x||^2, sigma_n = 0
     sums = {"ls": [0.0, 0.0], "ne": [0.0, 0.0]}
     for t in range(trials):
-        rng = trial_stream(cfg.seed, t)
-        y = x + sx * rng.standard_normal(n)
-        for key, xhat in (
-            ("ls", estimate_ml_unit(y, 1).x),
-            ("ne", estimate_noise_exploiting(y).x),
-        ):
+        y = x + sx * trial_stream(cfg.seed, t).standard_normal(n)
+        for key, (xhat, _) in (("ls", _ml_unit(y, 1)), ("ne", _noise_exploiting(y))):
             err = xhat - x
             q = float(err @ err)
             sums[key][0] += q
             sums[key][1] += q * q
     rows = [(float(n), "ls_theoretical", sigma_e**2, 0.0)]
     for key, label in (("ls", "ls_empirical"), ("ne", "noise_exploiting_empirical")):
-        total, total_sq = sums[key]
-        mse = total / trials
-        var = max(total_sq - trials * mse * mse, 0.0) / (trials - 1)
-        rows.append((float(n), label, mse, math.sqrt(var / trials)))
+        rows.append((float(n), label, *mse_stats(*sums[key], trials)))
     return rows
 
 
@@ -557,9 +554,11 @@ def cmd_bounds(args) -> None:
             rep = ccrb_maximal(model, signal)
         else:
             rep = ccrb_nonmaximal(model, signal)
+        header = BOUNDS_HEADER
         row = (rep.bound, rep.first_term, rep.d_ccrb, rep.gamma_ccrb, rep.regime)
     else:
         rep = hcrb_unit_closed_form(model, signal)
+        header = HCRB_BOUNDS_HEADER
         row = (
             rep.bound,
             rep.support_part,
@@ -567,7 +566,7 @@ def cmd_bounds(args) -> None:
             rep.nonsupport_part / rep.support_part,
             "maximal",
         )
-    _emit(_out_path(args, None), BOUNDS_HEADER, [row])
+    _emit(_out_path(args, None), header, [row])
 
 
 def cmd_figure(args) -> None:

@@ -14,6 +14,9 @@ Four estimators appear in the experiments:
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,27 +102,68 @@ class EstimatorSpec:
         return _SHORT_NAMES[self.kind]
 
 
+# The kernels reject a non-finite estimate as SparseSignal would, so a
+# Monte Carlo trial counts it as failed.
+_NOT_FINITE = "x must be finite"
+
+
+# Per model, per sorted support: (A_S, upper Cholesky factor of A_S^T A_S,
+# the support as an index array).  Weak keys, so the cache never keeps a
+# model (and its A) alive; A is read-only, so a factor stays valid for its
+# model's lifetime and every caller gets the bits it would compute itself.
+# Singular supports are not cached and fail again on every call.  The lock
+# serves the worker threads of run_trials.
+_ORACLE_FACTORS = weakref.WeakKeyDictionary()
+_ORACLE_LOCK = threading.Lock()
+
+
+def _oracle_factor(model: ProblemModel, S: tuple[int, ...]):
+    with _ORACLE_LOCK:
+        factors = _ORACLE_FACTORS.setdefault(model, {})
+        hit = factors.get(S)
+        if hit is None:
+            A_S = model.A[:, list(S)]
+            try:
+                upper, _ = scipy.linalg.cho_factor(A_S.T @ A_S)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularMatrixError("A_S^T A_S is singular") from exc
+            hit = factors[S] = (A_S, upper, np.array(S))
+        return hit
+
+
 def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     """Least squares restricted to a known support.
 
+    The Cholesky factor of A_S^T A_S is computed once per (model,
+    support) and reused; the solve gives the same bits as cho_solve.
     Raises SingularMatrixError when A_S^T A_S is singular.
     """
-    S = sorted(int(i) for i in support)
+    S = tuple(sorted(int(i) for i in support))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
         raise InvalidInputError("invalid oracle support")
     yv = measurement_vector(y)
     if yv.size != model.m:
         raise InvalidInputError("measurement length does not match model m")
-    A_S = model.A[:, S]
-    gram = A_S.T @ A_S
-    try:
-        cho = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError("A_S^T A_S is singular") from exc
-    coeffs = scipy.linalg.cho_solve(cho, A_S.T @ yv)
+    A_S, upper, cols = _oracle_factor(model, S)
+    coeffs, _ = scipy.linalg.lapack.dpotrs(upper, A_S.T @ yv, lower=0, overwrite_b=1)
     x = np.zeros(model.n)
-    x[S] = coeffs
-    return SparseSignal(x, tuple(S))
+    x[cols] = coeffs
+    return SparseSignal(x, S)
+
+
+def _ml_unit(yv: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ML estimate for a unit sensing matrix and its kept indices."""
+    if s == 1:
+        # argmax keeps the lowest index on ties, like the stable sort below
+        keep = np.abs(yv).argmax(keepdims=True)
+    else:
+        keep = np.sort(np.argsort(-np.abs(yv), kind="stable")[:s])
+    kept = yv[keep]
+    if not np.isfinite(kept).all():
+        raise InvalidInputError(_NOT_FINITE)
+    x = np.zeros(yv.size)
+    x[keep] = kept
+    return x, keep
 
 
 def estimate_ml_unit(y, s: int) -> SparseSignal:
@@ -128,15 +172,31 @@ def estimate_ml_unit(y, s: int) -> SparseSignal:
     yv = measurement_vector(y)
     if not 1 <= s <= yv.size:
         raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
-    if s == 1:
-        # argmax keeps the lowest index on ties, like the stable sort below
-        keep = np.array([np.argmax(np.abs(yv))])
-    else:
-        order = np.argsort(-np.abs(yv), kind="stable")
-        keep = np.sort(order[:s])
-    x = np.zeros(yv.size)
-    x[keep] = yv[keep]
-    return SparseSignal(x, tuple(int(i) for i in keep))
+    x, keep = _ml_unit(yv, s)
+    return SparseSignal(x, tuple(keep.tolist()))
+
+
+def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
+    """The y -> estimate map of the estimator anchored at x0."""
+    if len(x0.support) != 1:
+        raise InvalidInputError("reference point must have a single-index support")
+    if x0.n != model.n:
+        raise InvalidInputError("reference point length does not match model")
+    if model.m != model.n:
+        raise InvalidInputError("this estimator requires m = n measurements")
+    q = x0.support[0]
+    x0q = float(x0.x[q])
+    s0sq = model.sigma_e**2 * x0q**2 + model.sigma_n**2
+    if s0sq <= 0.0:
+        raise DegenerateModelError("reference noise variance is zero")
+
+    def kernel(yv: np.ndarray) -> np.ndarray:
+        damp = np.exp(-(2.0 * yv[q] * x0q + x0q**2) / (2.0 * s0sq))
+        out = yv * damp
+        out[q] = yv[q]
+        return out
+
+    return kernel
 
 
 def estimate_locally_unbiased(model: ProblemModel, y, x0: SparseSignal) -> np.ndarray:
@@ -147,22 +207,23 @@ def estimate_locally_unbiased(model: ProblemModel, y, x0: SparseSignal) -> np.nd
     likelihood ratio between -x0q and 0 at coordinate q.  The output is
     dense: it is not projected onto a sparse support.
     """
-    if len(x0.support) != 1:
-        raise InvalidInputError("reference point must have a single-index support")
-    if x0.n != model.n:
-        raise InvalidInputError("reference point length does not match model")
     yv = measurement_vector(y)
     if yv.size != model.n:
         raise InvalidInputError("this estimator requires m = n measurements")
-    q = x0.support[0]
-    x0q = float(x0.x[q])
-    s0sq = model.sigma_e**2 * x0q**2 + model.sigma_n**2
-    if s0sq <= 0.0:
-        raise DegenerateModelError("reference noise variance is zero")
-    damp = np.exp(-(2.0 * yv[q] * x0q + x0q**2) / (2.0 * s0sq))
-    out = yv * damp
-    out[q] = yv[q]
-    return out
+    return _locally_unbiased(model, x0)(yv)
+
+
+def _noise_exploiting(yv: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense noise-exploiting estimate and its peak coordinate."""
+    if not yv.any():
+        raise InvalidInputError("zero measurement has no identifiable support")
+    k = int(np.abs(yv).argmax())
+    peak = float(yv @ yv) / (2.0 * yv[k])
+    if not math.isfinite(peak):
+        raise InvalidInputError(_NOT_FINITE)
+    x = np.zeros(yv.size)
+    x[k] = peak
+    return x, k
 
 
 def estimate_noise_exploiting(y) -> SparseSignal:
@@ -171,25 +232,39 @@ def estimate_noise_exploiting(y) -> SparseSignal:
     Places sum(y^2) / (2 y_k) on the largest-magnitude coordinate k.
     Raises InvalidInputError when y is identically zero.
     """
-    yv = measurement_vector(y)
-    if not np.any(yv):
-        raise InvalidInputError("zero measurement has no identifiable support")
-    k = int(np.argmax(np.abs(yv)))
-    x = np.zeros(yv.size)
-    x[k] = float(yv @ yv) / (2.0 * yv[k])
+    x, k = _noise_exploiting(measurement_vector(y))
     return SparseSignal(x, (k,))
+
+
+def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
+    """The y -> dense estimate map of one estimator on one model.
+
+    Everything that depends only on (model, spec) is checked here, once;
+    the returned function takes a measurement vector of length m and
+    checks only what depends on y.  Raises the error every call of
+    apply_estimator would raise when the estimator does not fit the model.
+    """
+    if spec.kind == "oracle":
+        support = spec.support
+        # every oracle trial goes through estimate_oracle and its cached factor
+        return lambda yv: estimate_oracle(model, yv, support).x
+    if spec.kind == "locally_unbiased":
+        return _locally_unbiased(model, spec.x0)
+    if spec.kind == "maximum_likelihood":
+        s = spec.s
+        if s > model.m:
+            raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
+        kernel = lambda yv: _ml_unit(yv, s)[0]  # noqa: E731
+    else:
+        kernel = lambda yv: _noise_exploiting(yv)[0]  # noqa: E731
+    if model.m != model.n:
+        raise InvalidInputError("estimate length does not match model n")
+    return kernel
 
 
 def apply_estimator(model: ProblemModel, y, spec: EstimatorSpec) -> np.ndarray:
     """Run one estimator and return a dense estimate of length n."""
-    if spec.kind == "oracle":
-        out = estimate_oracle(model, y, spec.support).x
-    elif spec.kind == "maximum_likelihood":
-        out = estimate_ml_unit(y, spec.s).x
-    elif spec.kind == "locally_unbiased":
-        return estimate_locally_unbiased(model, y, spec.x0)
-    else:
-        out = estimate_noise_exploiting(y).x
-    if out.size != model.n:
-        raise InvalidInputError("estimate length does not match model n")
-    return out
+    yv = measurement_vector(y)
+    if yv.size != model.m:
+        raise InvalidInputError("measurement length does not match model m")
+    return estimator_kernel(model, spec)(yv)

@@ -172,8 +172,8 @@ def hcrb_general(
 def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
     """Normalized squared smallest nonzero entry, x_q^2 / sigma_x^2.
 
-    Capped at 1/(k sigma_e^2) for a k-nonzero signal whenever
-    sigma_e > 0, since sigma_x^2 >= k sigma_e^2 x_q^2.
+    At most 1/(k sigma_e^2) for a k-nonzero signal whenever sigma_e > 0,
+    since sigma_x^2 = sigma_e^2 ||x||^2 + sigma_n^2 >= k sigma_e^2 x_q^2.
     """
     nz = np.flatnonzero(signal.x)
     if nz.size == 0:
@@ -182,11 +182,7 @@ def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
     if sx2 <= 0.0:
         raise DegenerateModelError("equivalent noise variance is zero")
     xq = np.min(np.abs(signal.x[nz]))
-    beta = float(xq**2 / sx2)
-    if model.sigma_e > 0.0:
-        cap = 1.0 / (nz.size * model.sigma_e**2)
-        assert beta <= cap * (1.0 + 1e-12)
-    return beta
+    return float(xq**2 / sx2)
 
 
 def g_function(beta: float, n: int, sigma_e: float) -> float:

@@ -76,8 +76,8 @@ class ProblemModel:
             raise InvalidInputError("A must be a nonempty 2-d array")
         if not np.all(np.isfinite(A)):
             raise InvalidInputError("A must be finite")
-        if not (self.sigma_e >= 0.0 and self.sigma_n >= 0.0):
-            raise InvalidInputError("noise deviations must be nonnegative")
+        if not (0.0 <= self.sigma_e < math.inf and 0.0 <= self.sigma_n < math.inf):
+            raise InvalidInputError("noise deviations must be finite and nonnegative")
         s = int(self.s)
         if s < 1 or s > A.shape[1]:
             raise InvalidInputError(
@@ -118,9 +118,9 @@ class SparseSignal:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise InvalidInputError("x must be a nonempty 1-d array")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise InvalidInputError("x must be finite")
-        nonzero = tuple(int(i) for i in np.flatnonzero(x))
+        nonzero = tuple(x.nonzero()[0].tolist())
         if self.support is None:
             support = nonzero
         else:

@@ -17,9 +17,9 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .ccrb import ccrb_maximal, ccrb_nonmaximal
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
-from .estimators import EstimatorSpec, apply_estimator
+from .estimators import EstimatorSpec, estimator_kernel
 from .hcrb import hcrb_unit_closed_form
-from .model import ProblemModel, SparseSignal, sample_measurement
+from .model import ProblemModel, SparseSignal, sigma_x_squared
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
 
@@ -49,18 +49,17 @@ class TrialSummary:
         object.__setattr__(self, "bias", b)
 
 
-def _chunk_sums(model, signal, estimator, seed, key, start, stop):
-    x = signal.x
+def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
+    m = mean.size
     sum_sq = 0.0
     sum_sq2 = 0.0
-    sum_err = np.zeros(model.n)
+    sum_err = np.zeros(x.size)
     failures = 0
     first_error = None
     for t in range(start, stop):
-        rng = trial_stream(seed, t, key)
-        y = sample_measurement(model, signal, rng)
+        y = mean + sx * trial_stream(seed, t, key).standard_normal(m)
         try:
-            xhat = apply_estimator(model, y, estimator)
+            xhat = kernel(y)
         except SparseBoundsError as exc:
             failures += 1
             if first_error is None:
@@ -74,6 +73,23 @@ def _chunk_sums(model, signal, estimator, seed, key, start, stop):
     return sum_sq, sum_sq2, sum_err, failures, first_error
 
 
+def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFailureError:
+    return ExcessiveFailureError(
+        f"{failures}/{trials} trials failed (budget {FAILURE_BUDGET:.0%}); "
+        f"first failure: {first_error}"
+    )
+
+
+def mse_stats(total: float, total_sq: float, count: int) -> tuple[float, float]:
+    """Mean of `count` squared errors and its standard error, from their
+    sum and the sum of their squares."""
+    mse = total / count
+    if count > 1:
+        var = max(total_sq - count * mse * mse, 0.0) / (count - 1)
+        return mse, math.sqrt(var / count)
+    return mse, 0.0
+
+
 def run_trials(
     model: ProblemModel,
     signal: SparseSignal,
@@ -85,31 +101,37 @@ def run_trials(
 ) -> TrialSummary:
     """Estimate the MSE and bias of one estimator over independent trials.
 
-    Trials whose estimator raises are counted as failures; more than
-    FAILURE_BUDGET of them aborts the run with the first diagnostic.
-    The result is bit-identical for a given (seed, stream_key) no matter
-    how many workers are used.
+    The cell is checked and set up once: the mean Ax, the deviation
+    sigma_x and the estimator's y -> estimate map.  Trial t then draws
+    y = Ax + sigma_x z with z from trial_stream(seed, t, stream_key) and
+    applies the map.  Trials whose estimator raises are counted as
+    failures; more than FAILURE_BUDGET of them aborts the run with the
+    first diagnostic.  The result is bit-identical for a given
+    (seed, stream_key) no matter how many workers are used.
     """
     if trials < 1:
         raise InvalidInputError("trials must be positive")
+    if workers < 1:
+        raise InvalidInputError("workers must be positive")
+    sx = math.sqrt(sigma_x_squared(model, signal))
+    mean = model.A @ signal.x
+    try:
+        kernel = estimator_kernel(model, estimator)
+    except SparseBoundsError as exc:
+        # the estimator does not fit the model, so every trial would fail
+        raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
     spans = [
         (lo, min(lo + TRIAL_CHUNK, trials)) for lo in range(0, trials, TRIAL_CHUNK)
     ]
+
+    def chunk(span):
+        return _chunk_sums(mean, sx, signal.x, kernel, seed, stream_key, *span)
+
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda span: _chunk_sums(
-                        model, signal, estimator, seed, stream_key, *span
-                    ),
-                    spans,
-                )
-            )
+            partials = list(pool.map(chunk, spans))
     else:
-        partials = [
-            _chunk_sums(model, signal, estimator, seed, stream_key, *span)
-            for span in spans
-        ]
+        partials = [chunk(span) for span in spans]
     sum_sq = 0.0
     sum_sq2 = 0.0
     sum_err = np.zeros(model.n)
@@ -123,17 +145,9 @@ def run_trials(
         if first_error is None:
             first_error = p_msg
     if failures > FAILURE_BUDGET * trials:
-        raise ExcessiveFailureError(
-            f"{failures}/{trials} trials failed (budget {FAILURE_BUDGET:.0%}); "
-            f"first failure: {first_error}"
-        )
+        raise _excessive_failures(failures, trials, first_error)
     ok = trials - failures
-    mse = sum_sq / ok
-    if ok > 1:
-        var = max(sum_sq2 - ok * mse * mse, 0.0) / (ok - 1)
-        std_error = math.sqrt(var / ok)
-    else:
-        std_error = 0.0
+    mse, std_error = mse_stats(sum_sq, sum_sq2, ok)
     return TrialSummary(
         mse=mse,
         bias=sum_err / ok,

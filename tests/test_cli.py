@@ -79,6 +79,33 @@ class TestBoundsCommand:
         vals = [float(v) for v in lines[1].split(",")[:3]]
         assert vals[0] == pytest.approx(vals[1] + vals[2], rel=1e-12)
 
+    def test_hcrb_header_names_its_parts(self, capsys):
+        code = run(
+            [
+                "bounds", "hcrb",
+                "--n", "6", "--m", "6", "--s", "2",
+                "--sigma-e", "0.1", "--sigma-n", "0.5",
+                "--x", "1,0,2,0,0,0",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "bound,support_part,nonsupport_part,ratio,regime"
+        vals = lines[1].split(",")
+        assert float(vals[3]) == pytest.approx(float(vals[2]) / float(vals[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--sigma-e", "--sigma-n"])
+    def test_infinite_noise_deviation_exits_two(self, flag, capsys):
+        argv = [
+            "bounds", "ccrb",
+            "--n", "6", "--m", "6", "--s", "2",
+            "--sigma-e", "0.1", "--sigma-n", "0.5",
+            "--x", "1,0,2,0,0,0",
+        ]
+        argv[argv.index(flag) + 1] = "inf"
+        assert run(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_matrix_from_file(self, tmp_path, capsys):
         p = tmp_path / "A.csv"
         np.savetxt(p, np.eye(3), delimiter=",")
@@ -235,6 +262,13 @@ class TestFigureCommand:
         )
         assert (d1 / "fig4.csv").read_bytes() == (d2 / "fig4.csv").read_bytes()
 
+    def test_table1_trial_counts(self, tmp_path):
+        argv = ["figure", "table1", "--n", "10", "--out-dir", str(tmp_path), "--trials"]
+        assert run(argv + ["0"]) == 2
+        assert run(argv + ["1"]) == 0
+        rows = read_csv(tmp_path / "table1.csv")
+        assert [float(r["std_error"]) for r in rows] == [0.0, 0.0, 0.0]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -348,6 +382,30 @@ class TestSimulateCommand:
         rows = read_csv(out)
         assert rows[0]["biased_regime"] == "true"
         assert float(rows[0]["mse"]) < float(rows[0]["hcrb"])
+
+
+    def test_zero_workers_exits_two(self, tmp_path, capsys):
+        code = run(
+            [
+                "simulate",
+                "--n", "5", "--m", "5", "--s", "1",
+                "--sigma-e", "0.1",
+                "--sigma-n", "0.5",
+                "--trials", "50",
+                "--workers", "0",
+                "--output", str(tmp_path / "sim.csv"),
+            ]
+        )
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        code = run(
+            [
+                "figure", "fig-estimators",
+                "--trials", "50", "--points", "2", "--workers", "0",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
 
 
 class TestDefaultSeed:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsebounds.ccrb import ccrb_maximal, ccrb_nonmaximal
 from sparsebounds.errors import (
@@ -179,6 +180,22 @@ class TestBetaAndG:
         x = SparseSignal(np.ones(4))
         # xq^2 / (se^2 k xq^2) = 1 / (k se^2) exactly at the cap
         assert beta_of(model, x) == pytest.approx(1.0 / (4 * 0.25), rel=1e-14)
+
+    @given(
+        se=st.floats(1e-3, 10.0),
+        sn=st.floats(0.0, 10.0),
+        v=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3)),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda v: any(v)),
+    )
+    def test_beta_never_exceeds_cap(self, se, sn, v):
+        # sigma_x^2 = se^2 ||x||^2 + sn^2 >= k se^2 xq^2 for k nonzeros
+        x = np.asarray(v, dtype=float)
+        k = int(np.count_nonzero(x))
+        model = identity_model(x.size, se, sn, k)
+        assert beta_of(model, SparseSignal(x)) <= 1.0 / (k * se**2) * (1.0 + 1e-12)
 
     def test_beta_zero_signal_rejected(self):
         model = identity_model(3, 0.5, 0.5, 2)

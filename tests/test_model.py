@@ -81,6 +81,13 @@ class TestProblemModel:
         with pytest.raises(InvalidInputError):
             make_model(np.eye(3), 0.1, 0.1, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_noise_deviations(self, bad):
+        with pytest.raises(InvalidInputError):
+            make_model(np.eye(3), bad, 0.1, 1)
+        with pytest.raises(InvalidInputError):
+            make_model(np.eye(3), 0.1, bad, 1)
+
     def test_matrix_is_frozen(self):
         m = make_model(np.eye(3), 0.1, 0.1, 1)
         with pytest.raises(ValueError):

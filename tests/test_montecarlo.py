@@ -1,11 +1,44 @@
+import csv
+import gc
+import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsebounds.ccrb import oracle_mse_theoretical
-from sparsebounds.errors import ExcessiveFailureError
-from sparsebounds.estimators import EstimatorSpec
-from sparsebounds.model import ProblemModel, SparseSignal, generate_gaussian_matrix
-from sparsebounds.montecarlo import TrialSummary, run_trials, sweep, trial_stream
+from sparsebounds.cli import main
+from sparsebounds.errors import (
+    ExcessiveFailureError,
+    InvalidInputError,
+    SingularMatrixError,
+    SparseBoundsError,
+)
+from sparsebounds.estimators import (
+    EstimatorSpec,
+    apply_estimator,
+    estimate_ml_unit,
+    estimate_noise_exploiting,
+    estimate_oracle,
+)
+from sparsebounds.estimators import _oracle_factor
+from sparsebounds.model import (
+    ProblemModel,
+    SparseSignal,
+    generate_gaussian_matrix,
+    sample_measurement,
+)
+from sparsebounds.montecarlo import (
+    TRIAL_CHUNK,
+    TrialSummary,
+    run_trials,
+    sweep,
+    trial_stream,
+)
 
 
 def oracle_setup(sigma_e=0.0, sigma_n=1.0):
@@ -84,6 +117,8 @@ class TestRunTrials:
         msg = str(exc.value)
         assert "singular" in msg.lower()
         assert "500" in msg
+        assert "500/500 trials failed" in msg
+        assert "first failure: trial 0: A_S^T A_S is singular" in msg
 
 
 class TestSweep:
@@ -121,3 +156,174 @@ class TestSweep:
         rows = sweep([({}, model, x)], [], trials=100, seed=0)
         assert rows[0]["hcrb"] is None
         assert rows[0]["ccrb"] > 0
+
+
+def reference_trials(model, signal, spec, trials, seed, key=()):
+    """run_trials spelled out with the public per-trial API: per chunk,
+    trial_stream -> sample_measurement -> apply_estimator, then the chunk
+    partials reduced in order."""
+    partials = []
+    for lo in range(0, trials, TRIAL_CHUNK):
+        sq, sq2, err_sum, fails = 0.0, 0.0, np.zeros(model.n), 0
+        for t in range(lo, min(lo + TRIAL_CHUNK, trials)):
+            y = sample_measurement(model, signal, trial_stream(seed, t, key))
+            try:
+                xhat = apply_estimator(model, y, spec)
+            except SparseBoundsError:
+                fails += 1
+                continue
+            err = xhat - signal.x
+            q = float(err @ err)
+            sq += q
+            sq2 += q * q
+            err_sum += err
+        partials.append((sq, sq2, err_sum, fails))
+    total, total_sq, bias, failures = 0.0, 0.0, np.zeros(model.n), 0
+    for sq, sq2, err_sum, fails in partials:
+        total += sq
+        total_sq += sq2
+        bias += err_sum
+        failures += fails
+    ok = trials - failures
+    mse = total / ok
+    var = max(total_sq - ok * mse * mse, 0.0) / (ok - 1)
+    return mse, math.sqrt(var / ok), bias / ok, failures
+
+
+def _lean_path_cases():
+    A = generate_gaussian_matrix(8, 12, np.random.default_rng(3))
+    x3 = np.zeros(12)
+    x3[[1, 4, 9]] = (1.0, -0.5, 2.0)
+    gaussian = (ProblemModel(A, 0.1, 0.2, 3), SparseSignal(x3))
+    unit = (ProblemModel(np.eye(5), 0.1, 0.3, 1), SparseSignal(np.eye(5)[0]))
+    unit2 = (
+        ProblemModel(np.eye(6), 0.1, 0.3, 2),
+        SparseSignal(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])),
+    )
+    return {
+        "oracle": (*gaussian, EstimatorSpec.oracle((1, 4, 9))),
+        "ml": (*unit, EstimatorSpec.maximum_likelihood(1)),
+        "ml_s2": (*unit2, EstimatorSpec.maximum_likelihood(2)),
+        "unbiased": (*unit, EstimatorSpec.locally_unbiased(unit[1])),
+        "noise": (*unit, EstimatorSpec.noise_exploiting()),
+    }
+
+
+class TestLeanPath:
+    @pytest.mark.parametrize("case", sorted(_lean_path_cases()))
+    def test_bit_identical_to_public_per_trial_api(self, case):
+        model, signal, spec = _lean_path_cases()[case]
+        trials = TRIAL_CHUNK + 300  # two chunks
+        out = run_trials(model, signal, spec, trials, seed=21, stream_key=(2, 1))
+        mse, std_error, bias, failures = reference_trials(
+            model, signal, spec, trials, seed=21, key=(2, 1)
+        )
+        assert (out.mse, out.std_error_mse, out.failures) == (mse, std_error, failures)
+        np.testing.assert_array_equal(out.bias, bias)
+
+    def test_misfit_estimator_fails_every_trial(self):
+        A = generate_gaussian_matrix(4, 6, np.random.default_rng(1))
+        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=1)
+        x = SparseSignal(np.eye(6)[0])
+        with pytest.raises(ExcessiveFailureError) as exc:
+            run_trials(model, x, EstimatorSpec.maximum_likelihood(1), trials=40, seed=3)
+        assert "40/40 trials failed" in str(exc.value)
+        assert "trial 0: estimate length does not match model n" in str(exc.value)
+
+    def test_signal_length_mismatch_is_an_input_error(self):
+        model, _, est = oracle_setup()
+        with pytest.raises(InvalidInputError):
+            run_trials(model, SparseSignal(np.ones(4)), est, trials=10, seed=0)
+
+    def test_zero_workers_rejected(self):
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match="workers"):
+            run_trials(model, x, est, trials=10, seed=0, workers=0)
+
+
+class TestOracleFactorCache:
+    def test_singular_support_fails_on_every_call(self):
+        A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=2)
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError):
+                estimate_oracle(model, np.array([1.0, 1.0]), support=(1, 0))
+        # a regular support on the same model still solves
+        assert estimate_oracle(model, np.array([1.0, 1.0]), support=(0, 2)).support == (0, 2)
+
+    def test_same_bits_as_cho_solve(self, rng):
+        A = generate_gaussian_matrix(9, 14, rng)
+        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=4)
+        S = [2, 5, 6, 11]
+        A_S = A[:, S]
+        cho = scipy.linalg.cho_factor(A_S.T @ A_S)
+        for _ in range(3):
+            y = rng.normal(size=9)
+            got = estimate_oracle(model, y, support=S[::-1])
+            np.testing.assert_array_equal(got.x[S], scipy.linalg.cho_solve(cho, A_S.T @ y))
+
+    def test_threads_share_one_factor(self, rng):
+        A = generate_gaussian_matrix(6, 9, rng)
+        S = (1, 4, 7)
+        ys = rng.normal(size=(8, 6))
+        want = [estimate_oracle(ProblemModel(A, 0.1, 0.1, 3), y, S).x for y in ys]
+        threads = 8
+        start = threading.Barrier(threads)
+
+        def work(model, y):
+            start.wait(timeout=10)
+            return _oracle_factor(model, S), estimate_oracle(model, y, S).x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for _ in range(30):
+                    model = ProblemModel(A, 0.1, 0.1, 3)  # a cold cache entry
+                    futures = [pool.submit(work, model, y) for y in ys]
+                    results = [f.result(timeout=60) for f in futures]
+                    # no thread replaced the entry another thread got
+                    assert len({id(factor) for factor, _ in results}) == 1
+                    for (_, x), ref in zip(results, want):
+                        np.testing.assert_array_equal(x, ref)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cache_does_not_keep_the_model_alive(self, rng):
+        model = ProblemModel(generate_gaussian_matrix(5, 7, rng), 0.1, 0.1, 2)
+        estimate_oracle(model, np.ones(5), support=(0, 3))
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+
+def test_table1_matches_public_estimators(tmp_path):
+    n, trials, seed = 40, 300, 5
+    code = main(
+        [
+            "figure", "table1", "--n", str(n), "--trials", str(trials),
+            "--seed", str(seed), "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    with open(tmp_path / "table1.csv", newline="") as fh:
+        got = {r["curve_id"]: (float(r["value"]), float(r["std_error"])) for r in csv.DictReader(fh)}
+    x = np.zeros(n)
+    x[0] = 1.0
+    sums = {"ls_empirical": [0.0, 0.0], "noise_exploiting_empirical": [0.0, 0.0]}
+    for t in range(trials):
+        y = x + 0.01 * trial_stream(seed, t).standard_normal(n)
+        for label, est in (
+            ("ls_empirical", estimate_ml_unit(y, 1)),
+            ("noise_exploiting_empirical", estimate_noise_exploiting(y)),
+        ):
+            err = est.x - x
+            q = float(err @ err)
+            sums[label][0] += q
+            sums[label][1] += q * q
+    for label, (total, total_sq) in sums.items():
+        mse = total / trials
+        var = max(total_sq - trials * mse * mse, 0.0) / (trials - 1)
+        assert got[label] == (mse, math.sqrt(var / trials))
+    assert got["ls_theoretical"] == (0.01**2, 0.0)
