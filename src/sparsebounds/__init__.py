@@ -11,6 +11,7 @@ from .ccrb import (
     CcrbReport,
     NoiseLevels,
     RipConstants,
+    ccrb_bound,
     ccrb_maximal,
     ccrb_nonmaximal,
     gamma_approx,

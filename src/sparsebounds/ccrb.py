@@ -28,19 +28,19 @@ import scipy.linalg
 
 from .errors import (
     AssumptionViolatedError,
-    DegenerateModelError,
     InvalidInputError,
     NoUnbiasedEstimatorError,
     SingularMatrixError,
     WrongRegimeError,
 )
 from .fisher import fim_closed_form
-from .model import ProblemModel, SparseSignal, sigma_x_squared
+from .model import ProblemModel, SparseSignal, positive_sigma_x_squared
 
 __all__ = [
     "CcrbReport",
     "RipConstants",
     "NoiseLevels",
+    "ccrb_bound",
     "ccrb_maximal",
     "ccrb_nonmaximal",
     "oracle_mse_theoretical",
@@ -109,27 +109,43 @@ class NoiseLevels:
         object.__setattr__(self, "c_n", float(self.c_n))
 
 
-def _checked_positive_sigma_x2(model: ProblemModel, signal: SparseSignal) -> float:
-    sx2 = sigma_x_squared(model, signal)
-    if sx2 <= 0.0:
-        raise DegenerateModelError(
-            "equivalent noise variance is zero; the bound is degenerate"
-        )
-    return sx2
+def _singular(M: np.ndarray) -> bool:
+    w = scipy.linalg.eigvalsh(M)
+    return w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]
 
 
-def _gram_eig_guard(gram: np.ndarray, what: str) -> None:
-    w = scipy.linalg.eigvalsh(gram)
-    if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
-        raise SingularMatrixError(f"{what} is numerically singular")
+def _support_inverse(A_S: np.ndarray) -> np.ndarray:
+    """(A_S^T A_S)^{-1}; raises SingularMatrixError when it does not exist."""
+    gram = A_S.T @ A_S
+    if _singular(gram):
+        raise SingularMatrixError("A_S^T A_S is numerically singular")
+    cho = scipy.linalg.cho_factor(gram)
+    return scipy.linalg.cho_solve(cho, np.eye(A_S.shape[1]))
 
 
-def _reduction_term(sx2: float, m: int, sigma_e: float, u: np.ndarray, quad: float) -> float:
-    # d = sx2 * 2 m se^4 ||u||^2 / (sx2 + 2 m se^4 quad), u = G x_S
-    c = 2.0 * m * sigma_e**4
-    if c == 0.0:
-        return 0.0
-    return float(sx2 * c * (u @ u) / (sx2 + c * quad))
+def _report(first: float, d: float, regime: str) -> CcrbReport:
+    return CcrbReport(
+        bound=first - d, first_term=first, d_ccrb=d, gamma_ccrb=d / first, regime=regime
+    )
+
+
+def _rank_one_report(
+    model: ProblemModel, sx2: float, G: np.ndarray, x: np.ndarray, regime: str
+) -> CcrbReport:
+    # first = sx2 tr(G); d = sx2 * 2 m se^4 ||u||^2 / (sx2 + 2 m se^4 x^T u), u = G x
+    u = G @ x
+    first = float(sx2 * np.trace(G))
+    c = 2.0 * model.m * model.sigma_e**4
+    d = 0.0 if c == 0.0 else float(sx2 * c * (u @ u) / (sx2 + c * float(x @ u)))
+    return _report(first, d, regime)
+
+
+def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
+    """The CCRB in the regime the signal falls in: ccrb_maximal when
+    ||x||_0 = s, ccrb_nonmaximal otherwise."""
+    if signal.nonzero_count == model.s:
+        return ccrb_maximal(model, signal)
+    return ccrb_nonmaximal(model, signal)
 
 
 def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -145,24 +161,10 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"maximal-support bound needs ||x||_0 = s = {model.s}, "
             f"got {signal.nonzero_count}"
         )
-    sx2 = _checked_positive_sigma_x2(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     S = list(signal.support)
-    A_S = model.A[:, S]
-    gram = A_S.T @ A_S
-    _gram_eig_guard(gram, "A_S^T A_S")
-    cho = scipy.linalg.cho_factor(gram)
-    G = scipy.linalg.cho_solve(cho, np.eye(len(S)))
-    x_S = signal.x[S]
-    u = G @ x_S
-    first = float(sx2 * np.trace(G))
-    d = _reduction_term(sx2, model.m, model.sigma_e, u, float(x_S @ u))
-    return CcrbReport(
-        bound=first - d,
-        first_term=first,
-        d_ccrb=d,
-        gamma_ccrb=d / first,
-        regime="maximal",
-    )
+    G = _support_inverse(model.A[:, S])
+    return _rank_one_report(model, sx2, G, signal.x[S], "maximal")
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -184,32 +186,18 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"non-maximal bound needs ||x||_0 < s = {model.s}, "
             f"got {signal.nonzero_count}"
         )
-    sx2 = _checked_positive_sigma_x2(model, signal)
     fim = fim_closed_form(model, signal)
-    w = scipy.linalg.eigvalsh(fim.J)
-    if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
+    if _singular(fim.J):
         raise NoUnbiasedEstimatorError(
             "Fisher information is singular: no unbiased estimator of this "
             "signal has finite variance"
         )
-    gram = model.A.T @ model.A
-    wg = scipy.linalg.eigvalsh(gram)
-    if wg[0] > SINGULARITY_RTOL * wg[-1] and wg[-1] > 0.0:
-        cho = scipy.linalg.cho_factor(gram)
-        G = scipy.linalg.cho_solve(cho, np.eye(model.n))
-        u = G @ signal.x
-        first = float(sx2 * np.trace(G))
-        d = _reduction_term(sx2, model.m, model.sigma_e, u, float(signal.x @ u))
-    else:
+    try:
+        G = _support_inverse(model.A)
+    except SingularMatrixError:
         first = float(np.trace(scipy.linalg.solve(fim.J, np.eye(model.n), assume_a="pos")))
-        d = 0.0
-    return CcrbReport(
-        bound=first - d,
-        first_term=first,
-        d_ccrb=d,
-        gamma_ccrb=d / first,
-        regime="nonmaximal",
-    )
+        return _report(first, 0.0, "nonmaximal")
+    return _rank_one_report(model, fim.sigma_x2, G, signal.x, "nonmaximal")
 
 
 def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -> float:
@@ -225,13 +213,8 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
         raise InvalidInputError("support indices out of range")
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
-    sx2 = _checked_positive_sigma_x2(model, signal)
-    A_S = model.A[:, S]
-    gram = A_S.T @ A_S
-    _gram_eig_guard(gram, "A_S^T A_S")
-    cho = scipy.linalg.cho_factor(gram)
-    G = scipy.linalg.cho_solve(cho, np.eye(len(S)))
-    return float(sx2 * np.trace(G))
+    sx2 = positive_sigma_x_squared(model, signal)
+    return float(sx2 * np.trace(_support_inverse(model.A[:, S])))
 
 
 def rip_constants(

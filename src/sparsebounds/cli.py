@@ -8,7 +8,7 @@ simulate  run reference estimators against the bounds over a sigma_n grid
 
 Numbers are serialized at '%.17g' so a fixed seed reproduces output
 files byte for byte.  Exit codes: 0 success, 2 usage, 3 math-domain
-failure, 4 I/O failure.
+failure (any MathDomainError), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,27 +24,14 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .ccrb import (
+    ccrb_bound,
     ccrb_maximal,
-    ccrb_nonmaximal,
     gamma_approx,
     sigmas_for_levels,
     transition_ce,
 )
-from .errors import (
-    AssumptionViolatedError,
-    DegenerateModelError,
-    DivergentTestPointError,
-    ExcessiveFailureError,
-    InfeasibleOffsetError,
-    InvalidInputError,
-    NoUnbiasedEstimatorError,
-    SingularMatrixError,
-    SparseBoundsError,
-    UnsupportedMatrixError,
-    UnsupportedSizeError,
-    WrongRegimeError,
-)
-from .estimators import EstimatorSpec, _ml_unit, _noise_exploiting
+from .errors import InvalidInputError, MathDomainError, SparseBoundsError
+from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -75,20 +62,6 @@ SIMULATE_HEADER = (
     "oracle_theory",
     "rel_gap",
     "biased_regime",
-)
-
-# Errors that signal a mathematical impossibility rather than bad usage.
-_MATH_ERRORS = (
-    AssumptionViolatedError,
-    DegenerateModelError,
-    DivergentTestPointError,
-    ExcessiveFailureError,
-    InfeasibleOffsetError,
-    NoUnbiasedEstimatorError,
-    SingularMatrixError,
-    UnsupportedMatrixError,
-    UnsupportedSizeError,
-    WrongRegimeError,
 )
 
 
@@ -159,8 +132,6 @@ class ExperimentConfig:
     sigma_n: float | None = None
     x_q: float | None = None
     workers: int = 1
-    out_dir: str = "."
-    output: str | None = None
 
 
 # additive noise levels used by the gamma figures, as (label, value)
@@ -509,22 +480,11 @@ def _parse_grid(spec: str) -> list[float]:
         raise InvalidInputError(f"cannot parse grid {spec!r}") from None
 
 
-_ESTIMATOR_ALIASES = {
-    "oracle": "oracle",
-    "ml": "maximum_likelihood",
-    "maximum_likelihood": "maximum_likelihood",
-    "unbiased": "locally_unbiased",
-    "locally_unbiased": "locally_unbiased",
-    "noise": "noise_exploiting",
-    "noise_exploiting": "noise_exploiting",
-}
-
-
 def _parse_estimators(spec: str, model: ProblemModel, signal: SparseSignal):
     names = [tok.strip() for tok in spec.split(",") if tok.strip() != ""]
     out = []
     for name in names:
-        kind = _ESTIMATOR_ALIASES.get(name)
+        kind = next((k for k, short in _KIND_NAMES.items() if name in (k, short)), None)
         if kind is None:
             raise InvalidInputError(f"unknown estimator {name!r}")
         if kind == "oracle":
@@ -550,10 +510,7 @@ def cmd_bounds(args) -> None:
     signal = SparseSignal(x)
     model = ProblemModel(A, args.sigma_e, args.sigma_n, args.s)
     if args.which == "ccrb":
-        if signal.nonzero_count == model.s:
-            rep = ccrb_maximal(model, signal)
-        else:
-            rep = ccrb_nonmaximal(model, signal)
+        rep = ccrb_bound(model, signal)
         header = BOUNDS_HEADER
         row = (rep.bound, rep.first_term, rep.d_ccrb, rep.gamma_ccrb, rep.regime)
     else:
@@ -583,8 +540,6 @@ def cmd_figure(args) -> None:
         sigma_n=_resolve(args, "sigma_n", None),
         x_q=_resolve(args, "x_q", None),
         workers=_resolve(args, "workers", 1),
-        out_dir=_resolve(args, "out_dir", "."),
-        output=_resolve(args, "output", None),
     )
     rows = figure_rows(cfg)
     path = _out_path(args, f"{args.id}.csv")
@@ -733,7 +688,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except _MATH_ERRORS as exc:
+    except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SparseBoundsError as exc:

@@ -1,4 +1,9 @@
-"""Exception types raised by the bound computations."""
+"""Exception types raised by the bound computations.
+
+A MathDomainError means the input is well formed but the mathematics has
+no answer for it; the command line maps it to exit code 3 and any other
+SparseBoundsError to exit code 2.
+"""
 
 
 class SparseBoundsError(Exception):
@@ -9,42 +14,46 @@ class InvalidInputError(SparseBoundsError, ValueError):
     """An argument fails a precondition (shape, range, or sparsity)."""
 
 
-class DegenerateModelError(SparseBoundsError):
+class MathDomainError(SparseBoundsError):
+    """The requested quantity does not exist or cannot be computed."""
+
+
+class DegenerateModelError(MathDomainError):
     """The equivalent noise variance is zero, so no likelihood exists."""
 
 
-class SingularMatrixError(SparseBoundsError):
+class SingularMatrixError(MathDomainError):
     """A required Gram matrix is singular or numerically rank deficient."""
 
 
-class NoUnbiasedEstimatorError(SparseBoundsError):
+class NoUnbiasedEstimatorError(MathDomainError):
     """The Fisher information is singular: no finite-variance unbiased
     estimator exists for this signal."""
 
 
-class WrongRegimeError(InvalidInputError):
+class WrongRegimeError(InvalidInputError, MathDomainError):
     """The signal's sparsity does not match the requested bound regime."""
 
 
-class UnsupportedSizeError(SparseBoundsError):
+class UnsupportedSizeError(MathDomainError):
     """The exact combinatorial computation is too large to enumerate."""
 
 
-class AssumptionViolatedError(SparseBoundsError):
+class AssumptionViolatedError(MathDomainError):
     """A restricted-eigenvalue assumption fails for the given matrix."""
 
 
-class DivergentTestPointError(SparseBoundsError):
+class DivergentTestPointError(MathDomainError):
     """A test-point pair makes the bound's defining integral diverge."""
 
 
-class ExcessiveFailureError(SparseBoundsError):
+class ExcessiveFailureError(MathDomainError):
     """More than the tolerated share of Monte Carlo trials failed."""
 
 
-class InfeasibleOffsetError(InvalidInputError):
+class InfeasibleOffsetError(InvalidInputError, MathDomainError):
     """A test-point offset leaves the sparse parameter set."""
 
 
-class UnsupportedMatrixError(InvalidInputError):
+class UnsupportedMatrixError(InvalidInputError, MathDomainError):
     """The operation has a closed form only for the identity matrix."""

@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 
-_SHORT_NAMES = {
+# Each estimator kind and its short name; the command line accepts both.
+_KIND_NAMES = {
     "oracle": "oracle",
     "maximum_likelihood": "ml",
     "locally_unbiased": "unbiased",
@@ -60,10 +61,8 @@ class EstimatorSpec:
     s: int | None = None
     x0: SparseSignal | None = None
 
-    _KINDS = ("oracle", "maximum_likelihood", "locally_unbiased", "noise_exploiting")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _KIND_NAMES:
             raise InvalidInputError(f"unknown estimator kind {self.kind!r}")
         if self.kind == "oracle":
             if not self.support:
@@ -98,8 +97,7 @@ class EstimatorSpec:
 
     @property
     def name(self) -> str:
-        # short ids shared with the command line --estimators vocabulary
-        return _SHORT_NAMES[self.kind]
+        return _KIND_NAMES[self.kind]
 
 
 # The kernels reject a non-finite estimate as SparseSignal would, so a
@@ -112,7 +110,8 @@ _NOT_FINITE = "x must be finite"
 # model (and its A) alive; A is read-only, so a factor stays valid for its
 # model's lifetime and every caller gets the bits it would compute itself.
 # Singular supports are not cached and fail again on every call.  The lock
-# serves the worker threads of run_trials.
+# serves any caller that runs the public estimate_oracle from several
+# threads.
 _ORACLE_FACTORS = weakref.WeakKeyDictionary()
 _ORACLE_LOCK = threading.Lock()
 

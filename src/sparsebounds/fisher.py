@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, InvalidInputError
+from .errors import InvalidInputError
 from .model import (
     ProblemModel,
     SparseSignal,
     measurement_vector,
-    sigma_x_squared,
+    positive_sigma_x_squared,
 )
 
 __all__ = [
@@ -62,18 +62,9 @@ class FisherMatrix:
         object.__setattr__(self, "sigma_x2", float(self.sigma_x2))
 
 
-def _positive_sigma_x2(model: ProblemModel, signal: SparseSignal) -> float:
-    sx2 = sigma_x_squared(model, signal)
-    if sx2 <= 0.0:
-        raise DegenerateModelError(
-            "equivalent noise variance is zero; the likelihood is degenerate"
-        )
-    return sx2
-
-
 def log_likelihood(model: ProblemModel, signal: SparseSignal, y) -> float:
     """Exact log-density of a measurement under the equivalent noise law."""
-    sx2 = _positive_sigma_x2(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     r = measurement_vector(y) - model.A @ signal.x
     if r.size != model.m:
         raise InvalidInputError("measurement length does not match model m")
@@ -86,7 +77,7 @@ def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
     Both the residual and the x-dependence of sigma_x^2 contribute; the
     second and third terms below are the latter.
     """
-    sx2 = _positive_sigma_x2(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     x = signal.x
     r = measurement_vector(y) - model.A @ x
     if r.size != model.m:
@@ -97,7 +88,7 @@ def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
 
 def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
     """Fisher information J(x) in closed form."""
-    sx2 = _positive_sigma_x2(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     x = signal.x
     J = model.A.T @ model.A + (2.0 * model.m * model.sigma_e**4 / sx2) * np.outer(x, x)
     J /= sx2
@@ -120,7 +111,7 @@ def fim_monte_carlo(
     """
     if samples < 1:
         raise InvalidInputError("samples must be positive")
-    sx2 = _positive_sigma_x2(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     sx = math.sqrt(sx2)
     se2 = model.sigma_e**2
     x = signal.x

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedMatrixError,
     WrongRegimeError,
 )
-from .model import ProblemModel, SparseSignal, sigma_x_squared
+from .model import ProblemModel, SparseSignal, positive_sigma_x_squared
 
 __all__ = [
     "TestPointSet",
@@ -95,9 +95,7 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     """
     if signal.n != model.n:
         raise InvalidInputError("signal length does not match model")
-    sx2 = sigma_x_squared(model, signal)
-    if sx2 <= 0.0:
-        raise DegenerateModelError("equivalent noise variance is zero")
+    sx2 = positive_sigma_x_squared(model, signal)
     vs = []
     for v in offsets:
         v = np.asarray(v, dtype=float)
@@ -147,7 +145,9 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
 
 
 def _pinv_psd(H: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
-    w, Q = scipy.linalg.eigh(H)
+    # divide and conquer: several times faster than the default driver on
+    # the unit-diagonal matrices hcrb_general passes in
+    w, Q = scipy.linalg.eigh(H, driver="evd")
     cut = rtol * max(w[-1], 0.0)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (Q * inv) @ Q.T
@@ -158,13 +158,21 @@ def hcrb_general(
 ) -> tuple[np.ndarray, float]:
     """Covariance lower bound V H^+ V^T and its trace.
 
-    Accepts raw offset vectors or an already assembled TestPointSet.
+    It is evaluated as (V D^-1) (D^-1 H D^-1)^+ (V D^-1)^T with
+    d_i = sqrt(H_ii): with offsets of mixed scales H spans many decades,
+    and an eigenvalue cut relative to the largest would drop the
+    small-offset directions.  This equals V H^-1 V^T when H is invertible
+    and is a valid bound otherwise.  Accepts raw offset vectors or an
+    already assembled TestPointSet.
     """
     if isinstance(offsets, TestPointSet):
         tps = offsets
     else:
         tps = test_points(model, signal, offsets)
-    C = tps.V @ _pinv_psd(tps.H) @ tps.V.T
+    h = np.diag(tps.H)
+    d = np.sqrt(np.where(h > 0.0, h, 1.0))
+    W = tps.V / d
+    C = W @ _pinv_psd(tps.H / np.outer(d, d)) @ W.T
     C = 0.5 * (C + C.T)
     return C, float(np.trace(C))
 
@@ -178,9 +186,7 @@ def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
     nz = np.flatnonzero(signal.x)
     if nz.size == 0:
         raise InvalidInputError("the zero signal has no smallest nonzero entry")
-    sx2 = sigma_x_squared(model, signal)
-    if sx2 <= 0.0:
-        raise DegenerateModelError("equivalent noise variance is zero")
+    sx2 = positive_sigma_x_squared(model, signal)
     xq = np.min(np.abs(signal.x[nz]))
     return float(xq**2 / sx2)
 
@@ -204,24 +210,6 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
     return num / den
 
 
-def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
-    """Off-support part of the unit-matrix bound, as a multiple of sigma_x^2."""
-    _require_unit_maximal(model, signal)
-    n, s = model.n, model.s
-    if n == s:
-        return 0.0
-    beta = beta_of(model, signal)
-    if beta > _BETA_OVERFLOW:
-        return 0.0
-    g = g_function(beta, n, model.sigma_e)
-    h = beta * math.exp(-beta) / math.expm1(beta)
-    if g < 1.0:
-        tail = (n - s) + math.exp(beta) / (1.0 - g)
-    else:
-        tail = math.inf  # g rounds to 1 only as beta -> 0, where the tail diverges
-    return (n - s) * h * (1.0 - 1.0 / tail)
-
-
 def _require_unit_maximal(model: ProblemModel, signal: SparseSignal) -> None:
     if signal.n != model.n:
         raise InvalidInputError("signal length does not match model")
@@ -236,6 +224,27 @@ def _require_unit_maximal(model: ProblemModel, signal: SparseSignal) -> None:
         )
 
 
+def _off_support(model: ProblemModel, signal: SparseSignal) -> tuple[float, float, float]:
+    """(beta, g(beta), d) of the unit-matrix bound."""
+    _require_unit_maximal(model, signal)
+    n, s = model.n, model.s
+    beta = beta_of(model, signal)
+    g = g_function(beta, n, model.sigma_e)
+    if n == s or beta > _BETA_OVERFLOW:
+        return beta, g, 0.0
+    h = beta * math.exp(-beta) / math.expm1(beta)
+    if g < 1.0:
+        tail = (n - s) + math.exp(beta) / (1.0 - g)
+    else:
+        tail = math.inf  # g rounds to 1 only as beta -> 0, where the tail diverges
+    return beta, g, (n - s) * h * (1.0 - 1.0 / tail)
+
+
+def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
+    """Off-support part of the unit-matrix bound, as a multiple of sigma_x^2."""
+    return _off_support(model, signal)[2]
+
+
 def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbReport:
     """Closed-form HCRB for a unit sensing matrix and ||x||_0 = s.
 
@@ -243,18 +252,14 @@ def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbRepo
     the off-support part sigma_x^2 d closes the gap toward the
     unconstrained bound as the smallest entry shrinks.
     """
-    _require_unit_maximal(model, signal)
-    sx2 = sigma_x_squared(model, signal)
-    if sx2 <= 0.0:
-        raise DegenerateModelError("equivalent noise variance is zero")
+    beta, g, d = _off_support(model, signal)
+    sx2 = positive_sigma_x_squared(model, signal)
     n, s = model.n, model.s
     x = signal.x
     energy = float(x @ x)
     c = 2.0 * n * model.sigma_e**4
     support_part = sx2 * (s - c * energy / (sx2 + c * energy))
-    beta = beta_of(model, signal)
-    g = g_function(beta, n, model.sigma_e) if beta <= _BETA_OVERFLOW else 0.0
-    nonsupport_part = sx2 * d_hcrb(model, signal)
+    nonsupport_part = sx2 * d
     return HcrbReport(
         bound=support_part + nonsupport_part,
         support_part=support_part,

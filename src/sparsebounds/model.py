@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AssumptionViolatedError,
+    DegenerateModelError,
     InvalidInputError,
     UnsupportedSizeError,
 )
@@ -182,6 +183,17 @@ def sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:
     _check_signal(model, signal)
     x = signal.x
     return float(model.sigma_e**2 * (x @ x) + model.sigma_n**2)
+
+
+def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:
+    """sigma_x_squared, raising DegenerateModelError when it is zero:
+    the likelihood, the bounds and beta all divide by it."""
+    sx2 = sigma_x_squared(model, signal)
+    if sx2 <= 0.0:
+        raise DegenerateModelError(
+            "equivalent noise variance is zero; the model is degenerate"
+        )
+    return sx2
 
 
 def sample_measurement(

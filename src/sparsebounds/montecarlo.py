@@ -1,21 +1,20 @@
 """Monte Carlo harness validating the bounds against reference estimators.
 
 Every trial draws from its own random stream derived from the master
-seed and the trial index, so results do not depend on chunking or on how
-many workers execute the chunks.  Partial sums are always reduced in
-chunk-index order.
+seed and the trial index.  Trials are summed in fixed chunks of
+TRIAL_CHUNK, and the chunk sums are reduced in chunk-index order, so a
+result depends only on the seed, the stream key and the trial count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .ccrb import ccrb_maximal, ccrb_nonmaximal
+from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel
 from .hcrb import hcrb_unit_closed_form
@@ -106,8 +105,9 @@ def run_trials(
     y = Ax + sigma_x z with z from trial_stream(seed, t, stream_key) and
     applies the map.  Trials whose estimator raises are counted as
     failures; more than FAILURE_BUDGET of them aborts the run with the
-    first diagnostic.  The result is bit-identical for a given
-    (seed, stream_key) no matter how many workers are used.
+    first diagnostic.  `workers` must be at least 1 but changes nothing:
+    the trials run serially, so the result is bit-identical for a given
+    (seed, stream_key) whatever its value.
     """
     if trials < 1:
         raise InvalidInputError("trials must be positive")
@@ -120,24 +120,16 @@ def run_trials(
     except SparseBoundsError as exc:
         # the estimator does not fit the model, so every trial would fail
         raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
-    spans = [
-        (lo, min(lo + TRIAL_CHUNK, trials)) for lo in range(0, trials, TRIAL_CHUNK)
-    ]
-
-    def chunk(span):
-        return _chunk_sums(mean, sx, signal.x, kernel, seed, stream_key, *span)
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk, spans))
-    else:
-        partials = [chunk(span) for span in spans]
     sum_sq = 0.0
     sum_sq2 = 0.0
     sum_err = np.zeros(model.n)
     failures = 0
     first_error = None
-    for p_sq, p_sq2, p_err, p_fail, p_msg in partials:
+    for lo in range(0, trials, TRIAL_CHUNK):
+        hi = min(lo + TRIAL_CHUNK, trials)
+        p_sq, p_sq2, p_err, p_fail, p_msg = _chunk_sums(
+            mean, sx, signal.x, kernel, seed, stream_key, lo, hi
+        )
         sum_sq += p_sq
         sum_sq2 += p_sq2
         sum_err += p_err
@@ -161,11 +153,9 @@ def run_trials(
 def _analytic_bounds(model: ProblemModel, signal: SparseSignal) -> dict:
     out = {"ccrb": None, "hcrb": None, "oracle_theory": None}
     try:
-        if signal.nonzero_count == model.s:
-            rep = ccrb_maximal(model, signal)
+        rep = ccrb_bound(model, signal)
+        if rep.regime == "maximal":
             out["oracle_theory"] = rep.first_term
-        else:
-            rep = ccrb_nonmaximal(model, signal)
         out["ccrb"] = rep.bound
     except SparseBoundsError:
         pass
@@ -190,7 +180,8 @@ def sweep(
     the trial summary next to the analytic bound values; with no
     estimators, one bounds-only row per point.  Each cell uses the
     stream key (point index, estimator index) so the whole sweep is
-    reproducible from the single seed.
+    reproducible from the single seed.  `workers` is passed to run_trials,
+    which validates it; the trials run serially.
     """
     rows: list[dict] = []
     for idx, (point, model, signal) in enumerate(instances):

@@ -4,6 +4,7 @@ import pytest
 from sparsebounds.ccrb import (
     NoiseLevels,
     RipConstants,
+    ccrb_bound,
     ccrb_maximal,
     ccrb_nonmaximal,
     gamma_approx,
@@ -168,6 +169,19 @@ class TestNonmaximal:
         steps = np.abs(np.diff(bounds))
         assert all(a >= b for a, b in zip(steps, steps[1:]))
         assert bounds[-1] < 0.9 * nonmax
+
+
+class TestDispatch:
+    def test_picks_the_regime_from_the_nonzero_count(self):
+        model, x = gaussian_instance(5, m=10, n=8, s=3)
+        assert ccrb_bound(model, x) == ccrb_maximal(model, x)
+        fewer = SparseSignal(np.r_[1.0, np.zeros(7)])
+        assert ccrb_bound(model, fewer) == ccrb_nonmaximal(model, fewer)
+
+    def test_too_many_nonzeros_is_the_nonmaximal_regime_error(self):
+        model, _ = gaussian_instance(5, m=10, n=8, s=3)
+        with pytest.raises(WrongRegimeError, match="non-maximal"):
+            ccrb_bound(model, SparseSignal(np.r_[np.ones(4), np.zeros(4)]))
 
 
 class TestOracleTheory:

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import sparsebounds
+import sparsebounds.cli as cli
 from sparsebounds.ccrb import transition_ce
 from sparsebounds.cli import DEFAULT_SEED, SEED_ENV_VAR, load_config, main
 from sparsebounds.errors import InvalidInputError
@@ -137,7 +139,49 @@ class TestBoundsCommand:
         assert out.read_text().startswith("bound,")
 
 
+# The exit code each exported error class has always mapped to.
+EXIT_CODES = {
+    "AssumptionViolatedError": 3,
+    "DegenerateModelError": 3,
+    "DivergentTestPointError": 3,
+    "ExcessiveFailureError": 3,
+    "InfeasibleOffsetError": 3,
+    "NoUnbiasedEstimatorError": 3,
+    "SingularMatrixError": 3,
+    "UnsupportedMatrixError": 3,
+    "UnsupportedSizeError": 3,
+    "WrongRegimeError": 3,
+    "InvalidInputError": 2,
+    "SparseBoundsError": 2,
+}
+
+EXPORTED_ERRORS = sorted(
+    name
+    for name, obj in vars(sparsebounds).items()
+    if isinstance(obj, type) and issubclass(obj, Exception)
+)
+
+
 class TestExitCodes:
+    def test_every_exported_error_has_a_pinned_code(self):
+        assert EXPORTED_ERRORS == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", EXPORTED_ERRORS)
+    def test_error_class_maps_to_its_code(self, name, monkeypatch, capsys):
+        def fail(args):
+            raise getattr(sparsebounds, name)("boom")
+
+        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "1", "--m", "1", "--s", "1",
+                "--sigma-e", "0", "--sigma-n", "1", "--x", "1",
+            ]
+        )
+        assert code == EXIT_CODES[name]
+        assert capsys.readouterr().err == "error: boom\n"
+
     def test_usage_error(self, capsys):
         code = run(["bounds", "ccrb", "--n", "4"])  # missing required flags
         assert code == 2

@@ -33,6 +33,11 @@ def identity_model(n, sigma_e, sigma_n, s):
     return ProblemModel(A=np.eye(n), sigma_e=sigma_e, sigma_n=sigma_n, s=s)
 
 
+def axis_offsets(n, scales):
+    """+-t e_i for every scale t and axis i."""
+    return [sign * t * np.eye(n)[i] for t in scales for i in range(n) for sign in (1.0, -1.0)]
+
+
 class TestTestPoints:
     def test_zero_offset_gives_zero_bound(self):
         model = identity_model(3, 0.2, 0.5, 2)
@@ -163,9 +168,18 @@ class TestGeneralBound:
         x = SparseSignal(np.array([1.0, 0.4, 0.0, 0.0]))
         base = [np.array([0.1, 0.0, 0.0, 0.0])]
         extra = base + [np.array([0.0, -0.2, 0.0, 0.0]), np.array([-0.3, 0.1, 0.0, 0.0])]
-        _, t1 = hcrb_general(model, x, make_test_points(model, x, base))
-        _, t2 = hcrb_general(model, x, make_test_points(model, x, extra))
-        assert t2 >= t1 - 1e-12
+        # offsets of mixed scales make H span about 1e-8 to 1e14, so an
+        # unscaled eigenvalue cut drops the small-offset directions
+        mixed_model = identity_model(4, 0.0, 0.1, 3)
+        mixed_x = SparseSignal(np.array([1.0, 0.5, 0.0, 0.0]))
+        cases = [
+            (model, x, base, extra),
+            (mixed_model, mixed_x, axis_offsets(4, (1e-3,)), axis_offsets(4, (1e-3, 0.1, 0.5))),
+        ]
+        for model, x, base, extra in cases:
+            _, t1 = hcrb_general(model, x, make_test_points(model, x, base))
+            _, t2 = hcrb_general(model, x, make_test_points(model, x, extra))
+            assert t2 >= t1 - 1e-12
 
 
 class TestBetaAndG:
