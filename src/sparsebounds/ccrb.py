@@ -60,6 +60,9 @@ SINGULARITY_RTOL = 1e-12
 # sampling in "auto" mode.
 RIP_ENUMERATION_LIMIT = 100_000
 RIP_DEFAULT_SAMPLES = 2000
+# Supports per batched eigensolve in rip_constants; bounds its temporaries
+# to RIP_BLOCK * s * m floats whatever the number of supports.
+RIP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -229,8 +232,12 @@ def rip_constants(
 
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
     uniform supports, and "auto" enumerates iff C(n, s) fits within
-    `enumeration_limit`.  Raises AssumptionViolatedError when a visited
-    support has lambda_min <= 0.
+    `enumeration_limit`.  Supports are visited in blocks of RIP_BLOCK: each
+    block's Gram matrices are stacked and solved by one batched eigvalsh.
+    Sampled supports are drawn one at a time as before, so a given `rng`
+    yields the same supports and, on success, ends in the same state.
+    Raises AssumptionViolatedError naming the first visited support with
+    lambda_min <= 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -257,16 +264,35 @@ def rip_constants(
         )
     lo = math.inf
     hi = -math.inf
-    for S in supports:
-        gram = A[:, list(S)].T @ A[:, list(S)]
-        w = scipy.linalg.eigvalsh(gram)
-        if w[0] <= 0.0:
+    while block := list(itertools.islice(supports, RIP_BLOCK)):
+        idx = np.array(block, dtype=np.intp)
+        cols = A.T[idx]  # (B, s, m): the columns of each A_S
+        w = np.linalg.eigvalsh(cols @ cols.transpose(0, 2, 1))
+        bad = np.flatnonzero(w[:, 0] <= 0.0)
+        if bad.size:
             raise AssumptionViolatedError(
-                f"support {tuple(int(i) for i in S)} has lambda_min <= 0"
+                f"support {tuple(int(i) for i in idx[bad[0]])} has lambda_min <= 0"
             )
-        lo = min(lo, w[0])
-        hi = max(hi, w[-1])
+        lo = min(lo, float(w[:, 0].min()))
+        hi = max(hi, float(w[:, -1].max()))
     return RipConstants(theta_lower=1.0 - lo, theta_upper=hi - 1.0, s=s, exact=exhaustive)
+
+
+def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
+    """(||x||^2, tr(A_S^T A_S)) for the signal's support S; both must be
+    positive for the noise levels to be defined."""
+    S = list(signal.support)
+    if not S:
+        raise InvalidInputError("signal support is empty")
+    x = signal.x
+    energy = float(x @ x)
+    if energy == 0.0:
+        raise InvalidInputError("noise levels are undefined for the zero signal")
+    A_S = A[:, S]
+    tr_gram = float(np.einsum("ij,ij->", A_S, A_S))
+    if tr_gram <= 0.0:
+        raise InvalidInputError("A_S has zero energy")
+    return energy, tr_gram
 
 
 def noise_levels(model: ProblemModel, signal: SparseSignal) -> NoiseLevels:
@@ -276,17 +302,7 @@ def noise_levels(model: ProblemModel, signal: SparseSignal) -> NoiseLevels:
     """
     if signal.n != model.n:
         raise InvalidInputError("signal length does not match model")
-    S = list(signal.support)
-    if not S:
-        raise InvalidInputError("signal support is empty")
-    x = signal.x
-    energy = float(x @ x)
-    if energy == 0.0:
-        raise InvalidInputError("noise levels are undefined for the zero signal")
-    A_S = model.A[:, S]
-    tr_gram = float(np.einsum("ij,ij->", A_S, A_S))
-    if tr_gram <= 0.0:
-        raise InvalidInputError("A_S has zero energy")
+    energy, tr_gram = _support_energy(model.A, signal)
     c_e = model.m * model.s * model.sigma_e**2 / tr_gram
     c_n = model.m * model.sigma_n**2 / energy
     return NoiseLevels(c_e=c_e, c_n=c_n)
@@ -299,14 +315,7 @@ def sigmas_for_levels(
     if c_e < 0.0 or c_n < 0.0:
         raise InvalidInputError("noise levels must be nonnegative")
     A = np.asarray(A, dtype=float)
-    S = list(signal.support)
-    if not S:
-        raise InvalidInputError("signal support is empty")
-    energy = float(signal.x @ signal.x)
-    if energy == 0.0:
-        raise InvalidInputError("zero signal")
-    A_S = A[:, S]
-    tr_gram = float(np.einsum("ij,ij->", A_S, A_S))
+    energy, tr_gram = _support_energy(A, signal)
     m = A.shape[0]
     sigma_e = math.sqrt(c_e * tr_gram / (m * s))
     sigma_n = math.sqrt(c_n * energy / m)

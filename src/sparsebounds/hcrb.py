@@ -88,10 +88,16 @@ class HcrbReport:
 def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPointSet:
     """Assemble H for a set of offsets.
 
-    Each entry is evaluated as expm1 of its logarithm, which keeps the
-    -1 cancellation exact for offsets of any size.  Raises
-    InfeasibleOffsetError when some x + v_i is not s-sparse and
-    DivergentTestPointError when some pair has vs_ij^2 <= 0.
+    The per-offset quantities (s_i^2, A v_i, A v_i / s_i^2, log s_i^2) are
+    computed as arrays, then H is filled one row at a time, each row i
+    against every j >= i with vector operations.  Each entry is evaluated
+    as expm1 of its logarithm, with ||A v_i / s_i^2 + A v_j / s_j^2||^2
+    summed as written, which keeps the -1 cancellation exact for offsets
+    of any size.  Raises, for the first offending offset in index order,
+    InfeasibleOffsetError when x + v_i is not s-sparse and
+    DegenerateModelError when s_i^2 = 0; then, for the first pair (i, j)
+    with j >= i in row-major order, DivergentTestPointError when
+    vs_ij^2 <= 0 and OverflowError when H_ij overflows.
     """
     if signal.n != model.n:
         raise InvalidInputError("signal length does not match model")
@@ -104,43 +110,53 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
         vs.append(v)
     if not vs:
         raise InvalidInputError("need at least one offset")
-    k = len(vs)
-    s2 = np.empty(k)
-    Av = np.empty((k, model.m))
-    for i, v in enumerate(vs):
-        xi = signal.x + v
-        if np.count_nonzero(xi) > model.s:
+    V = np.column_stack(vs)
+    X = signal.x[:, None] + V
+    nnz = np.count_nonzero(X, axis=0)
+    s2 = model.sigma_e**2 * np.einsum("ij,ij->j", X, X) + model.sigma_n**2
+    bad = np.flatnonzero((nnz > model.s) | (s2 <= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        if nnz[i] > model.s:
             raise InfeasibleOffsetError(
                 f"offset {i} leaves the sparse set: ||x + v||_0 = "
-                f"{np.count_nonzero(xi)} > s = {model.s}"
+                f"{nnz[i]} > s = {model.s}"
             )
-        s2[i] = model.sigma_e**2 * (xi @ xi) + model.sigma_n**2
-        if s2[i] <= 0.0:
-            raise DegenerateModelError(f"offset {i} has zero equivalent variance")
-        Av[i] = model.A @ v
+        raise DegenerateModelError(f"offset {i} has zero equivalent variance")
+    Av = V.T @ model.A.T  # row i is A v_i
+    U = Av / s2[:, None]
+    half_a = np.einsum("ij,ij->i", Av, Av) / (2.0 * s2)
+    log_s2 = np.log(s2)
+    log_sx2 = math.log(sx2)
+    k = len(vs)
     H = np.empty((k, k))
     varsigma2 = np.empty((k, k))
     half_m = 0.5 * model.m
     for i in range(k):
-        for j in range(i, k):
-            inv_vs = 1.0 / s2[i] + 1.0 / s2[j] - 1.0 / sx2
-            if inv_vs <= 0.0:
+        # row i against j >= i
+        inv_vs = 1.0 / s2[i] + 1.0 / s2[i:] - 1.0 / sx2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vs2 = 1.0 / inv_vs
+            W = U[i] + U[i:]
+            L = (
+                half_m * (log_sx2 + np.log(vs2) - log_s2[i] - log_s2[i:])
+                - half_a[i]
+                - half_a[i:]
+                + 0.5 * vs2 * np.einsum("ij,ij->i", W, W)
+            )
+            h = np.expm1(L)
+        # an entry beyond double precision raises, as math.expm1 does
+        bad = np.flatnonzero((inv_vs <= 0.0) | (np.isinf(h) & np.isfinite(L)))
+        if bad.size:
+            j = i + int(bad[0])
+            if inv_vs[j - i] <= 0.0:
                 raise DivergentTestPointError(
                     f"test-point pair ({i}, {j}) has vs^2 <= 0; the defining "
                     "integral diverges"
                 )
-            vs2 = 1.0 / inv_vs
-            w = Av[i] / s2[i] + Av[j] / s2[j]
-            L = (
-                half_m
-                * (math.log(sx2) + math.log(vs2) - math.log(s2[i]) - math.log(s2[j]))
-                - (Av[i] @ Av[i]) / (2.0 * s2[i])
-                - (Av[j] @ Av[j]) / (2.0 * s2[j])
-                + 0.5 * vs2 * (w @ w)
-            )
-            H[i, j] = H[j, i] = math.expm1(L)
-            varsigma2[i, j] = varsigma2[j, i] = vs2
-    V = np.column_stack(vs)
+            raise OverflowError(f"test-point pair ({i}, {j}) overflows H")
+        H[i, i:] = H[i:, i] = h
+        varsigma2[i, i:] = varsigma2[i:, i] = vs2
     return TestPointSet(offsets=tuple(vs), V=V, H=H, varsigma2=varsigma2)
 
 

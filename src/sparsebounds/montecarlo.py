@@ -51,7 +51,7 @@ class TrialSummary:
 def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
     m = mean.size
     sum_sq = 0.0
-    sum_sq2 = 0.0
+    qs = []  # a list append costs a third of a numpy item store
     sum_err = np.zeros(x.size)
     failures = 0
     first_error = None
@@ -66,10 +66,10 @@ def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
             continue
         err = xhat - x
         q = float(err @ err)
+        qs.append(q)
         sum_sq += q
-        sum_sq2 += q * q
         sum_err += err
-    return sum_sq, sum_sq2, sum_err, failures, first_error
+    return sum_sq, chunk_moments(qs), sum_err, failures, first_error
 
 
 def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFailureError:
@@ -79,13 +79,36 @@ def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFai
     )
 
 
-def mse_stats(total: float, total_sq: float, count: int) -> tuple[float, float]:
+def chunk_moments(qs: list[float]) -> tuple[int, float, float]:
+    """(count, mean, M2) of one chunk's squared errors, M2 being the sum of
+    squared deviations from the chunk mean."""
+    if not qs:
+        return 0, 0.0, 0.0
+    q = np.array(qs)
+    mean = float(q.mean())
+    d = q - mean
+    return q.size, mean, float(d @ d)
+
+
+def merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """Combine two (count, mean, M2) triples by the pairwise update of
+    Chan, Golub & LeVeque (1979), which never subtracts two large sums."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def mse_stats(total: float, moments: tuple[int, float, float]) -> tuple[float, float]:
     """Mean of `count` squared errors and its standard error, from their
-    sum and the sum of their squares."""
+    sum and their merged (count, mean, M2)."""
+    count, _, m2 = moments
     mse = total / count
     if count > 1:
-        var = max(total_sq - count * mse * mse, 0.0) / (count - 1)
-        return mse, math.sqrt(var / count)
+        return mse, math.sqrt(m2 / (count - 1) / count)
     return mse, 0.0
 
 
@@ -121,17 +144,17 @@ def run_trials(
         # the estimator does not fit the model, so every trial would fail
         raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
     sum_sq = 0.0
-    sum_sq2 = 0.0
+    moments = (0, 0.0, 0.0)
     sum_err = np.zeros(model.n)
     failures = 0
     first_error = None
     for lo in range(0, trials, TRIAL_CHUNK):
         hi = min(lo + TRIAL_CHUNK, trials)
-        p_sq, p_sq2, p_err, p_fail, p_msg = _chunk_sums(
+        p_sq, p_moments, p_err, p_fail, p_msg = _chunk_sums(
             mean, sx, signal.x, kernel, seed, stream_key, lo, hi
         )
         sum_sq += p_sq
-        sum_sq2 += p_sq2
+        moments = merge_moments(moments, p_moments)
         sum_err += p_err
         failures += p_fail
         if first_error is None:
@@ -139,7 +162,7 @@ def run_trials(
     if failures > FAILURE_BUDGET * trials:
         raise _excessive_failures(failures, trials, first_error)
     ok = trials - failures
-    mse, std_error = mse_stats(sum_sq, sum_sq2, ok)
+    mse, std_error = mse_stats(sum_sq, moments)
     return TrialSummary(
         mse=mse,
         bias=sum_err / ok,

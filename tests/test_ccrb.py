@@ -1,7 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsebounds.ccrb import (
+    RIP_BLOCK,
     NoiseLevels,
     RipConstants,
     ccrb_bound,
@@ -204,7 +209,59 @@ class TestOracleTheory:
             oracle_mse_theoretical(model, (0, 2), x)
 
 
+def reference_rip_constants(A, s, exhaustive, samples=0, rng=None):
+    """rip_constants as one eigensolve per support, in visiting order."""
+    n = A.shape[1]
+    if exhaustive:
+        supports = itertools.combinations(range(n), s)
+    else:
+        supports = (np.sort(rng.choice(n, size=s, replace=False)) for _ in range(samples))
+    lo, hi = math.inf, -math.inf
+    for S in supports:
+        w = scipy.linalg.eigvalsh(A[:, list(S)].T @ A[:, list(S)])
+        if w[0] <= 0.0:
+            raise AssumptionViolatedError(
+                f"support {tuple(int(i) for i in S)} has lambda_min <= 0"
+            )
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
+    return 1.0 - lo, hi - 1.0
+
+
 class TestRipConstants:
+    @pytest.mark.parametrize("n, s", [(9, 3), (14, 4)])  # 84 and 1001 supports
+    def test_blocks_match_per_support_loop_exhaustive(self, n, s):
+        A = generate_gaussian_matrix(6, n, np.random.default_rng(n))
+        rc = rip_constants(A, s, mode="exhaustive")
+        lower, upper = reference_rip_constants(A, s, exhaustive=True)
+        assert abs(rc.theta_lower - lower) <= 1e-12
+        assert abs(rc.theta_upper - upper) <= 1e-12
+        assert rc.exact
+
+    @pytest.mark.parametrize("samples", [1, RIP_BLOCK, 2 * RIP_BLOCK + 37])
+    def test_blocks_match_per_support_loop_sampled(self, samples):
+        A = generate_gaussian_matrix(20, 40, np.random.default_rng(7))
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        rc = rip_constants(A, 5, mode="sampled", samples=samples, rng=rng)
+        lower, upper = reference_rip_constants(A, 5, False, samples, ref_rng)
+        assert abs(rc.theta_lower - lower) <= 1e-12
+        assert abs(rc.theta_upper - upper) <= 1e-12
+        assert not rc.exact
+        # the same supports were drawn, and no more
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, s, zero_columns",
+        [(25, 2, (20, 5)), (300, 1, (280, 270))],  # the latter fails in a later block
+    )
+    def test_first_degenerate_support_is_named(self, n, s, zero_columns):
+        A = generate_gaussian_matrix(4, n, np.random.default_rng(2))
+        A[:, list(zero_columns)] = 0.0
+        with pytest.raises(AssumptionViolatedError) as want:
+            reference_rip_constants(A, s, exhaustive=True)
+        with pytest.raises(AssumptionViolatedError, match="lambda_min") as got:
+            rip_constants(A, s, mode="exhaustive")
+        assert str(got.value) == str(want.value)
+
     def test_identity_is_tight(self):
         rc = rip_constants(np.eye(6), 2)
         assert rc.theta_lower == pytest.approx(0.0, abs=1e-12)

@@ -408,6 +408,13 @@ class TestSimulateCommand:
         rows = read_csv(out)
         assert [r["estimator"] for r in rows] == ["oracle"]
 
+    def test_biased_regime_needs_a_three_stderr_margin(self):
+        # an MSE one standard error below the HCRB is Monte Carlo noise
+        assert not cli._biased_regime(0.99, 0.01, 1.0)
+        assert not cli._biased_regime(0.97, 0.01, 1.0)
+        assert cli._biased_regime(0.96, 0.01, 1.0)
+        assert not cli._biased_regime(0.5, 0.01, None)
+
     def test_biased_regime_flagged_at_strong_noise(self, tmp_path):
         out = tmp_path / "sim.csv"
         run(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sparsebounds.ccrb import ccrb_maximal, ccrb_nonmaximal
 from sparsebounds.errors import (
@@ -38,7 +38,108 @@ def axis_offsets(n, scales):
     return [sign * t * np.eye(n)[i] for t in scales for i in range(n) for sign in (1.0, -1.0)]
 
 
+def reference_test_points(model, signal, offsets):
+    """H and varsigma^2 of test_points, one offset and one pair at a time."""
+    sx2 = sigma_x_squared(model, signal)
+    vs = [np.asarray(v, dtype=float) for v in offsets]
+    k = len(vs)
+    s2 = np.empty(k)
+    Av = np.empty((k, model.m))
+    for i, v in enumerate(vs):
+        xi = signal.x + v
+        if np.count_nonzero(xi) > model.s:
+            raise InfeasibleOffsetError(
+                f"offset {i} leaves the sparse set: ||x + v||_0 = "
+                f"{np.count_nonzero(xi)} > s = {model.s}"
+            )
+        s2[i] = model.sigma_e**2 * (xi @ xi) + model.sigma_n**2
+        if s2[i] <= 0.0:
+            raise DegenerateModelError(f"offset {i} has zero equivalent variance")
+        Av[i] = model.A @ v
+    H = np.empty((k, k))
+    varsigma2 = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            inv_vs = 1.0 / s2[i] + 1.0 / s2[j] - 1.0 / sx2
+            if inv_vs <= 0.0:
+                raise DivergentTestPointError(
+                    f"test-point pair ({i}, {j}) has vs^2 <= 0; the defining "
+                    "integral diverges"
+                )
+            vs2 = 1.0 / inv_vs
+            w = Av[i] / s2[i] + Av[j] / s2[j]
+            L = (
+                0.5 * model.m
+                * (math.log(sx2) + math.log(vs2) - math.log(s2[i]) - math.log(s2[j]))
+                - (Av[i] @ Av[i]) / (2.0 * s2[i])
+                - (Av[j] @ Av[j]) / (2.0 * s2[j])
+                + 0.5 * vs2 * (w @ w)
+            )
+            H[i, j] = H[j, i] = math.expm1(L)
+            varsigma2[i, j] = varsigma2[j, i] = vs2
+    return H, varsigma2
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
 class TestTestPoints:
+    def test_rows_match_pair_loop(self):
+        rng = np.random.default_rng(17)
+        x_id = SparseSignal(np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))
+        x_g = SparseSignal(np.array([0.0, 1.2, 0.0, -0.7, 0.0, 0.0, 0.4, 0.0]))
+        gaussian_offsets = [np.zeros(8)]
+        for _ in range(30):
+            v = np.zeros(8)
+            v[[1, 3, 6]] = rng.normal(0.0, 0.3, size=3)
+            gaussian_offsets.append(v)
+        cases = [
+            (identity_model(6, 0.1, 0.2, 3), x_id, axis_offsets(6, (1e-3, 0.1, 0.5))),
+            (
+                ProblemModel(generate_gaussian_matrix(5, 8, rng), 0.2, 0.3, 3),
+                x_g,
+                gaussian_offsets,
+            ),
+        ]
+        for model, x, offs in cases:
+            tp = make_test_points(model, x, offs)
+            H, varsigma2 = reference_test_points(model, x, offs)
+            assert np.max(np.abs(tp.H - H)) <= 1e-12 * np.max(np.abs(H))
+            np.testing.assert_allclose(tp.varsigma2, varsigma2, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(tp.V, np.column_stack(offs))
+
+    def test_error_precedence_matches_pair_loop(self):
+        model = identity_model(3, 0.5, 0.0, 1)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
+        degenerate = np.array([-1.0, 0.0, 0.0])  # x + v = 0: sigma^2 = 0
+        infeasible = np.array([0.0, 0.3, 0.0])  # two nonzeros, s = 1
+        fine = np.array([0.1, 0.0, 0.0])
+        # s^2 = (100, 150, 250, 10000): (2, 2) and (1, 3) diverge, and
+        # row-major order meets (1, 3) first
+        div_model = identity_model(2, 1.0, 0.0, 1)
+        div_x = SparseSignal(np.array([10.0, 0.0]))
+        div_offsets = [np.array([math.sqrt(q) - 10.0, 0.0]) for q in (100, 150, 250, 10000)]
+        # sigma_x^2 = 1e-4, so H_00 = expm1(0.25 / 1e-4) overflows
+        big_model = identity_model(2, 0.0, 0.01, 1)
+        big_offsets = [np.array([1e-3, 0.0]), np.array([0.5, 0.0])]
+        cases = [
+            (model, x, [fine, degenerate, infeasible], DegenerateModelError, "offset 1 "),
+            (model, x, [fine, infeasible, degenerate], InfeasibleOffsetError, "offset 1 "),
+            (div_model, div_x, div_offsets, DivergentTestPointError, "pair (1, 3)"),
+            (big_model, SparseSignal(np.array([1.0, 0.0])), big_offsets,
+             OverflowError, "pair (1, 1)"),
+        ]
+        for model, x, offs, kind, where in cases:
+            want = _raised(reference_test_points, model, x, offs)
+            got = _raised(make_test_points, model, x, offs)
+            assert type(got) is type(want) is kind
+            assert where in str(got)
+            if kind is not OverflowError:  # math.expm1 says only "math range error"
+                assert str(got) == str(want)
+
     def test_zero_offset_gives_zero_bound(self):
         model = identity_model(3, 0.2, 0.5, 2)
         x = SparseSignal(np.array([1.0, 0.5, 0.0]))
@@ -161,6 +262,34 @@ class TestGeneralBound:
             offs.append(v)
         _, tr = hcrb_general(model, x, make_test_points(model, x, offs))
         assert abs(tr - ref) / ref < 0.01
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        se=st.floats(0.0, 0.5),
+        sn=st.floats(0.05, 1.0),
+    )
+    def test_support_offsets_shrink_to_ccrb_on_random_matrix(self, seed, se, sn):
+        rng = np.random.default_rng(seed)
+        A = generate_gaussian_matrix(8, 10, rng)
+        x = np.zeros(10)
+        x[rng.choice(10, size=3, replace=False)] = rng.normal(size=3)
+        model = ProblemModel(A=A, sigma_e=se, sigma_n=sn, s=3)
+        signal = SparseSignal(x)
+        ref = ccrb_maximal(model, signal).bound
+        errs = []
+        for t in (1e-2, 1e-4):
+            one_sided = [t * np.eye(10)[i] for i in signal.support]
+            _, tr = hcrb_general(model, signal, one_sided)
+            errs.append(abs(tr - ref) / ref)
+        assert errs[1] < errs[0]
+        assert errs[1] < 1e-3
+        # the mirrored offsets -t e_i add curvature information: the
+        # larger set (+-t e_i) gives no less, and its limit lies above
+        both = [sign * t * np.eye(10)[i] for i in signal.support for sign in (1.0, -1.0)]
+        _, tr_both = hcrb_general(model, signal, both)
+        assert tr_both >= tr - 1e-6 * ref  # H is near singular at small t
+        assert tr_both >= ref * (1.0 - 1e-6)
 
     def test_monotone_in_test_point_set(self):
         # adding test points can only raise the bound

@@ -9,7 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
+from sparsebounds import montecarlo
 from sparsebounds.ccrb import oracle_mse_theoretical
 from sparsebounds.cli import main
 from sparsebounds.errors import (
@@ -35,6 +37,8 @@ from sparsebounds.model import (
 from sparsebounds.montecarlo import (
     TRIAL_CHUNK,
     TrialSummary,
+    chunk_moments,
+    merge_moments,
     run_trials,
     sweep,
     trial_stream,
@@ -107,6 +111,28 @@ class TestRunTrials:
             ratio = a / b
             assert np.sqrt(10.0) / 1.5 < ratio < np.sqrt(10.0) * 1.5
 
+    def test_stderr_is_stable_when_the_spread_is_tiny(self, monkeypatch):
+        # squared errors 1e6 + U(0, 1e-4): sum_sq2 - count * mse^2 cancels
+        # to 7.3e-4 against a true standard error of 2.9e-7
+        model, x, est = oracle_setup()
+        qs = []
+
+        def kernel(y):
+            u = scipy.special.ndtr(y[0] - x.x[0])  # uniform: sigma_x = 1
+            xhat = x.x.copy()
+            xhat[0] += math.sqrt(1e6 + 1e-4 * u)
+            err = xhat - x.x
+            qs.append(float(err @ err))
+            return xhat
+
+        monkeypatch.setattr(montecarlo, "estimator_kernel", lambda model, est: kernel)
+        trials = 10_000  # three chunks
+        out = run_trials(model, x, est, trials=trials, seed=4)
+        q = np.array(qs) - 1e6  # exact: every q lies in [1e6, 2e6]
+        want = math.sqrt(np.var(q, ddof=1) / trials)
+        assert want == pytest.approx(2.9e-7, rel=0.05)
+        assert out.std_error_mse == pytest.approx(want, rel=1e-6)
+
     def test_all_failures_abort_with_diagnostics(self):
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=2)
@@ -161,10 +187,11 @@ class TestSweep:
 def reference_trials(model, signal, spec, trials, seed, key=()):
     """run_trials spelled out with the public per-trial API: per chunk,
     trial_stream -> sample_measurement -> apply_estimator, then the chunk
-    partials reduced in order."""
+    partials reduced in order, the squared errors' moments by
+    merge_moments."""
     partials = []
     for lo in range(0, trials, TRIAL_CHUNK):
-        sq, sq2, err_sum, fails = 0.0, 0.0, np.zeros(model.n), 0
+        sq, qs, err_sum, fails = 0.0, [], np.zeros(model.n), 0
         for t in range(lo, min(lo + TRIAL_CHUNK, trials)):
             y = sample_measurement(model, signal, trial_stream(seed, t, key))
             try:
@@ -175,19 +202,18 @@ def reference_trials(model, signal, spec, trials, seed, key=()):
             err = xhat - signal.x
             q = float(err @ err)
             sq += q
-            sq2 += q * q
+            qs.append(q)
             err_sum += err
-        partials.append((sq, sq2, err_sum, fails))
-    total, total_sq, bias, failures = 0.0, 0.0, np.zeros(model.n), 0
-    for sq, sq2, err_sum, fails in partials:
+        partials.append((sq, chunk_moments(qs), err_sum, fails))
+    total, moments, bias, failures = 0.0, (0, 0.0, 0.0), np.zeros(model.n), 0
+    for sq, chunk, err_sum, fails in partials:
         total += sq
-        total_sq += sq2
+        moments = merge_moments(moments, chunk)
         bias += err_sum
         failures += fails
     ok = trials - failures
     mse = total / ok
-    var = max(total_sq - ok * mse * mse, 0.0) / (ok - 1)
-    return mse, math.sqrt(var / ok), bias / ok, failures
+    return mse, math.sqrt(moments[2] / (ok - 1) / ok), bias / ok, failures
 
 
 def _lean_path_cases():
@@ -311,7 +337,7 @@ def test_table1_matches_public_estimators(tmp_path):
         got = {r["curve_id"]: (float(r["value"]), float(r["std_error"])) for r in csv.DictReader(fh)}
     x = np.zeros(n)
     x[0] = 1.0
-    sums = {"ls_empirical": [0.0, 0.0], "noise_exploiting_empirical": [0.0, 0.0]}
+    sums = {"ls_empirical": [0.0, []], "noise_exploiting_empirical": [0.0, []]}
     for t in range(trials):
         y = x + 0.01 * trial_stream(seed, t).standard_normal(n)
         for label, est in (
@@ -321,9 +347,9 @@ def test_table1_matches_public_estimators(tmp_path):
             err = est.x - x
             q = float(err @ err)
             sums[label][0] += q
-            sums[label][1] += q * q
-    for label, (total, total_sq) in sums.items():
+            sums[label][1].append(q)
+    for label, (total, qs) in sums.items():
         mse = total / trials
-        var = max(total_sq - trials * mse * mse, 0.0) / (trials - 1)
-        assert got[label] == (mse, math.sqrt(var / trials))
+        _, _, m2 = chunk_moments(qs)  # one chunk
+        assert got[label] == (mse, math.sqrt(m2 / (trials - 1) / trials))
     assert got["ls_theoretical"] == (0.01**2, 0.0)
