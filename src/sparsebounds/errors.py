@@ -47,6 +47,10 @@ class DivergentTestPointError(MathDomainError):
     """A test-point pair makes the bound's defining integral diverge."""
 
 
+class OverflowingTestPointError(OverflowError, MathDomainError):
+    """A test-point pair's entry of H exceeds double precision."""
+
+
 class ExcessiveFailureError(MathDomainError):
     """More than the tolerated share of Monte Carlo trials failed."""
 

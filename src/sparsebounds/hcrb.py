@@ -35,6 +35,7 @@ from .errors import (
     DivergentTestPointError,
     InfeasibleOffsetError,
     InvalidInputError,
+    OverflowingTestPointError,
     UnsupportedMatrixError,
     WrongRegimeError,
 )
@@ -97,7 +98,8 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     InfeasibleOffsetError when x + v_i is not s-sparse and
     DegenerateModelError when s_i^2 = 0; then, for the first pair (i, j)
     with j >= i in row-major order, DivergentTestPointError when
-    vs_ij^2 <= 0 and OverflowError when H_ij overflows.
+    vs_ij^2 <= 0 and OverflowingTestPointError (an OverflowError) when
+    H_ij overflows.
     """
     if signal.n != model.n:
         raise InvalidInputError("signal length does not match model")
@@ -154,7 +156,7 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
                     f"test-point pair ({i}, {j}) has vs^2 <= 0; the defining "
                     "integral diverges"
                 )
-            raise OverflowError(f"test-point pair ({i}, {j}) overflows H")
+            raise OverflowingTestPointError(f"test-point pair ({i}, {j}) overflows H")
         H[i, i:] = H[i:, i] = h
         varsigma2[i, i:] = varsigma2[i:, i] = vs2
     return TestPointSet(offsets=tuple(vs), V=V, H=H, varsigma2=varsigma2)

@@ -42,7 +42,7 @@ SPARK_ENUMERATION_LIMIT = 20
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -116,23 +116,23 @@ class SparseSignal:
     support: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _frozen(self.x)
         if x.ndim != 1 or x.size == 0:
             raise InvalidInputError("x must be a nonempty 1-d array")
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             raise InvalidInputError("x must be finite")
-        nonzero = tuple(x.nonzero()[0].tolist())
+        nonzero = x.nonzero()[0].tolist()
         if self.support is None:
-            support = nonzero
+            support = tuple(nonzero)
         else:
-            support = tuple(int(i) for i in self.support)
-            if list(support) != sorted(set(support)):
+            support = tuple(map(int, self.support))
+            if support != tuple(sorted(set(support))):
                 raise InvalidInputError("support must be sorted and duplicate free")
             if support and not (0 <= support[0] and support[-1] < x.size):
                 raise InvalidInputError("support indices out of range")
-            if not set(nonzero) <= set(support):
+            if not set(support).issuperset(nonzero):
                 raise InvalidInputError("x has nonzero entries off the declared support")
-        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "support", support)
 
     @property

@@ -8,11 +8,13 @@ result depends only on the seed, the stream key and the trial count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
@@ -26,8 +28,145 @@ TRIAL_CHUNK = 4096
 FAILURE_BUDGET = 0.01
 
 
+# SeedSequence's entropy hashing (numpy.random.bit_generator), on Python
+# ints and uint32 arrays alike.  Its hash constants advance the same way
+# whatever the data, and a trial index below 2**32 is the last entropy
+# word, so the words before it are mixed once per (seed, key) and the
+# index is mixed in for a whole block of trials at once.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+STREAM_BLOCK_BITS = 10  # 1024 trials per block of PCG64 seeds
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative int as little-endian uint32 words, at least one."""
+    out = [value & _MASK32]
+    value >>= 32
+    while value:
+        out.append(value & _MASK32)
+        value >>= 32
+    return out
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """Hash one word; returns it with the advanced hash constant."""
+    next_const = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool, hash_const: int, word):
+    """Mix an entropy word beyond the pool size into every pool word."""
+    out = []
+    for x in pool:
+        v, hash_const = _hashmix(word, hash_const)
+        out.append(_mix(x, v))
+    return out, hash_const
+
+
+@functools.lru_cache(maxsize=256)
+def _mixed_prefix(seed: int, key: tuple[int, ...]):
+    """SeedSequence(entropy=seed, spawn_key=(*key, i)) up to, not
+    including, the word i: the pool and the running hash constant.  None
+    when an input is not a nonnegative int, which SeedSequence handles."""
+    if seed < 0 or not all(type(k) is int and k >= 0 for k in key):
+        return None
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))  # a spawn key pads the entropy
+    for k in key:
+        words += _words(k)
+    hash_const = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        v, hash_const = _hashmix(w, hash_const)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[_POOL_SIZE:]:
+        pool, hash_const = _absorb(pool, hash_const, w)
+    return tuple(pool), hash_const
+
+
+@functools.lru_cache(maxsize=4)
+def _stream_block(seed: int, key: tuple[int, ...], block: int):
+    """Read-only (B, 4) uint64 table: row r is generate_state(4, uint64)
+    of the SeedSequence of trial index (block << STREAM_BLOCK_BITS) + r."""
+    prefix = _mixed_prefix(seed, key)
+    if prefix is None:
+        return None
+    index = np.arange(1 << STREAM_BLOCK_BITS, dtype=np.uint32)
+    pool, _ = _absorb(*prefix, index + np.uint32(block << STREAM_BLOCK_BITS))
+    # generate_state: eight uint32 words, cycling through the pool
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        w, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(w.astype(np.uint64))
+    # lo | hi << 32 rather than a view, whatever the byte order
+    table = np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+class _TrialSeed(ISpawnableSeedSequence):
+    """SeedSequence(entropy=seed, spawn_key=(*key, index)) whose PCG64 seed
+    words come from a block table; every other request, spawn included,
+    goes to that SeedSequence, built on first use."""
+
+    def __init__(self, seed: int, key: tuple[int, ...], index: int, state: np.ndarray):
+        self._args = (seed, key, index)
+        self._state = state
+        self._real = None
+
+    def seed_sequence(self) -> SeedSequence:
+        if self._real is None:
+            seed, key, index = self._args
+            self._real = SeedSequence(entropy=seed, spawn_key=(*key, index))
+        return self._real
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._state  # a read-only row of the block table
+        return self.seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.seed_sequence().spawn(n_children)
+
+    def __getattr__(self, name):  # entropy, spawn_key, pool, state, ...
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.seed_sequence(), name)
+
+
 def trial_stream(seed: int, index: int, key: tuple[int, ...] = ()) -> Generator:
-    """Independent generator for one trial of one experiment cell."""
+    """Independent generator for one trial of one experiment cell.
+
+    The stream is Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(*key, index)))), bit for bit.  Its seed words are hashed a
+    block of 2**STREAM_BLOCK_BITS indices at a time and cached.  An index
+    of 2**32 or more, and a seed, index or key element that is not a
+    nonnegative int, take that direct construction, so SeedSequence still
+    raises its own errors.
+    """
+    if type(index) is int and 0 <= index <= _MASK32 and type(seed) is int and type(key) is tuple:
+        try:
+            table = _stream_block(seed, key, index >> STREAM_BLOCK_BITS)
+        except TypeError:  # an unhashable key element
+            table = None
+        if table is not None:
+            state = table[index & ((1 << STREAM_BLOCK_BITS) - 1)]
+            return Generator(PCG64(_TrialSeed(seed, key, index, state)))
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(*key, index))))
 
 

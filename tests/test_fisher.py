@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import numerical_gradient
 from sparsebounds.errors import DegenerateModelError, InvalidInputError
@@ -56,6 +57,21 @@ class TestClosedForm:
         model, x = small_instance()
         J = fim_closed_form(model, x).J
         np.testing.assert_array_equal(J, J.T)
+
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        se=st.floats(0.0, 1.0),
+        sn=st.floats(1e-3, 1.0),
+    )
+    def test_positive_semidefinite(self, seed, m, n, se, sn):
+        rng = np.random.default_rng(seed)
+        model = ProblemModel(A=generate_gaussian_matrix(m, n, rng), sigma_e=se, sigma_n=sn, s=n)
+        J = fim_closed_form(model, SparseSignal(rng.normal(size=n))).J
+        w = np.linalg.eigvalsh(J)
+        assert w[0] >= -1e-12 * np.linalg.norm(J, 2)
 
     def test_degenerate_model_rejected(self):
         model = ProblemModel(A=np.eye(2), sigma_e=0.0, sigma_n=0.0, s=1)

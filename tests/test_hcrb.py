@@ -10,6 +10,8 @@ from sparsebounds.errors import (
     DivergentTestPointError,
     InfeasibleOffsetError,
     InvalidInputError,
+    OverflowingTestPointError,
+    SparseBoundsError,
     UnsupportedMatrixError,
 )
 from sparsebounds.hcrb import (
@@ -135,10 +137,23 @@ class TestTestPoints:
         for model, x, offs, kind, where in cases:
             want = _raised(reference_test_points, model, x, offs)
             got = _raised(make_test_points, model, x, offs)
-            assert type(got) is type(want) is kind
+            assert type(want) is kind
+            # the pair loop's math.expm1 raises the builtin OverflowError;
+            # test_points raises its subclass that is also a SparseBoundsError
+            assert type(got) is (OverflowingTestPointError if kind is OverflowError else kind)
             assert where in str(got)
             if kind is not OverflowError:  # math.expm1 says only "math range error"
                 assert str(got) == str(want)
+
+    def test_overflow_is_a_package_error(self):
+        # sigma_x^2 = 1e-4 and an offset of 0.5: H_11 = expm1(2500) overflows
+        model = identity_model(2, 0.0, 0.01, 1)
+        x = SparseSignal(np.array([1.0, 0.0]))
+        offsets = [np.array([1e-3, 0.0]), np.array([0.5, 0.0])]
+        for bound in (make_test_points, hcrb_general):
+            with pytest.raises(SparseBoundsError, match=r"pair \(1, 1\) overflows H") as info:
+                bound(model, x, offsets)
+            assert isinstance(info.value, OverflowError)
 
     def test_zero_offset_gives_zero_bound(self):
         model = identity_model(3, 0.2, 0.5, 2)
@@ -401,6 +416,22 @@ class TestClosedForm:
                 x = SparseSignal(np.array([1.0, xq] + [0.0] * 6))
                 rep = hcrb_unit_closed_form(model, x)
                 assert rep.bound >= ccrb_maximal(model, x).bound - 1e-15
+
+    @settings(max_examples=50)
+    @given(
+        n=st.integers(2, 8),
+        s_frac=st.floats(0.0, 1.0),
+        se=st.floats(0.0, 0.5),
+        sn=st.floats(1e-3, 1.0),
+        xq=st.floats(1e-6, 1.0),
+    )
+    def test_never_below_ccrb(self, n, s_frac, se, sn, xq):
+        s = 1 + round(s_frac * (n - 1))
+        # s - 1 unit entries and the smallest nonzero entry x_q
+        x = SparseSignal(np.array([1.0] * (s - 1) + [xq] + [0.0] * (n - s)))
+        model = identity_model(n, se, sn, s)
+        ccrb = ccrb_maximal(model, x).bound
+        assert hcrb_unit_closed_form(model, x).bound >= ccrb * (1.0 - 1e-12)
 
     def test_small_coordinate_approaches_nonmaximal_ccrb(self):
         model = identity_model(10, 0.05, 0.1, 2)

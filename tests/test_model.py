@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,40 @@ class TestSparseSignal:
         x = SparseSignal(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             x.x[0] = 3.0
+
+    @pytest.mark.parametrize(
+        "x, support, message",
+        [
+            (np.zeros((2, 2)), None, "x must be a nonempty 1-d array"),
+            (np.zeros(0), (), "x must be a nonempty 1-d array"),
+            (np.array([1.0, np.nan]), (0, 0), "x must be finite"),
+            (np.array([np.inf, 0.0]), None, "x must be finite"),
+            (np.array([-np.inf, 0.0, np.inf]), None, "x must be finite"),
+            (np.array([1.0, 0.0, 0.0]), (2, 0), "support must be sorted and duplicate free"),
+            (np.array([1.0, 0.0, 0.0]), (0, 0, 9), "support must be sorted and duplicate free"),
+            (np.array([1.0, 2.0]), (-1, 0), "support indices out of range"),
+            (np.array([1.0, 2.0]), (0, 2), "support indices out of range"),
+            (np.array([1.0, 2.0, 0.0]), (1, 2), "x has nonzero entries off the declared support"),
+        ],
+    )
+    def test_rejections_in_check_order(self, x, support, message):
+        with pytest.raises(InvalidInputError) as info:
+            SparseSignal(x, support)
+        assert str(info.value) == message
+
+    def test_huge_finite_entries_accepted_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = SparseSignal(np.array([1e300, 0.0, -1e300]), support=(0, 1, 2))
+        assert x.support == (0, 1, 2)
+        assert x.nonzero_count == 2
+
+    def test_input_is_copied(self):
+        raw = np.array([1.0, 0.0])
+        x = SparseSignal(raw)
+        raw[1] = 5.0
+        assert x.x.tolist() == [1.0, 0.0]
+        assert x.support == (0,)
 
 
 class TestSampling:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings, strategies as st
+from numpy.random import PCG64, Generator, SeedSequence
 
 from sparsebounds import montecarlo
 from sparsebounds.ccrb import oracle_mse_theoretical
@@ -63,6 +66,79 @@ class TestTrialStream:
         c = trial_stream(123, 7, key=(1,)).normal(size=4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @staticmethod
+    def reference(seed, index, key=()):
+        return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(*key, index))))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128, 2**200 - 12345])
+    @pytest.mark.parametrize("key", [(), (0,), (3, 2**33)])
+    def test_same_streams_as_seed_sequence(self, seed, key):
+        # both sides of a block edge, the last one-word index, and the
+        # indices of two or more words that take the direct construction
+        for index in (0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**40):
+            got = trial_stream(seed, index, key)
+            want = self.reference(seed, index, key)
+            assert got.bit_generator.state == want.bit_generator.state
+            got_seq, want_seq = got.bit_generator.seed_seq, want.bit_generator.seed_seq
+            np.testing.assert_array_equal(
+                got_seq.generate_state(8, np.uint32), want_seq.generate_state(8, np.uint32)
+            )
+            assert got_seq.spawn_key == want_seq.spawn_key == (*key, index)
+            for g, w in zip(got.spawn(2), want.spawn(2)):
+                assert g.bit_generator.state == w.bit_generator.state
+            np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**200),
+        index=st.integers(0, 2**33),
+        key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+    )
+    def test_same_streams_on_random_inputs(self, seed, index, key):
+        got = trial_stream(seed, index, key).bit_generator.state
+        assert got == self.reference(seed, index, key).bit_generator.state
+
+    def test_repeated_spawns_continue_the_numbering(self):
+        got, want = trial_stream(9, 4, (1,)), self.reference(9, 4, (1,))
+        for _ in range(2):
+            for g, w in zip(got.spawn(3), want.spawn(3)):
+                assert g.bit_generator.state == w.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "args", [(-1, 0, ()), (5, -1, ()), (5, 0, (-1,)), (5, 0, (2, -3))]
+    )
+    def test_negative_inputs_raise_like_seed_sequence(self, args):
+        with pytest.raises(ValueError) as want:
+            self.reference(*args)
+        with pytest.raises(ValueError) as got:
+            trial_stream(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_non_int_inputs_take_the_direct_construction(self):
+        cases = [(np.uint64(7), 3, ()), (7, np.int64(3), ()), (7, 3, (np.int64(2),)),
+                 (7, 3, ([1, 2],)), (True, 3, ())]
+        for args in cases:
+            assert trial_stream(*args).bit_generator.state == self.reference(*args).bit_generator.state
+
+    def test_block_table_is_read_only(self):
+        table = montecarlo._stream_block(21, (4,), 0)
+        assert table.shape == (1 << montecarlo.STREAM_BLOCK_BITS, 4)
+        assert table.dtype == np.uint64
+        assert not table.flags.writeable
+        seq = trial_stream(21, 5, (4,)).bit_generator.seed_seq
+        assert seq._real is None  # PCG64 took its seed words from the table
+        state = seq.generate_state(4, np.uint64)
+        np.testing.assert_array_equal(state, table[5])
+        with pytest.raises(ValueError):
+            state[0] = 0
+
+    def test_pickled_stream_round_trips(self):
+        g = trial_stream(8, 2, (1, 1))
+        g.standard_normal(3)
+        back = pickle.loads(pickle.dumps(g))
+        assert back.bit_generator.state == g.bit_generator.state
+        np.testing.assert_array_equal(back.standard_normal(4), g.standard_normal(4))
 
 
 class TestRunTrials:
