@@ -34,7 +34,13 @@ from .errors import (
     WrongRegimeError,
 )
 from .fisher import fim_closed_form
-from .model import ProblemModel, SparseSignal, positive_sigma_x_squared
+from .model import (
+    ProblemModel,
+    SparseSignal,
+    gram_factor,
+    numerically_singular,
+    positive_sigma_x_squared,
+)
 
 __all__ = [
     "CcrbReport",
@@ -51,10 +57,6 @@ __all__ = [
     "gamma_approx",
     "transition_ce",
 ]
-
-# Relative eigenvalue threshold below which a Gram or information matrix
-# is declared singular.
-SINGULARITY_RTOL = 1e-12
 
 # Support-enumeration budget above which rip_constants falls back to
 # sampling in "auto" mode.
@@ -112,18 +114,9 @@ class NoiseLevels:
         object.__setattr__(self, "c_n", float(self.c_n))
 
 
-def _singular(M: np.ndarray) -> bool:
-    w = scipy.linalg.eigvalsh(M)
-    return w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]
-
-
 def _support_inverse(A_S: np.ndarray) -> np.ndarray:
     """(A_S^T A_S)^{-1}; raises SingularMatrixError when it does not exist."""
-    gram = A_S.T @ A_S
-    if _singular(gram):
-        raise SingularMatrixError("A_S^T A_S is numerically singular")
-    cho = scipy.linalg.cho_factor(gram)
-    return scipy.linalg.cho_solve(cho, np.eye(A_S.shape[1]))
+    return scipy.linalg.cho_solve(gram_factor(A_S), np.eye(A_S.shape[1]))
 
 
 def _report(first: float, d: float, regime: str) -> CcrbReport:
@@ -190,7 +183,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"got {signal.nonzero_count}"
         )
     fim = fim_closed_form(model, signal)
-    if _singular(fim.J):
+    if numerically_singular(fim.J):
         raise NoUnbiasedEstimatorError(
             "Fisher information is singular: no unbiased estimator of this "
             "signal has finite variance"

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +126,8 @@ def _logspace(lo: float, hi: float, points: int) -> list[float]:
 class ExperimentConfig:
     """Knobs shared by the figure protocols.
 
-    Fields left as None fall back to each protocol's documented default.
+    Fields left as None fall back to each protocol's documented default;
+    the counts (trials, points, draws, n, m, s) must be positive.
     """
 
     experiment: str
@@ -140,6 +141,12 @@ class ExperimentConfig:
     sigma_n: float | None = None
     x_q: float | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("trials", "points", "draws", "n", "m", "s"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InvalidInputError(f"{name} must be positive")
 
 
 # additive noise levels used by the gamma figures, as (label, value)
@@ -326,8 +333,6 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     """
     n = cfg.n if cfg.n is not None else 10_000
     trials = cfg.trials if cfg.trials is not None else 10_000
-    if trials < 1:
-        raise InvalidInputError("trials must be positive")
     sigma_e = 0.01
     x = np.zeros(n)
     x[0] = 1.0
@@ -373,94 +378,80 @@ def figure_rows(cfg: ExperimentConfig) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# configuration file and argument resolution
-
-_CONFIG_TYPES = {
-    "trials": int,
-    "seed": int,
-    "points": int,
-    "draws": int,
-    "n": int,
-    "m": int,
-    "s": int,
-    "workers": int,
-    "sigma_e": float,
-    "sigma_n": float,
-    "x_q": float,
-    "out_dir": str,
-    "output": str,
-    "matrix": str,
-    "x": str,
-    "estimators": str,
-}
+# configuration file
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment, keys may use dashes."""
+    """Flat key = value file; '#' starts a comment, keys may use dashes.
+
+    The keys are the long options of the subcommands, except --config.
+    """
+    keys = _config_keys(build_parser())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: config file is not UTF-8 text") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
-                )
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
-                raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(
+                f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}"
+            )
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
-def _resolve(args, name: str, default):
-    """Flag > config file > default (seed also consults the environment)."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    cfg = getattr(args, "_config_values", {})
-    if name in cfg:
-        return _CONFIG_TYPES[name](cfg[name])
-    if name == "seed":
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise InvalidInputError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-    return default
+def _preset_flags(args) -> list[str]:
+    """--seed from the environment, then one flag per config key that the
+    command has an option for.  They go before the user's own flags and
+    argparse keeps the last value it reads, so a flag beats the config file,
+    which beats the environment, which beats the option's default.  The
+    '=' form keeps a value such as '-1,0,0' from reading as a flag."""
+    flags = []
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        flags.append(f"--seed={env}")
+    if args.config:
+        for key, value in load_config(args.config).items():
+            if hasattr(args, key):
+                flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _load_args_config(args) -> None:
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
-    args._config_values = cfg
-
-
-def _out_path(args, default_name: str | None) -> Path | None:
-    out_dir = Path(_resolve(args, "out_dir", "."))
-    output = _resolve(args, "output", default_name)
-    if output is None:
-        return None
-    path = Path(output)
-    return path if path.is_absolute() else out_dir / path
+def _out_path(args, default_name: str | None = None) -> Path | None:
+    output = args.output if args.output is not None else default_name
+    # joining an absolute output path keeps it as it is
+    return None if output is None else Path(args.out_dir) / output
 
 
 # ---------------------------------------------------------------------------
 # instance construction shared by bounds and simulate
 
 
+def _floats(spec: str) -> list[float]:
+    try:
+        return [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise InvalidInputError(f"cannot parse numbers in {spec!r}") from None
+
+
+def _read_csv(path: str, ndmin: int) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+    except ValueError:
+        raise InvalidInputError(f"cannot parse numbers in {path!r}") from None
+
+
 def _parse_vector(spec: str, n: int) -> np.ndarray:
-    if os.path.exists(spec):
-        x = np.loadtxt(spec, delimiter=",", ndmin=1).ravel()
-    else:
-        try:
-            x = np.array([float(tok) for tok in spec.split(",") if tok.strip() != ""])
-        except ValueError:
-            raise InvalidInputError(f"cannot parse signal {spec!r}") from None
+    x = _read_csv(spec, 1).ravel() if os.path.exists(spec) else np.array(_floats(spec))
     if x.size != n:
         raise InvalidInputError(f"signal has {x.size} entries, expected n={n}")
     return x
@@ -468,12 +459,12 @@ def _parse_vector(spec: str, n: int) -> np.ndarray:
 
 def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     if kind == "identity":
-        if m != n:
-            raise InvalidInputError("identity matrix requires m = n")
+        if m != n or n < 1:
+            raise InvalidInputError("identity matrix requires m = n >= 1")
         return np.eye(n)
     if kind == "gaussian":
         return generate_gaussian_matrix(m, n, _substream(seed, 0))
-    A = np.loadtxt(kind, delimiter=",", ndmin=2)
+    A = _read_csv(kind, 2)
     if A.shape != (m, n):
         raise InvalidInputError(
             f"matrix file has shape {A.shape}, expected ({m}, {n})"
@@ -482,16 +473,18 @@ def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    if spec.startswith("log:"):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise InvalidInputError("grid must look like log:LO:HI:POINTS")
-        lo, hi, points = float(parts[1]), float(parts[2]), int(parts[3])
-        return _logspace(lo, hi, points)
+    """A comma list, or log:LO:HI:POINTS for a log-spaced grid."""
+    if not spec.startswith("log:"):
+        grid = _floats(spec)
+        if not grid:
+            raise InvalidInputError("grid is empty")
+        return grid
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        _, lo, hi, points = spec.split(":")
+        lo, hi, points = float(lo), float(hi), int(points)
     except ValueError:
-        raise InvalidInputError(f"cannot parse grid {spec!r}") from None
+        raise InvalidInputError("grid must look like log:LO:HI:POINTS") from None
+    return _logspace(lo, hi, points)
 
 
 def _parse_estimators(spec: str, model: ProblemModel, signal: SparseSignal):
@@ -517,11 +510,8 @@ def _parse_estimators(spec: str, model: ProblemModel, signal: SparseSignal):
 
 
 def cmd_bounds(args) -> None:
-    _load_args_config(args)
-    seed = _resolve(args, "seed", DEFAULT_SEED)
-    A = _build_matrix(args.matrix, args.m, args.n, seed)
-    x = _parse_vector(args.x, args.n)
-    signal = SparseSignal(x)
+    A = _build_matrix(args.matrix, args.m, args.n, args.seed)
+    signal = SparseSignal(_parse_vector(args.x, args.n))
     model = ProblemModel(A, args.sigma_e, args.sigma_n, args.s)
     if args.which == "ccrb":
         rep = ccrb_bound(model, signal)
@@ -537,29 +527,19 @@ def cmd_bounds(args) -> None:
             rep.nonsupport_part / rep.support_part,
             "maximal",
         )
-    _emit(_out_path(args, None), header, [row])
+    _emit(_out_path(args), header, [row])
 
 
 def cmd_figure(args) -> None:
-    _load_args_config(args)
-    cfg = ExperimentConfig(
-        experiment=args.id,
-        seed=_resolve(args, "seed", DEFAULT_SEED),
-        trials=_resolve(args, "trials", None),
-        points=_resolve(args, "points", None),
-        draws=_resolve(args, "draws", None),
-        n=_resolve(args, "n", None),
-        m=_resolve(args, "m", None),
-        s=_resolve(args, "s", None),
-        sigma_n=_resolve(args, "sigma_n", None),
-        x_q=_resolve(args, "x_q", None),
-        workers=_resolve(args, "workers", 1),
-    )
-    rows = figure_rows(cfg)
+    knobs = {
+        f.name: getattr(args, f.name)
+        for f in fields(ExperimentConfig)
+        if f.name != "experiment"
+    }
+    rows = figure_rows(ExperimentConfig(experiment=args.id, **knobs))
     path = _out_path(args, f"{args.id}.csv")
     _emit(path, FIGURE_HEADER, rows)
-    if path is not None:
-        print(path)
+    print(path)
 
 
 def _biased_regime(mse: float, std_error: float, hcrb: float | None) -> bool:
@@ -570,31 +550,20 @@ def _biased_regime(mse: float, std_error: float, hcrb: float | None) -> bool:
 
 
 def cmd_simulate(args) -> None:
-    _load_args_config(args)
-    seed = _resolve(args, "seed", DEFAULT_SEED)
-    trials = _resolve(args, "trials", 10_000)
-    workers = _resolve(args, "workers", 1)
-    matrix = _resolve(args, "matrix", "identity")
-    A = _build_matrix(matrix, args.m, args.n, seed)
+    A = _build_matrix(args.matrix, args.m, args.n, args.seed)
     if args.x is not None:
         signal = SparseSignal(_parse_vector(args.x, args.n))
     else:
-        signal = generate_bernoulli_signal(args.n, args.s, _substream(seed, 1))
-    # the sigma_n key is a grid spec here, so bypass the float conversion
-    grid_spec = args.sigma_n
-    if grid_spec is None:
-        grid_spec = args._config_values.get("sigma_n", "log:1e-3:10:25")
-    grid = _parse_grid(grid_spec)
+        signal = generate_bernoulli_signal(args.n, args.s, _substream(args.seed, 1))
+    grid = _parse_grid(args.sigma_n)
     models = [ProblemModel(A, args.sigma_e, sn, args.s) for sn in grid]
-    estimators = _parse_estimators(
-        _resolve(args, "estimators", "oracle"), models[0], signal
-    )
+    estimators = _parse_estimators(args.estimators, models[0], signal)
     raw = sweep(
         [({"sigma_n": sn}, mdl, signal) for sn, mdl in zip(grid, models)],
         estimators,
-        trials,
-        seed,
-        workers=workers,
+        args.trials,
+        args.seed,
+        workers=args.workers,
     )
     rows = []
     for r in raw:
@@ -604,34 +573,40 @@ def cmd_simulate(args) -> None:
         biased = None
         if r["estimator"]:
             biased = _biased_regime(r["mse"], r["std_error"], r["hcrb"])
-        rows.append(
-            (
-                r["sigma_n"],
-                r["estimator"],
-                r["mse"],
-                r["std_error"],
-                r["bias_l2"],
-                r["trials"],
-                r["failures"],
-                r["ccrb"],
-                r["hcrb"],
-                r["oracle_theory"],
-                rel_gap,
-                biased,
-            )
-        )
-    _emit(_out_path(args, None), SIMULATE_HEADER, rows)
+        # the sweep row carries every column before rel_gap under its name
+        rows.append((*(r[col] for col in SIMULATE_HEADER[:-2]), rel_gap, biased))
+    _emit(_out_path(args), SIMULATE_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer, as SeedSequence requires."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="master random seed")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
+    p.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
     p.add_argument("--output", default=None, help="output file (under --out-dir)")
+
+
+def _add_instance(p: argparse.ArgumentParser) -> None:
+    """The instance flags that bounds and simulate share."""
+    for flag in ("--n", "--m", "--s"):
+        p.add_argument(flag, type=int, required=True)
+    p.add_argument("--sigma-e", dest="sigma_e", type=float, required=True)
+    p.add_argument(
+        "--matrix", default="identity", help="identity, gaussian, or a CSV file path"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,71 +619,66 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="print one bound row as CSV")
     pb.add_argument("which", choices=("ccrb", "hcrb"))
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--m", type=int, required=True)
-    pb.add_argument("--s", type=int, required=True)
-    pb.add_argument("--sigma-e", dest="sigma_e", type=float, required=True)
+    _add_instance(pb)
     pb.add_argument("--sigma-n", dest="sigma_n", type=float, required=True)
     pb.add_argument("--x", required=True, help="comma separated values or a file")
-    pb.add_argument(
-        "--matrix",
-        default="identity",
-        help="identity, gaussian, or a CSV file path",
-    )
     _add_common(pb)
     pb.set_defaults(func=cmd_bounds)
 
     pf = sub.add_parser("figure", help="write one experiment protocol as CSV")
     pf.add_argument("id", choices=sorted(_FIGURES))
-    pf.add_argument("--trials", type=int, default=None)
-    pf.add_argument("--points", type=int, default=None)
-    pf.add_argument("--draws", type=int, default=None)
-    pf.add_argument("--n", type=int, default=None)
-    pf.add_argument("--m", type=int, default=None)
-    pf.add_argument("--s", type=int, default=None)
-    pf.add_argument("--sigma-n", dest="sigma_n", type=float, default=None)
-    pf.add_argument("--x-q", dest="x_q", type=float, default=None)
-    pf.add_argument("--workers", type=int, default=None)
+    for flag in ("--trials", "--points", "--draws", "--n", "--m", "--s"):
+        pf.add_argument(flag, type=int)  # None: the protocol's own default
+    pf.add_argument("--sigma-n", dest="sigma_n", type=float)
+    pf.add_argument("--x-q", dest="x_q", type=float)
+    pf.add_argument("--workers", type=int, default=1)
     _add_common(pf)
     pf.set_defaults(func=cmd_figure)
 
     ps = sub.add_parser("simulate", help="estimator MSE against the bounds")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--m", type=int, required=True)
-    ps.add_argument("--s", type=int, required=True)
-    ps.add_argument("--sigma-e", dest="sigma_e", type=float, required=True)
+    _add_instance(ps)
     ps.add_argument(
         "--sigma-n",
         dest="sigma_n",
-        default=None,
-        help="grid: comma list or log:LO:HI:POINTS (default log:1e-3:10:25)",
+        default="log:1e-3:10:25",
+        help="grid: comma list or log:LO:HI:POINTS (default %(default)s)",
     )
     ps.add_argument("--x", default=None, help="signal values; random if omitted")
     ps.add_argument(
-        "--matrix", default=None, help="identity, gaussian, or a CSV file path"
-    )
-    ps.add_argument(
         "--estimators",
-        default=None,
-        help="comma list of oracle, ml, unbiased, noise (default oracle)",
+        default="oracle",
+        help="comma list of oracle, ml, unbiased, noise (default %(default)s)",
     )
-    ps.add_argument("--trials", type=int, default=None)
-    ps.add_argument("--workers", type=int, default=None)
+    ps.add_argument("--trials", type=int, default=10_000)
+    ps.add_argument("--workers", type=int, default=1)
     _add_common(ps)
     ps.set_defaults(func=cmd_simulate)
 
     return parser
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Every subcommand's long options, as config keys, except --config."""
+    (commands,) = parser._subparsers._group_actions
+    actions = [a for p in commands.choices.values() for a in p._actions]
+    return {a.dest for a in actions if a.option_strings} - {"help", "config"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        preset = _preset_flags(args)
+        if preset:
+            # parse again with the environment and config values first, so
+            # argparse checks each one with its option's own type
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + preset + argv[at:])
+        args.func(args)
     except SystemExit as exc:
         # argparse exits itself on usage errors; keep main() returning
         return int(exc.code or 0)
-    try:
-        args.func(args)
     except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

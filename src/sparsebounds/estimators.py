@@ -22,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateModelError,
-    InvalidInputError,
-    SingularMatrixError,
+from .errors import DegenerateModelError, InvalidInputError
+from .model import (
+    Measurement,
+    ProblemModel,
+    SparseSignal,
+    gram_factor,
+    measurement_vector,
 )
-from .model import Measurement, ProblemModel, SparseSignal, measurement_vector
 
 __all__ = [
     "EstimatorSpec",
@@ -122,10 +124,7 @@ def _oracle_factor(model: ProblemModel, S: tuple[int, ...]):
         hit = factors.get(S)
         if hit is None:
             A_S = model.A[:, list(S)]
-            try:
-                upper, _ = scipy.linalg.cho_factor(A_S.T @ A_S)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularMatrixError("A_S^T A_S is singular") from exc
+            upper, _ = gram_factor(A_S)
             hit = factors[S] = (A_S, upper, np.array(S))
         return hit
 
@@ -135,7 +134,8 @@ def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
 
     The Cholesky factor of A_S^T A_S is computed once per (model,
     support) and reused; the solve gives the same bits as cho_solve.
-    Raises SingularMatrixError when A_S^T A_S is singular.
+    Raises SingularMatrixError when A_S^T A_S is numerically singular,
+    by the same test as the bounds (model.gram_factor).
     """
     S = tuple(sorted(int(i) for i in support))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:

@@ -101,7 +101,6 @@ def fim_monte_carlo(
     signal: SparseSignal,
     samples: int,
     rng: np.random.Generator,
-    chunk: int = DEFAULT_SAMPLE_CHUNK,
 ) -> FisherMatrix:
     """Estimate J(x) as the sample second moment of the score.
 
@@ -119,7 +118,7 @@ def fim_monte_carlo(
     acc = np.zeros((model.n, model.n))
     done = 0
     while done < samples:
-        k = min(chunk, samples - done)
+        k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
         r = sx * rng.standard_normal((k, m))
         # rows of S are score vectors for each sampled residual
         S = r @ model.A / sx2

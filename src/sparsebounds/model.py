@@ -16,11 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AssumptionViolatedError,
     DegenerateModelError,
     InvalidInputError,
+    SingularMatrixError,
     UnsupportedSizeError,
 )
 
@@ -38,6 +40,14 @@ __all__ = [
 # Exhaustive spark verification enumerates column subsets; beyond this
 # many columns the count is unreasonable and the caller must not rely on it.
 SPARK_ENUMERATION_LIMIT = 20
+
+# Noise deviations must stay below this: the Fisher information and the
+# bounds take sigma^4, which overflows double range beyond about 1e77.
+MAX_DEVIATION = 1e75
+
+# Relative eigenvalue threshold below which a Gram or information matrix
+# is declared singular.
+SINGULARITY_RTOL = 1e-12
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -77,8 +87,10 @@ class ProblemModel:
             raise InvalidInputError("A must be a nonempty 2-d array")
         if not np.all(np.isfinite(A)):
             raise InvalidInputError("A must be finite")
-        if not (0.0 <= self.sigma_e < math.inf and 0.0 <= self.sigma_n < math.inf):
-            raise InvalidInputError("noise deviations must be finite and nonnegative")
+        if not all(0.0 <= v < MAX_DEVIATION for v in (self.sigma_e, self.sigma_n)):
+            raise InvalidInputError(
+                f"noise deviations must be finite, nonnegative and below {MAX_DEVIATION:g}"
+            )
         s = int(self.s)
         if s < 1 or s > A.shape[1]:
             raise InvalidInputError(
@@ -196,6 +208,24 @@ def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float
     return sx2
 
 
+def numerically_singular(M: np.ndarray) -> bool:
+    """Whether symmetric M has lambda_min <= SINGULARITY_RTOL * lambda_max > 0."""
+    w = scipy.linalg.eigvalsh(M)
+    return w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]
+
+
+def gram_factor(A_S: np.ndarray) -> tuple[np.ndarray, bool]:
+    """cho_factor of A_S^T A_S, for the bounds and the oracle alike.
+
+    Raises SingularMatrixError when the Gram is numerically singular, even
+    where the Cholesky factorization itself would succeed.
+    """
+    gram = A_S.T @ A_S
+    if numerically_singular(gram):
+        raise SingularMatrixError("A_S^T A_S is singular")
+    return scipy.linalg.cho_factor(gram)
+
+
 def sample_measurement(
     model: ProblemModel, signal: SparseSignal, rng: np.random.Generator
 ) -> Measurement:
@@ -232,7 +262,7 @@ def generate_bernoulli_signal(n: int, s: int, rng: np.random.Generator) -> Spars
     return SparseSignal(x, tuple(int(i) for i in support))
 
 
-def spark_exceeds(A: np.ndarray, k: int, limit: int = SPARK_ENUMERATION_LIMIT) -> bool:
+def spark_exceeds(A: np.ndarray, k: int) -> bool:
     """Decide by enumeration whether spark(A) > k.
 
     spark(A) is the size of the smallest linearly dependent column subset
@@ -240,7 +270,8 @@ def spark_exceeds(A: np.ndarray, k: int, limit: int = SPARK_ENUMERATION_LIMIT) -
     size <= k is independent iff every subset of size min(k, n) is, so one
     subset size suffices.
 
-    Raises UnsupportedSizeError when A has more than `limit` columns.
+    Raises UnsupportedSizeError when A has more than SPARK_ENUMERATION_LIMIT
+    columns.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -248,9 +279,10 @@ def spark_exceeds(A: np.ndarray, k: int, limit: int = SPARK_ENUMERATION_LIMIT) -
     m, n = A.shape
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    if n > limit:
+    if n > SPARK_ENUMERATION_LIMIT:
         raise UnsupportedSizeError(
-            f"exhaustive spark verification supports at most {limit} columns, got {n}"
+            "exhaustive spark verification supports at most "
+            f"{SPARK_ENUMERATION_LIMIT} columns, got {n}"
         )
     if k > n:
         return False  # spark never exceeds n + 1

@@ -1,8 +1,14 @@
+import argparse
+import contextlib
 import csv
+import io
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparsebounds
 import sparsebounds.cli as cli
@@ -20,6 +26,13 @@ def read_csv(path):
 
 def run(argv):
     return main(list(argv))
+
+
+# a cheap simulate run; argparse keeps the last value of a repeated flag
+SIMULATE_TINY = [
+    "simulate", "--n", "5", "--m", "5", "--s", "1", "--sigma-e", "0.1",
+    "--trials", "10", "--sigma-n", "0.5",
+]
 
 
 class TestBoundsCommand:
@@ -362,6 +375,230 @@ class TestConfigFile:
         cfg.write_text("sigma_q = 5\n")
         code = run(["figure", "fig3", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_accepted_keys_are_the_long_options(self, tmp_path):
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            opt[2:].replace("-", "_")
+            for sub in commands.choices.values()
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt.startswith("--")
+        } - {"help", "config"}
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{key} = 1\n" for key in sorted(options)))
+        assert set(load_config(str(cfg))) == options
+        for key in ("config", "help", "which", "id", "command"):
+            cfg.write_text(f"{key} = 1\n")
+            with pytest.raises(InvalidInputError, match="unknown key"):
+                load_config(str(cfg))
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["figure", "fig3", "--points", "3"], "seed = abc"),
+            (SIMULATE_TINY, "trials = 1.5"),
+            (SIMULATE_TINY, "seed = -1"),
+        ],
+    )
+    def test_wrong_type_value_names_the_option(self, argv, line, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(line + "\n")
+        code = run(argv + ["--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--" + line.split()[0] in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"points = 3\n# caf\xe9\n")
+        code = run(["figure", "fig3", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_config_beats_env_seed(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed = 5\n")
+        argv = ["figure", "fig4", "--points", "3", "--draws", "1", "--s", "3"]
+        monkeypatch.setenv(SEED_ENV_VAR, "123")
+        run(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
+        monkeypatch.delenv(SEED_ENV_VAR)
+        run(argv + ["--seed", "5", "--out-dir", str(tmp_path / "flag")])
+        got = (tmp_path / "cfg" / "fig4.csv").read_bytes()
+        assert got == (tmp_path / "flag" / "fig4.csv").read_bytes()
+
+    def test_simulate_reads_x(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("x = -2,0,0,0,0\n")  # must not read as a flag
+        argv = SIMULATE_TINY + ["--trials", "50"]
+        assert run(argv + ["--config", str(cfg), "--output", str(tmp_path / "cfg.csv")]) == 0
+        assert run(argv + ["--x=-2,0,0,0,0", "--output", str(tmp_path / "flag.csv")]) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_bounds_reads_matrix(self, tmp_path, capsys):
+        argv = [
+            "bounds", "ccrb",
+            "--n", "6", "--m", "4", "--s", "2",
+            "--sigma-e", "0.1", "--sigma-n", "0.2",
+            "--x", "1,0,2,0,0,0", "--seed", "3",
+        ]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("matrix = gaussian\n")
+        assert run(argv + ["--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert run(argv + ["--matrix", "gaussian"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_key_the_command_lacks_is_ignored(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("points = 5\nx_q = 2\ndraws = 0\n")
+        argv = SIMULATE_TINY + ["--config", str(cfg), "--output", str(tmp_path / "s.csv")]
+        assert run(argv) == 0
+        # figure has no --x; it must not abbreviate --x-q
+        cfg.write_text("x = 1\nmatrix = gaussian\n")
+        argv = ["figure", "fig7", "--points", "2", "--config", str(cfg)]
+        assert run(argv + ["--out-dir", str(tmp_path / "cfg")]) == 0
+        assert run(["figure", "fig7", "--points", "2", "--out-dir", str(tmp_path / "flag")]) == 0
+        got = (tmp_path / "cfg" / "fig7.csv").read_bytes()
+        assert got == (tmp_path / "flag" / "fig7.csv").read_bytes()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("fig", ["fig4", "fig5"])
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one(self, fig, draws, tmp_path, capsys):
+        code = run(["figure", fig, "--draws", draws, "--points", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "draws" in capsys.readouterr().err
+        assert not (tmp_path / f"{fig}.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["log:1e-3:x:3", "log:1e-3:10:2.5", "", ","])
+    def test_bad_sigma_n_grid(self, grid, tmp_path, capsys):
+        code = run(SIMULATE_TINY + ["--sigma-n", grid, "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_non_numeric_signal_file(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_text("1,0,zebra,0,0\n")
+        code = run(SIMULATE_TINY + ["--x", str(p), "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert str(p) in capsys.readouterr().err
+
+    def test_non_numeric_matrix_file(self, tmp_path, capsys):
+        p = tmp_path / "A.csv"
+        p.write_text("1,0,0\n0,one,0\n0,0,1\n")
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "3", "--m", "3", "--s", "1",
+                "--sigma-e", "0", "--sigma-n", "1",
+                "--x", "2,0,0", "--matrix", str(p),
+            ]
+        )
+        assert code == 2
+        assert str(p) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("fig", ["fig7", "fig-estimators", "table1"])
+    def test_nonpositive_n(self, fig, n, tmp_path, capsys):
+        argv = ["figure", fig, "--n", n, "--points", "2", "--trials", "1"]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "n must be positive" in capsys.readouterr().err
+        argv = SIMULATE_TINY + ["--n", n, "--m", n, "--output", str(tmp_path / "s.csv")]
+        assert run(argv) == 2
+
+
+def _outcome(argv, config: bytes | None):
+    """(exit code, stderr) of one in-process run, with an optional config."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        if config is not None:
+            cfg = os.path.join(d, "run.conf")
+            with open(cfg, "wb") as fh:
+                fh.write(config)
+            argv = argv + ["--config", cfg]
+        argv = argv + ["--out-dir", d, "--output", "out.csv"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+_CONFIG_KEYS = [
+    "trials", "seed", "points", "draws", "n", "m", "s", "workers", "sigma_e",
+    "sigma_n", "x_q", "matrix", "x", "estimators", "sigma-e", "x-q",
+]
+_TEXT = st.text(alphabet="0123456789abcxyz,:.-+e ", max_size=12)
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "log:1e-3:10:3", "log:1:x:2", "gaussian", "identity",
+                     "oracle,ml", "noise", "unbiased", "1,0,0", "-1,0,0", "1e400"]),
+    _TEXT,
+)
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(st.sampled_from(["sigma_q", "config", "id", "help"]), _VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    ),
+    _TEXT,
+)
+_CONFIGS = st.one_of(
+    st.none(),
+    st.lists(_LINE, max_size=5).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=24),
+)
+
+
+# Numeric flags to fuzz, each with values around and beyond its valid range.
+_SEEDS = st.one_of(st.integers(-3, 3), st.just(2**70))
+_COUNTS = st.integers(-2, 6)
+_FLAGS = {
+    "fig3": {"--points": st.integers(-2, 5), "--s": st.integers(-2, 40), "--seed": _SEEDS},
+    "simulate": {
+        "--n": _COUNTS,
+        "--m": _COUNTS,
+        "--n --m": _COUNTS,
+        "--s": _COUNTS,
+        "--trials": st.integers(-2, 10),
+        "--workers": st.integers(-1, 3),
+        "--seed": _SEEDS,
+        "--sigma-e": st.one_of(
+            st.sampled_from([math.nan, math.inf, 1e300, 1e100]), st.floats(-1.0, 10.0)
+        ),
+    },
+}
+# Valid tiny runs; the fuzzed flags follow them, and argparse keeps the last value.
+_BASE = {
+    "fig3": ["figure", "fig3", "--points", "3"],
+    "simulate": SIMULATE_TINY,
+}
+
+
+class TestFuzz:
+    """Config files and numeric flags never end in a traceback: every run
+    exits 0, 2 (usage or configuration), 3 (math domain) or 4 (I/O)."""
+
+    @staticmethod
+    def check(argv, config=None):
+        code, err = _outcome(argv, config)
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60)
+    @given(command=st.sampled_from(sorted(_BASE)), config=_CONFIGS)
+    def test_config_files(self, command, config):
+        self.check(_BASE[command], config)
+
+    @settings(max_examples=200)
+    @given(command=st.sampled_from(sorted(_FLAGS)), data=st.data())
+    def test_numeric_flags(self, command, data):
+        # one flag of a valid run, so a bad value is the only bad input
+        name = data.draw(st.sampled_from(sorted(_FLAGS[command])))
+        value = repr(data.draw(_FLAGS[command][name]))
+        self.check(_BASE[command] + [tok for flag in name.split() for tok in (flag, value)])
 
 
 class TestSimulateCommand:

@@ -89,6 +89,14 @@ class TestProblemModel:
         with pytest.raises(InvalidInputError):
             make_model(np.eye(3), 0.1, bad, 1)
 
+    def test_rejects_deviations_whose_fourth_power_overflows(self):
+        # sigma^4 enters the Fisher information and the bounds; at 1e300 the
+        # CCRB raised a bare OverflowError, a traceback from the command line
+        for sigma_e, sigma_n in ((1e300, 0.1), (0.1, 1e300), (1e76, 0.1)):
+            with pytest.raises(InvalidInputError, match="below 1e\\+75"):
+                make_model(np.eye(3), sigma_e, sigma_n, 1)
+        assert make_model(np.eye(3), 1e74, 1e74, 1).sigma_e == 1e74
+
     def test_matrix_is_frozen(self):
         m = make_model(np.eye(3), 0.1, 0.1, 1)
         with pytest.raises(ValueError):

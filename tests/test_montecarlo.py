@@ -353,6 +353,20 @@ class TestOracleFactorCache:
         # a regular support on the same model still solves
         assert estimate_oracle(model, np.array([1.0, 1.0]), support=(0, 2)).support == (0, 2)
 
+    def test_ill_conditioned_support_is_singular_as_in_the_ccrb(self):
+        # kappa(A_S^T A_S) ~ 1e14: cho_factor succeeds, but the bounds call
+        # the Gram singular, so the oracle must not estimate on it
+        A = np.eye(4)
+        A[:, 1] = [1.0, 1e-7, 0.0, 0.0]
+        model = ProblemModel(A=A, sigma_e=0.0, sigma_n=0.1, s=2)
+        x = SparseSignal(np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(SingularMatrixError, match="A_S\\^T A_S is singular"):
+            oracle_mse_theoretical(model, (0, 1), x)
+        with pytest.raises(SingularMatrixError, match="A_S\\^T A_S is singular"):
+            estimate_oracle(model, A @ x.x, support=(0, 1))
+        with pytest.raises(ExcessiveFailureError, match="100/100 trials failed"):
+            run_trials(model, x, EstimatorSpec.oracle((0, 1)), trials=100, seed=1)
+
     def test_same_bits_as_cho_solve(self, rng):
         A = generate_gaussian_matrix(9, 14, rng)
         model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=4)
