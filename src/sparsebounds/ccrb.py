@@ -40,6 +40,7 @@ from .model import (
     gram_factor,
     numerically_singular,
     positive_sigma_x_squared,
+    support_factor,
 )
 
 __all__ = [
@@ -114,11 +115,6 @@ class NoiseLevels:
         object.__setattr__(self, "c_n", float(self.c_n))
 
 
-def _support_inverse(A_S: np.ndarray) -> np.ndarray:
-    """(A_S^T A_S)^{-1}; raises SingularMatrixError when it does not exist."""
-    return scipy.linalg.cho_solve(gram_factor(A_S), np.eye(A_S.shape[1]))
-
-
 def _report(first: float, d: float, regime: str) -> CcrbReport:
     return CcrbReport(
         bound=first - d, first_term=first, d_ccrb=d, gamma_ccrb=d / first, regime=regime
@@ -158,9 +154,9 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"got {signal.nonzero_count}"
         )
     sx2 = positive_sigma_x_squared(model, signal)
-    S = list(signal.support)
-    G = _support_inverse(model.A[:, S])
-    return _rank_one_report(model, sx2, G, signal.x[S], "maximal")
+    _, factor = support_factor(model, signal.support)
+    G = scipy.linalg.cho_solve(factor, np.eye(model.s))
+    return _rank_one_report(model, sx2, G, signal.x[list(signal.support)], "maximal")
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -189,7 +185,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             "signal has finite variance"
         )
     try:
-        G = _support_inverse(model.A)
+        G = scipy.linalg.cho_solve(gram_factor(model.A), np.eye(model.n))
     except SingularMatrixError:
         first = float(np.trace(scipy.linalg.solve(fim.J, np.eye(model.n), assume_a="pos")))
         return _report(first, 0.0, "nonmaximal")
@@ -202,7 +198,7 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     sigma_x^2 tr((A_S^T A_S)^{-1}) for a known support S covering the
     signal's nonzeros.
     """
-    S = sorted(int(i) for i in support)
+    S = tuple(sorted(int(i) for i in support))
     if len(S) != len(set(S)) or not S:
         raise InvalidInputError("support must be nonempty and duplicate free")
     if S[0] < 0 or S[-1] >= model.n:
@@ -210,7 +206,8 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
     sx2 = positive_sigma_x_squared(model, signal)
-    return float(sx2 * np.trace(_support_inverse(model.A[:, S])))
+    _, factor = support_factor(model, S)
+    return float(sx2 * np.trace(scipy.linalg.cho_solve(factor, np.eye(len(S)))))
 
 
 def rip_constants(

@@ -165,6 +165,20 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
     return rows
 
 
+def _instance_gammas(rng: Generator, m: int, n: int, s: int, levels) -> list[float]:
+    """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
+    from one model and one support factor.  Nothing of the instance
+    outlives the call, so its A is freed before the next one is drawn."""
+    A = generate_gaussian_matrix(m, n, rng)
+    signal = generate_bernoulli_signal(n, s, rng)
+    model = ProblemModel(A, 0.0, 0.0, s)
+    gammas = []
+    for c_e, c_n in levels:
+        sibling = model.with_noise(*sigmas_for_levels(A, signal, c_e, c_n, s))
+        gammas.append(ccrb_maximal(sibling, signal).gamma_ccrb)
+    return gammas
+
+
 def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
     """gamma of random instances against the scalar approximation."""
     s = cfg.s if cfg.s is not None else 10
@@ -178,55 +192,35 @@ def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
         for pi, c_e in enumerate(grid):
             for di in range(draws):
                 rng = _substream(cfg.seed, ci, pi, di)
-                A = generate_gaussian_matrix(m, n, rng)
-                signal = generate_bernoulli_signal(n, s, rng)
-                sigma_e, sigma_n = sigmas_for_levels(A, signal, c_e, c_n, s)
-                rep = ccrb_maximal(ProblemModel(A, sigma_e, sigma_n, s), signal)
-                rows.append((c_e, f"ccrb_cn={label}", rep.gamma_ccrb, 0.0))
+                (gamma,) = _instance_gammas(rng, m, n, s, [(c_e, c_n)])
+                rows.append((c_e, f"ccrb_cn={label}", gamma, 0.0))
         for c_e in _logspace(_db(-30), _db(30), 121):
             rows.append((c_e, f"approx_cn={label}", gamma_approx(c_e, c_n, s), 0.0))
     return rows
 
 
-_FIG5_CE_DB = (-15.0, -5.0, 5.0)
-_FIG5_CN = (("0", 0.0), ("-15dB", _db(-15.0)), ("-5dB", _db(-5.0)))
+# the nine fig5 curves as (label, c_e, c_n)
+_FIG5_LEVELS = [
+    (f"ce={ce_db:g}dB_cn={cn_label}", _db(ce_db), c_n)
+    for ce_db in (-15.0, -5.0, 5.0)
+    for cn_label, c_n in (("0", 0.0), ("-15dB", _db(-15.0)), ("-5dB", _db(-5.0)))
+]
 
 
 def _rows_fig5(cfg: ExperimentConfig) -> list[tuple]:
     """gamma versus sparsity on a log-log scale, one curve per (c_e, c_n)."""
     s_values = (3, 10, 30, 100, 300)
     draws = cfg.draws if cfg.draws is not None else 3
+    levels = [(c_e, c_n) for _, c_e, c_n in _FIG5_LEVELS]
     rows = []
     for si, s in enumerate(s_values):
-        n, m = 20 * s, 10 * s
         for di in range(draws):
-            rng = _substream(cfg.seed, si, di)
-            A = generate_gaussian_matrix(m, n, rng)
-            signal = generate_bernoulli_signal(n, s, rng)
-            for ce_db in _FIG5_CE_DB:
-                c_e = _db(ce_db)
-                for cn_label, c_n in _FIG5_CN:
-                    sigma_e, sigma_n = sigmas_for_levels(A, signal, c_e, c_n, s)
-                    rep = ccrb_maximal(ProblemModel(A, sigma_e, sigma_n, s), signal)
-                    rows.append(
-                        (
-                            float(s),
-                            f"ccrb_ce={ce_db:g}dB_cn={cn_label}",
-                            rep.gamma_ccrb,
-                            0.0,
-                        )
-                    )
-    for ce_db in _FIG5_CE_DB:
-        for cn_label, c_n in _FIG5_CN:
-            for s in s_values:
-                rows.append(
-                    (
-                        float(s),
-                        f"approx_ce={ce_db:g}dB_cn={cn_label}",
-                        gamma_approx(_db(ce_db), c_n, s),
-                        0.0,
-                    )
-                )
+            gammas = _instance_gammas(_substream(cfg.seed, si, di), 10 * s, 20 * s, s, levels)
+            for (label, _, _), gamma in zip(_FIG5_LEVELS, gammas):
+                rows.append((float(s), f"ccrb_{label}", gamma, 0.0))
+    for label, c_e, c_n in _FIG5_LEVELS:
+        for s in s_values:
+            rows.append((float(s), f"approx_{label}", gamma_approx(c_e, c_n, s), 0.0))
     return rows
 
 
@@ -244,8 +238,9 @@ def _rows_fig6(cfg: ExperimentConfig) -> list[tuple]:
         x = np.zeros(n)
         x[:s] = x_q
         signal = SparseSignal(x, tuple(range(s)))
+        base = ProblemModel(A, 0.0, sigma_n, s)
         for se2 in grid:
-            model = ProblemModel(A, math.sqrt(se2), sigma_n, s)
+            model = base.with_noise(math.sqrt(se2), sigma_n)
             rows.append((se2, f"s={s}", d_hcrb(model, signal) / (n - s), 0.0))
     return rows
 
@@ -256,14 +251,15 @@ def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
     sigma_n = cfg.sigma_n if cfg.sigma_n is not None else 0.1
     points = cfg.points if cfg.points is not None else 41
     sigma_e_values = (0.01, 0.1, 1.0, 10.0)
-    A = np.eye(n)
+    grid = _logspace(1e-3, 1e3, points)
+    base = ProblemModel(np.eye(n), 0.0, sigma_n, 1)
     rows = []
     for sigma_e in sigma_e_values:
-        for x_q in _logspace(1e-3, 1e3, points):
+        model = base.with_noise(sigma_e, sigma_n)
+        for x_q in grid:
             x = np.zeros(n)
             x[0] = x_q
             signal = SparseSignal(x, (0,))
-            model = ProblemModel(A, sigma_e, sigma_n, 1)
             rows.append((x_q, f"sigma_e={sigma_e:g}", d_hcrb(model, signal), 0.0))
     return rows
 
@@ -275,7 +271,7 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
     points = cfg.points if cfg.points is not None else 25
     sigma_e_values = (0.1, 1.0)
     grid = _logspace(1e-3, 10.0, points)
-    A = np.eye(n)
+    base = ProblemModel(np.eye(n), 0.0, 0.0, 1)
     x = np.zeros(n)
     x[0] = 1.0
     signal = SparseSignal(x, (0,))
@@ -286,7 +282,7 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     for ei, sigma_e in enumerate(sigma_e_values):
         for pi, sigma_n in enumerate(grid):
-            model = ProblemModel(A, sigma_e, sigma_n, 1)
+            model = base.with_noise(sigma_e, sigma_n)
             for j, (name, spec) in enumerate(specs):
                 summary = run_trials(
                     model,
@@ -464,6 +460,10 @@ def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
         return np.eye(n)
     if kind == "gaussian":
         return generate_gaussian_matrix(m, n, _substream(seed, 0))
+    if not os.path.isfile(kind):
+        raise InvalidInputError(
+            f"matrix must be identity, gaussian or a CSV file, got {kind!r}"
+        )
     A = _read_csv(kind, 2)
     if A.shape != (m, n):
         raise InvalidInputError(
@@ -556,11 +556,11 @@ def cmd_simulate(args) -> None:
     else:
         signal = generate_bernoulli_signal(args.n, args.s, _substream(args.seed, 1))
     grid = _parse_grid(args.sigma_n)
-    models = [ProblemModel(A, args.sigma_e, sn, args.s) for sn in grid]
-    estimators = _parse_estimators(args.estimators, models[0], signal)
+    base = ProblemModel(A, args.sigma_e, grid[0], args.s)
+    points = [({"sigma_n": sn}, base.with_noise(args.sigma_e, sn), signal) for sn in grid]
     raw = sweep(
-        [({"sigma_n": sn}, mdl, signal) for sn, mdl in zip(grid, models)],
-        estimators,
+        points,
+        _parse_estimators(args.estimators, base, signal),
         args.trials,
         args.seed,
         workers=args.workers,

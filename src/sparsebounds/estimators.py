@@ -15,8 +15,6 @@ Four estimators appear in the experiments:
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +25,8 @@ from .model import (
     Measurement,
     ProblemModel,
     SparseSignal,
-    gram_factor,
     measurement_vector,
+    support_factor,
 )
 
 __all__ = [
@@ -107,35 +105,13 @@ class EstimatorSpec:
 _NOT_FINITE = "x must be finite"
 
 
-# Per model, per sorted support: (A_S, upper Cholesky factor of A_S^T A_S,
-# the support as an index array).  Weak keys, so the cache never keeps a
-# model (and its A) alive; A is read-only, so a factor stays valid for its
-# model's lifetime and every caller gets the bits it would compute itself.
-# Singular supports are not cached and fail again on every call.  The lock
-# serves any caller that runs the public estimate_oracle from several
-# threads.
-_ORACLE_FACTORS = weakref.WeakKeyDictionary()
-_ORACLE_LOCK = threading.Lock()
-
-
-def _oracle_factor(model: ProblemModel, S: tuple[int, ...]):
-    with _ORACLE_LOCK:
-        factors = _ORACLE_FACTORS.setdefault(model, {})
-        hit = factors.get(S)
-        if hit is None:
-            A_S = model.A[:, list(S)]
-            upper, _ = gram_factor(A_S)
-            hit = factors[S] = (A_S, upper, np.array(S))
-        return hit
-
-
 def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     """Least squares restricted to a known support.
 
-    The Cholesky factor of A_S^T A_S is computed once per (model,
-    support) and reused; the solve gives the same bits as cho_solve.
-    Raises SingularMatrixError when A_S^T A_S is numerically singular,
-    by the same test as the bounds (model.gram_factor).
+    The Cholesky factor of A_S^T A_S is the one the bounds use
+    (model.support_factor), computed once per matrix and support; the
+    solve gives the same bits as cho_solve.  Raises SingularMatrixError
+    when A_S^T A_S is numerically singular, by the same test as the bounds.
     """
     S = tuple(sorted(int(i) for i in support))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
@@ -143,10 +119,10 @@ def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     yv = measurement_vector(y)
     if yv.size != model.m:
         raise InvalidInputError("measurement length does not match model m")
-    A_S, upper, cols = _oracle_factor(model, S)
+    A_S, (upper, _) = support_factor(model, S)
     coeffs, _ = scipy.linalg.lapack.dpotrs(upper, A_S.T @ yv, lower=0, overwrite_b=1)
     x = np.zeros(model.n)
-    x[cols] = coeffs
+    x[list(S)] = coeffs
     return SparseSignal(x, S)
 
 

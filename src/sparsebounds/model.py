@@ -11,6 +11,7 @@ which is what the sampler and every likelihood expression here use.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,6 +51,14 @@ MAX_DEVIATION = 1e75
 SINGULARITY_RTOL = 1e-12
 
 
+def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
+    if not all(0.0 <= v < MAX_DEVIATION for v in (sigma_e, sigma_n)):
+        raise InvalidInputError(
+            f"noise deviations must be finite, nonnegative and below {MAX_DEVIATION:g}"
+        )
+    return float(sigma_e), float(sigma_n)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -80,6 +89,8 @@ class ProblemModel:
     sigma_n: float
     s: int
     verify_spark: bool = field(default=False, compare=False)
+    # sorted support -> (A_S, cho_factor of A_S^T A_S); see support_factor
+    _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -87,23 +98,29 @@ class ProblemModel:
             raise InvalidInputError("A must be a nonempty 2-d array")
         if not np.all(np.isfinite(A)):
             raise InvalidInputError("A must be finite")
-        if not all(0.0 <= v < MAX_DEVIATION for v in (self.sigma_e, self.sigma_n)):
-            raise InvalidInputError(
-                f"noise deviations must be finite, nonnegative and below {MAX_DEVIATION:g}"
-            )
+        sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
         s = int(self.s)
         if s < 1 or s > A.shape[1]:
             raise InvalidInputError(
                 f"sparsity budget s={self.s} must lie in [1, n={A.shape[1]}]"
             )
         object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "sigma_e", float(self.sigma_e))
-        object.__setattr__(self, "sigma_n", float(self.sigma_n))
+        object.__setattr__(self, "sigma_e", sigma_e)
+        object.__setattr__(self, "sigma_n", sigma_n)
         object.__setattr__(self, "s", s)
         if self.verify_spark and not spark_exceeds(self.A, 2 * s):
             raise AssumptionViolatedError(
                 f"spark(A) must exceed 2s = {2 * s} for identifiability"
             )
+
+    def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
+        """This model at other noise deviations, checked as the constructor
+        checks them.  The sibling shares the validated A (no copy and no
+        finiteness scan), s, verify_spark and the support factors."""
+        sibling = copy.copy(self)
+        for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
+            object.__setattr__(sibling, name, value)
+        return sibling
 
     @property
     def m(self) -> int:
@@ -224,6 +241,18 @@ def gram_factor(A_S: np.ndarray) -> tuple[np.ndarray, bool]:
     if numerically_singular(gram):
         raise SingularMatrixError("A_S^T A_S is singular")
     return scipy.linalg.cho_factor(gram)
+
+
+def support_factor(model: ProblemModel, support: tuple[int, ...]):
+    """(A_S, gram_factor(A_S)) for a sorted support S, computed once per A
+    and shared by the bounds, the oracle and every with_noise sibling.  A
+    singular support is not cached and raises on every call."""
+    hit = model._factors.get(support)
+    if hit is None:
+        A_S = model.A[:, list(support)]
+        # when threads race on a cold entry, all get the first one stored
+        hit = model._factors.setdefault(support, (A_S, gram_factor(A_S)))
+    return hit
 
 
 def sample_measurement(

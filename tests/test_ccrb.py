@@ -20,8 +20,10 @@ from sparsebounds.ccrb import (
     sigmas_for_levels,
     transition_ce,
 )
+import sparsebounds.model as model_module
 from sparsebounds.errors import (
     AssumptionViolatedError,
+    DegenerateModelError,
     InvalidInputError,
     NoUnbiasedEstimatorError,
     SingularMatrixError,
@@ -102,6 +104,58 @@ class TestMaximal:
         x = SparseSignal(np.array([1.0, 1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
             ccrb_maximal(model, x)
+
+
+class TestSharedSupportFactor:
+    LEVELS = [(se, sn) for se in (0.0, 0.05, 0.4) for sn in (0.0, 0.1, 1.0)]
+
+    def counted_gram_factor(self, monkeypatch):
+        calls = []
+        real = model_module.gram_factor
+
+        def counting(A_S):
+            calls.append(A_S.shape)
+            return real(A_S)
+
+        monkeypatch.setattr(model_module, "gram_factor", counting)
+        return calls
+
+    def test_siblings_factor_once_and_match_fresh_models(self, monkeypatch):
+        base, x = gaussian_instance(11, 12, 20, 4)
+        fresh = {
+            (se, sn): (
+                ccrb_maximal(ProblemModel(base.A, se, sn, 4), x),
+                oracle_mse_theoretical(ProblemModel(base.A, se, sn, 4), x.support, x),
+            )
+            for se, sn in self.LEVELS
+            if se or sn
+        }
+        calls = self.counted_gram_factor(monkeypatch)
+        for se, sn in self.LEVELS:
+            sibling = base.with_noise(se, sn)
+            if not (se or sn):
+                with pytest.raises(DegenerateModelError):
+                    ccrb_maximal(sibling, x)
+                continue
+            got = (
+                ccrb_maximal(sibling, x),
+                oracle_mse_theoretical(sibling, x.support[::-1], x),
+            )
+            assert got == fresh[(se, sn)]  # bit for bit
+        assert calls == [(12, 4)]
+
+    def test_singular_support_is_not_cached(self, monkeypatch):
+        A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+        base = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=2)
+        x = SparseSignal(np.array([1.0, 1.0, 0.0]))
+        calls = self.counted_gram_factor(monkeypatch)
+        for model in (base, base.with_noise(0.2, 0.1), base):
+            with pytest.raises(SingularMatrixError):
+                ccrb_maximal(model, x)
+            with pytest.raises(SingularMatrixError):
+                oracle_mse_theoretical(model, (0, 1), x)
+        assert len(calls) == 6
+        assert base._factors == {}
 
 
 class TestNonmaximal:

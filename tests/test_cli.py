@@ -501,6 +501,16 @@ class TestMalformedInput:
         assert code == 2
         assert str(p) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["gausian", "Identity", "", "missing.csv", "."])
+    def test_unknown_matrix_kind(self, kind, tmp_path, capsys):
+        # neither a known kind nor a file: a usage error naming the kinds,
+        # not an I/O failure
+        code = run(SIMULATE_TINY + ["--matrix", kind, "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "identity" in err and "gaussian" in err and repr(kind) in err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("fig", ["fig7", "fig-estimators", "table1"])
     def test_nonpositive_n(self, fig, n, tmp_path, capsys):

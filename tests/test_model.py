@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sparsebounds.model as model_module
 from sparsebounds.errors import (
     AssumptionViolatedError,
     InvalidInputError,
@@ -112,6 +113,41 @@ class TestProblemModel:
     def test_verify_spark_accepts_generic_matrix(self, rng):
         A = generate_gaussian_matrix(6, 8, rng)
         make_model(A, 0.1, 0.1, 3, verify_spark=True)
+
+
+class TestWithNoise:
+    BAD = [(-0.1, 0.1), (0.1, -0.1), (np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
+           (1e75, 0.1), (0.1, 1e75), (1e300, 0.1)]
+
+    @pytest.mark.parametrize("sigma_e, sigma_n", BAD)
+    def test_rejects_deviations_as_the_constructor_does(self, sigma_e, sigma_n):
+        base = make_model(np.eye(3), 0.1, 0.1, 1)
+        with pytest.raises(InvalidInputError) as made:
+            make_model(np.eye(3), sigma_e, sigma_n, 1)
+        with pytest.raises(InvalidInputError) as changed:
+            base.with_noise(sigma_e, sigma_n)
+        assert str(changed.value) == str(made.value)
+        assert (base.sigma_e, base.sigma_n) == (0.1, 0.1)
+
+    def test_shares_the_matrix_and_the_factor_cache(self, rng):
+        base = make_model(generate_gaussian_matrix(6, 8, rng), 0.1, 0.2, 3, verify_spark=True)
+        sibling = base.with_noise(np.float64(0.3), 1)
+        assert sibling.A is base.A and not sibling.A.flags.writeable
+        assert sibling._factors is base._factors
+        assert (sibling.s, sibling.verify_spark) == (3, True)
+        assert (sibling.sigma_e, sibling.sigma_n) == (0.3, 1.0)
+        assert type(sibling.sigma_e) is float and type(sibling.sigma_n) is float
+        assert (base.sigma_e, base.sigma_n) == (0.1, 0.2)
+
+    def test_does_not_copy_or_scan_the_matrix(self, monkeypatch):
+        base = make_model(np.eye(3), 0.1, 0.1, 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("with_noise touched the matrix")
+
+        monkeypatch.setattr(model_module, "_frozen", forbidden)
+        monkeypatch.setattr(model_module.np, "isfinite", forbidden)
+        assert base.with_noise(0.2, 0.3).A is base.A
 
 
 class TestSparseSignal:

@@ -30,12 +30,12 @@ from sparsebounds.estimators import (
     estimate_noise_exploiting,
     estimate_oracle,
 )
-from sparsebounds.estimators import _oracle_factor
 from sparsebounds.model import (
     ProblemModel,
     SparseSignal,
     generate_gaussian_matrix,
     sample_measurement,
+    support_factor,
 )
 from sparsebounds.montecarlo import (
     TRIAL_CHUNK,
@@ -388,7 +388,7 @@ class TestOracleFactorCache:
 
         def work(model, y):
             start.wait(timeout=10)
-            return _oracle_factor(model, S), estimate_oracle(model, y, S).x
+            return support_factor(model, S), estimate_oracle(model, y, S).x
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
