@@ -40,7 +40,7 @@ from .model import (
     gram_factor,
     numerically_singular,
     positive_sigma_x_squared,
-    support_factor,
+    support_inverse,
 )
 
 __all__ = [
@@ -154,8 +154,7 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"got {signal.nonzero_count}"
         )
     sx2 = positive_sigma_x_squared(model, signal)
-    _, factor = support_factor(model, signal.support)
-    G = scipy.linalg.cho_solve(factor, np.eye(model.s))
+    G = support_inverse(model, signal.support)
     return _rank_one_report(model, sx2, G, signal.x[list(signal.support)], "maximal")
 
 
@@ -206,8 +205,7 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
     sx2 = positive_sigma_x_squared(model, signal)
-    _, factor = support_factor(model, S)
-    return float(sx2 * np.trace(scipy.linalg.cho_solve(factor, np.eye(len(S)))))
+    return float(sx2 * np.trace(support_inverse(model, S)))
 
 
 def rip_constants(

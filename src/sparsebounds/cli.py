@@ -14,7 +14,9 @@ failure (any MathDomainError), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -31,7 +33,7 @@ from .ccrb import (
     transition_ce,
 )
 from .errors import InvalidInputError, MathDomainError, SparseBoundsError
-from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting
+from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting, row_dot
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -42,11 +44,11 @@ from .model import (
 from .montecarlo import (
     TRIAL_CHUNK,
     chunk_moments,
+    draw_blocks,
     merge_moments,
     mse_stats,
     run_trials,
     sweep,
-    trial_stream,
 )
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
@@ -324,8 +326,9 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     """Least-squares versus noise-exploiting estimation at high dimension.
 
     The sensing matrix is the identity, so measurements are drawn from
-    the equivalent law without materializing it, and both estimators run
-    on the same draw.
+    the equivalent law without materializing it, and both estimators map
+    the same blocks of draws.  A squared error is added to its running
+    sum in trial order across the whole run.
     """
     n = cfg.n if cfg.n is not None else 10_000
     trials = cfg.trials if cfg.trials is not None else 10_000
@@ -333,22 +336,23 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     x = np.zeros(n)
     x[0] = 1.0
     sx = sigma_e  # sigma_x^2 = sigma_e^2 ||x||^2, sigma_n = 0
-    keys = ("ls", "ne")
-    sums = dict.fromkeys(keys, 0.0)
-    moments = dict.fromkeys(keys, (0, 0.0, 0.0))
+    kernels = {"ls": lambda Y: _ml_unit(Y, 1), "ne": _noise_exploiting}
+    sums = dict.fromkeys(kernels, 0.0)
+    moments = dict.fromkeys(kernels, (0, 0.0, 0.0))
     for lo in range(0, trials, TRIAL_CHUNK):
-        qs = {key: [] for key in keys}
-        for t in range(lo, min(lo + TRIAL_CHUNK, trials)):
-            y = x + sx * trial_stream(cfg.seed, t).standard_normal(n)
-            for key, (xhat, _) in zip(keys, (_ml_unit(y, 1), _noise_exploiting(y))):
-                err = xhat - x
-                q = float(err @ err)
-                qs[key].append(q)
-                sums[key] += q
-        for key in keys:
+        qs = {key: [] for key in kernels}
+        for _, Y in draw_blocks(x, sx, cfg.seed, (), lo, min(lo + TRIAL_CHUNK, trials)):
+            for key, kernel in kernels.items():
+                xhat, errors, _ = kernel(Y)
+                if errors:
+                    raise errors[min(errors)]
+                q = row_dot(xhat - x).tolist()
+                qs[key] += q
+                sums[key] = functools.reduce(operator.add, q, sums[key])
+        for key in kernels:
             moments[key] = merge_moments(moments[key], chunk_moments(qs[key]))
     rows = [(float(n), "ls_theoretical", sigma_e**2, 0.0)]
-    for key, label in zip(keys, ("ls_empirical", "noise_exploiting_empirical")):
+    for key, label in zip(kernels, ("ls_empirical", "noise_exploiting_empirical")):
         rows.append((float(n), label, *mse_stats(sums[key], moments[key])))
     return rows
 

@@ -14,13 +14,12 @@ Four estimators appear in the experiments:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModelError, InvalidInputError
+from .errors import DegenerateModelError, InvalidInputError, SparseBoundsError
 from .model import (
     Measurement,
     ProblemModel,
@@ -100,9 +99,30 @@ class EstimatorSpec:
         return _KIND_NAMES[self.kind]
 
 
-# The kernels reject a non-finite estimate as SparseSignal would, so a
-# Monte Carlo trial counts it as failed.
+# Every kernel maps a block Y of k measurements, one per row, to the dense
+# estimates Xhat (k, n) and the failures {row: error}, in row order; the
+# rows of Xhat that failed hold no estimate.  The kernels reject a
+# non-finite estimate as SparseSignal would, so a Monte Carlo trial counts
+# it as failed.
 _NOT_FINITE = "x must be finite"
+_ZERO_MEASUREMENT = "zero measurement has no identifiable support"
+
+
+def row_dot(E: np.ndarray) -> np.ndarray:
+    """E[i] @ E[i] for every row of a 2-d array, bit for bit: vecdot takes
+    the same dot product per row as the 1-d `@` does (einsum and
+    (E * E).sum(1) add in other orders)."""
+    return np.vecdot(E, E)
+
+
+def _not_finite(values: np.ndarray) -> dict:
+    """{row: InvalidInputError} for each row of a (k, s) array that holds
+    a value that is not finite."""
+    finite = np.isfinite(values)
+    if finite.all():  # the common case, at half the cost of the row test
+        return {}
+    bad = np.flatnonzero(~finite.all(axis=1))
+    return {int(i): InvalidInputError(_NOT_FINITE) for i in bad}
 
 
 def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
@@ -126,19 +146,36 @@ def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     return SparseSignal(x, S)
 
 
-def _ml_unit(yv: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ML estimate for a unit sensing matrix and its kept indices."""
+def _oracle(model: ProblemModel, support: tuple[int, ...]):
+    """The block map of the oracle: estimate_oracle once per row, so each
+    row keeps that function's checks and its exact error."""
+
+    def kernel(Y: np.ndarray):
+        X = np.zeros((len(Y), model.n))
+        errors = {}
+        for i, y in enumerate(Y):
+            try:
+                X[i] = estimate_oracle(model, y, support).x
+            except SparseBoundsError as exc:
+                errors[i] = exc
+        return X, errors
+
+    return kernel
+
+
+def _ml_unit(Y: np.ndarray, s: int):
+    """Dense ML estimates for a unit sensing matrix, the failures, and the
+    kept indices of each row (k, s), in increasing order."""
     if s == 1:
         # argmax keeps the lowest index on ties, like the stable sort below
-        keep = np.abs(yv).argmax(keepdims=True)
+        keep = np.abs(Y).argmax(axis=1, keepdims=True)
     else:
-        keep = np.sort(np.argsort(-np.abs(yv), kind="stable")[:s])
-    kept = yv[keep]
-    if not np.isfinite(kept).all():
-        raise InvalidInputError(_NOT_FINITE)
-    x = np.zeros(yv.size)
-    x[keep] = kept
-    return x, keep
+        keep = np.sort(np.argsort(-np.abs(Y), axis=1, kind="stable")[:, :s], axis=1)
+    rows = np.arange(len(Y))[:, None]
+    kept = Y[rows, keep]
+    X = np.zeros(Y.shape)
+    X[rows, keep] = kept
+    return X, _not_finite(kept), keep
 
 
 def estimate_ml_unit(y, s: int) -> SparseSignal:
@@ -147,12 +184,14 @@ def estimate_ml_unit(y, s: int) -> SparseSignal:
     yv = measurement_vector(y)
     if not 1 <= s <= yv.size:
         raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
-    x, keep = _ml_unit(yv, s)
-    return SparseSignal(x, tuple(keep.tolist()))
+    X, errors, keep = _ml_unit(yv[None], s)
+    if errors:
+        raise errors[0]
+    return SparseSignal(X[0], tuple(keep[0].tolist()))
 
 
 def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
-    """The y -> estimate map of the estimator anchored at x0."""
+    """The block map of the estimator anchored at x0."""
     if len(x0.support) != 1:
         raise InvalidInputError("reference point must have a single-index support")
     if x0.n != model.n:
@@ -165,11 +204,12 @@ def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
     if s0sq <= 0.0:
         raise DegenerateModelError("reference noise variance is zero")
 
-    def kernel(yv: np.ndarray) -> np.ndarray:
-        damp = np.exp(-(2.0 * yv[q] * x0q + x0q**2) / (2.0 * s0sq))
-        out = yv * damp
-        out[q] = yv[q]
-        return out
+    def kernel(Y: np.ndarray):
+        yq = Y[:, q]
+        damp = np.exp(-(2.0 * yq * x0q + x0q**2) / (2.0 * s0sq))
+        X = Y * damp[:, None]
+        X[:, q] = yq
+        return X, {}
 
     return kernel
 
@@ -185,20 +225,26 @@ def estimate_locally_unbiased(model: ProblemModel, y, x0: SparseSignal) -> np.nd
     yv = measurement_vector(y)
     if yv.size != model.n:
         raise InvalidInputError("this estimator requires m = n measurements")
-    return _locally_unbiased(model, x0)(yv)
+    return _locally_unbiased(model, x0)(yv[None])[0][0]
 
 
-def _noise_exploiting(yv: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense noise-exploiting estimate and its peak coordinate."""
-    if not yv.any():
-        raise InvalidInputError("zero measurement has no identifiable support")
-    k = int(np.abs(yv).argmax())
-    peak = float(yv @ yv) / (2.0 * yv[k])
-    if not math.isfinite(peak):
-        raise InvalidInputError(_NOT_FINITE)
-    x = np.zeros(yv.size)
-    x[k] = peak
-    return x, k
+def _noise_exploiting(Y: np.ndarray):
+    """Dense noise-exploiting estimates, the failures, and the peak
+    coordinate of each row."""
+    rows = np.arange(len(Y))
+    peak_at = np.abs(Y).argmax(axis=1)
+    den = 2.0 * Y[rows, peak_at]
+    # only a zero row has a zero peak: NaN fails it below without the 0/0
+    # warning, and costs far less than np.errstate
+    den[den == 0.0] = np.nan
+    peak = row_dot(Y) / den
+    X = np.zeros(Y.shape)
+    X[rows, peak_at] = peak
+    errors = _not_finite(peak[:, None])
+    for i in errors:
+        if not Y[i].any():
+            errors[i] = InvalidInputError(_ZERO_MEASUREMENT)
+    return X, errors, peak_at
 
 
 def estimate_noise_exploiting(y) -> SparseSignal:
@@ -207,31 +253,33 @@ def estimate_noise_exploiting(y) -> SparseSignal:
     Places sum(y^2) / (2 y_k) on the largest-magnitude coordinate k.
     Raises InvalidInputError when y is identically zero.
     """
-    x, k = _noise_exploiting(measurement_vector(y))
-    return SparseSignal(x, (k,))
+    X, errors, peak_at = _noise_exploiting(measurement_vector(y)[None])
+    if errors:
+        raise errors[0]
+    return SparseSignal(X[0], (int(peak_at[0]),))
 
 
 def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
-    """The y -> dense estimate map of one estimator on one model.
+    """The block map Y (k, m) -> (Xhat (k, n), {row: error}) of one
+    estimator on one model.
 
     Everything that depends only on (model, spec) is checked here, once;
-    the returned function takes a measurement vector of length m and
-    checks only what depends on y.  Raises the error every call of
-    apply_estimator would raise when the estimator does not fit the model.
+    the returned function takes a block of measurements of length m and
+    reports what depends on each row as that row's failure.  Raises the
+    error every call of apply_estimator would raise when the estimator
+    does not fit the model.
     """
     if spec.kind == "oracle":
-        support = spec.support
-        # every oracle trial goes through estimate_oracle and its cached factor
-        return lambda yv: estimate_oracle(model, yv, support).x
+        return _oracle(model, spec.support)
     if spec.kind == "locally_unbiased":
         return _locally_unbiased(model, spec.x0)
     if spec.kind == "maximum_likelihood":
         s = spec.s
         if s > model.m:
             raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
-        kernel = lambda yv: _ml_unit(yv, s)[0]  # noqa: E731
+        kernel = lambda Y: _ml_unit(Y, s)[:2]  # noqa: E731
     else:
-        kernel = lambda yv: _noise_exploiting(yv)[0]  # noqa: E731
+        kernel = lambda Y: _noise_exploiting(Y)[:2]  # noqa: E731
     if model.m != model.n:
         raise InvalidInputError("estimate length does not match model n")
     return kernel
@@ -242,4 +290,7 @@ def apply_estimator(model: ProblemModel, y, spec: EstimatorSpec) -> np.ndarray:
     yv = measurement_vector(y)
     if yv.size != model.m:
         raise InvalidInputError("measurement length does not match model m")
-    return estimator_kernel(model, spec)(yv)
+    X, errors = estimator_kernel(model, spec)(yv[None])
+    if errors:
+        raise errors[0]
+    return X[0]

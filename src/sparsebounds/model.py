@@ -91,6 +91,8 @@ class ProblemModel:
     verify_spark: bool = field(default=False, compare=False)
     # sorted support -> (A_S, cho_factor of A_S^T A_S); see support_factor
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # sorted support -> (A_S^T A_S)^{-1}; see support_inverse
+    _inverses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -116,7 +118,8 @@ class ProblemModel:
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
         checks them.  The sibling shares the validated A (no copy and no
-        finiteness scan), s, verify_spark and the support factors."""
+        finiteness scan), s, verify_spark and the support factors and
+        inverses."""
         sibling = copy.copy(self)
         for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
             object.__setattr__(sibling, name, value)
@@ -252,6 +255,18 @@ def support_factor(model: ProblemModel, support: tuple[int, ...]):
         A_S = model.A[:, list(support)]
         # when threads race on a cold entry, all get the first one stored
         hit = model._factors.setdefault(support, (A_S, gram_factor(A_S)))
+    return hit
+
+
+def support_inverse(model: ProblemModel, support: tuple[int, ...]) -> np.ndarray:
+    """Read-only (A_S^T A_S)^{-1} for a sorted support S, solved once from
+    support_factor per A and shared like it by every with_noise sibling."""
+    hit = model._inverses.get(support)
+    if hit is None:
+        _, factor = support_factor(model, support)
+        G = scipy.linalg.cho_solve(factor, np.eye(len(support)))
+        G.setflags(write=False)
+        hit = model._inverses.setdefault(support, G)
     return hit
 
 

@@ -1,15 +1,18 @@
 """Monte Carlo harness validating the bounds against reference estimators.
 
 Every trial draws from its own random stream derived from the master
-seed and the trial index.  Trials are summed in fixed chunks of
-TRIAL_CHUNK, and the chunk sums are reduced in chunk-index order, so a
-result depends only on the seed, the stream key and the trial count.
+seed and the trial index, into one row of a block of trials; the
+estimator maps the whole block at once.  Trials are summed in trial
+order within fixed chunks of TRIAL_CHUNK, and the chunk sums are reduced
+in chunk-index order, so a result depends only on the seed, the stream
+key and the trial count, not on the block size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +21,15 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
-from .estimators import EstimatorSpec, estimator_kernel
+from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
 from .model import ProblemModel, SparseSignal, sigma_x_squared
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
 
 TRIAL_CHUNK = 4096
+# A block of draws of length m holds max(1, BLOCK_BYTES // (8 m)) trials.
+BLOCK_BYTES = 2**17
 FAILURE_BUDGET = 0.01
 
 
@@ -187,27 +192,44 @@ class TrialSummary:
         object.__setattr__(self, "bias", b)
 
 
-def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
+def draw_blocks(
+    mean: np.ndarray, sx: float, seed: int, key: tuple[int, ...], start: int, stop: int
+):
+    """Yield (t0, Y) over trials start <= t < stop, a block at a time:
+    Y[i] = mean + sx * z for trial t0 + i, with z drawn by
+    trial_stream(seed, t0 + i, key), bit for bit."""
     m = mean.size
+    step = max(1, BLOCK_BYTES // (8 * m))
+    for lo in range(start, stop, step):
+        Y = np.empty((min(step, stop - lo), m))
+        for t, row in enumerate(Y, lo):
+            trial_stream(seed, t, key).standard_normal(out=row)
+        Y *= sx
+        Y += mean
+        yield lo, Y
+
+
+def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
     sum_sq = 0.0
-    qs = []  # a list append costs a third of a numpy item store
+    qs = []
     sum_err = np.zeros(x.size)
     failures = 0
     first_error = None
-    for t in range(start, stop):
-        y = mean + sx * trial_stream(seed, t, key).standard_normal(m)
-        try:
-            xhat = kernel(y)
-        except SparseBoundsError as exc:
-            failures += 1
+    for t0, Y in draw_blocks(mean, sx, seed, key, start, stop):
+        xhat, errors = kernel(Y)
+        if errors:
+            failures += len(errors)
             if first_error is None:
-                first_error = f"trial {t}: {exc}"
-            continue
+                row = min(errors)
+                first_error = f"trial {t0 + row}: {errors[row]}"
+            xhat = np.delete(xhat, list(errors), axis=0)
         err = xhat - x
-        q = float(err @ err)
-        qs.append(q)
-        sum_sq += q
-        sum_err += err
+        q = row_dot(err).tolist()
+        qs += q
+        # in trial order: reduce and cumsum add one row at a time, where
+        # sum would add pairwise
+        sum_sq = functools.reduce(operator.add, q, sum_sq)
+        sum_err = np.cumsum(np.concatenate((sum_err[None], err)), axis=0)[-1]
     return sum_sq, chunk_moments(qs), sum_err, failures, first_error
 
 
@@ -263,12 +285,13 @@ def run_trials(
     """Estimate the MSE and bias of one estimator over independent trials.
 
     The cell is checked and set up once: the mean Ax, the deviation
-    sigma_x and the estimator's y -> estimate map.  Trial t then draws
-    y = Ax + sigma_x z with z from trial_stream(seed, t, stream_key) and
-    applies the map.  Trials whose estimator raises are counted as
-    failures; more than FAILURE_BUDGET of them aborts the run with the
-    first diagnostic.  `workers` must be at least 1 but changes nothing:
-    the trials run serially, so the result is bit-identical for a given
+    sigma_x and the estimator's block map.  Trial t draws
+    y = Ax + sigma_x z with z from trial_stream(seed, t, stream_key) into
+    a row of a block (draw_blocks), and the map estimates the whole
+    block.  Trials the map reports as failed are counted; more than
+    FAILURE_BUDGET of them aborts the run with the first diagnostic.
+    `workers` must be at least 1 but changes nothing: the trials run
+    serially, so the result is bit-identical for a given
     (seed, stream_key) whatever its value.
     """
     if trials < 1:

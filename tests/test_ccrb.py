@@ -144,6 +144,29 @@ class TestSharedSupportFactor:
             assert got == fresh[(se, sn)]  # bit for bit
         assert calls == [(12, 4)]
 
+    def test_nine_siblings_solve_the_support_inverse_once(self, monkeypatch):
+        base, x = gaussian_instance(12, 12, 20, 4)
+        A_S = base.A[:, list(x.support)]
+        G = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_S.T @ A_S), np.eye(4))
+        solves = []
+        real = scipy.linalg.cho_solve
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+        for se, sn in self.LEVELS:
+            sibling = base.with_noise(se, sn + 0.01)
+            sx2 = sigma_x_squared(sibling, x)
+            got = oracle_mse_theoretical(sibling, x.support, x)
+            assert got == float(sx2 * np.trace(G))  # the solve it replaces, bit for bit
+            assert ccrb_maximal(sibling, x).first_term == got
+        assert len(solves) == 1
+        cached = model_module.support_inverse(base, x.support)
+        np.testing.assert_array_equal(cached, G)
+        assert not cached.flags.writeable
+
     def test_singular_support_is_not_cached(self, monkeypatch):
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         base = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=2)

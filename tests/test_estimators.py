@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsebounds.errors import InvalidInputError, SingularMatrixError
 from sparsebounds.estimators import (
@@ -9,6 +11,8 @@ from sparsebounds.estimators import (
     estimate_ml_unit,
     estimate_noise_exploiting,
     estimate_oracle,
+    estimator_kernel,
+    row_dot,
 )
 from sparsebounds.model import (
     Measurement,
@@ -172,3 +176,94 @@ class TestDispatch:
     def test_names(self):
         assert EstimatorSpec.maximum_likelihood(2).name == "ml"
         assert EstimatorSpec.oracle((1,)).name == "oracle"
+
+
+# values that make ties, zeros and non-finite entries likely
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def _blocks(draw, m=4):
+    Y = draw(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(m)), elements=_ENTRIES))
+    zero_rows = draw(st.lists(st.booleans(), min_size=len(Y), max_size=len(Y)))
+    Y[np.array(zero_rows, dtype=bool)] = 0.0
+    return Y
+
+
+def _per_row(spec, y):
+    """The per-row estimators the block kernels replaced, spelled out for
+    one y on the unit model below: (estimate, None) or (None, message)."""
+    if spec.kind == "locally_unbiased":
+        s0sq = 0.1**2 * 0.8**2 + 0.3**2
+        out = y * np.exp(-(2.0 * y[0] * 0.8 + 0.8**2) / (2.0 * s0sq))
+        out[0] = y[0]
+        return out, None
+    if spec.kind == "maximum_likelihood":
+        if spec.s == 1:
+            keep = np.abs(y).argmax(keepdims=True)
+        else:
+            keep = np.sort(np.argsort(-np.abs(y), kind="stable")[: spec.s])
+        value = y[keep]
+    else:
+        if not y.any():
+            return None, "zero measurement has no identifiable support"
+        keep = int(np.abs(y).argmax())
+        value = float(y @ y) / (2.0 * y[keep])
+    if not np.isfinite(value).all():
+        return None, "x must be finite"
+    out = np.zeros(y.size)
+    out[keep] = value
+    return out, None
+
+
+class TestBlockKernels:
+    MODEL = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.3, s=2)
+    SPECS = [
+        EstimatorSpec.oracle((0, 2)),
+        EstimatorSpec.maximum_likelihood(1),
+        EstimatorSpec.maximum_likelihood(2),
+        EstimatorSpec.locally_unbiased(SparseSignal(np.array([0.8, 0.0, 0.0, 0.0]))),
+        EstimatorSpec.noise_exploiting(),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows overflow
+    @settings(max_examples=60)
+    @given(Y=_blocks())
+    def test_each_row_equals_its_one_row_block(self, Y):
+        for spec in self.SPECS:
+            kernel = estimator_kernel(self.MODEL, spec)
+            X, errors = kernel(Y)
+            assert X.shape == Y.shape
+            assert list(errors) == sorted(errors)
+            for i in range(len(Y)):
+                Xi, errors_i = kernel(Y[i : i + 1])
+                if i in errors:
+                    got, want = errors[i], errors_i[0]
+                    assert (type(got), str(got)) == (type(want), str(want))
+                else:
+                    assert errors_i == {}
+                    np.testing.assert_array_equal(X[i], Xi[0])
+                if spec.kind != "oracle":  # the oracle block map calls estimate_oracle
+                    want_x, want_error = _per_row(spec, Y[i])
+                    assert (str(errors[i]) if i in errors else None) == want_error
+                    if want_error is None:
+                        np.testing.assert_array_equal(X[i], want_x)
+
+    def test_one_row_failures_raise_from_the_public_functions(self):
+        ml = EstimatorSpec.maximum_likelihood(1)
+        with pytest.raises(InvalidInputError, match="x must be finite"):
+            apply_estimator(self.MODEL, np.array([np.inf, 0.0, 0.0, 0.0]), ml)
+        with pytest.raises(InvalidInputError, match="zero measurement"):
+            apply_estimator(self.MODEL, np.zeros(4), EstimatorSpec.noise_exploiting())
+        with pytest.raises(InvalidInputError, match="x must be finite"):
+            estimate_noise_exploiting(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("n", [5, 10_000])
+def test_row_dot_is_the_one_row_dot_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    E = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-8, 8, size=(9, 1))
+    assert row_dot(E).tolist() == [float(e @ e) for e in E]

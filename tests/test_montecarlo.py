@@ -38,6 +38,7 @@ from sparsebounds.model import (
     support_factor,
 )
 from sparsebounds.montecarlo import (
+    FAILURE_BUDGET,
     TRIAL_CHUNK,
     TrialSummary,
     chunk_moments,
@@ -201,7 +202,10 @@ class TestRunTrials:
             qs.append(float(err @ err))
             return xhat
 
-        monkeypatch.setattr(montecarlo, "estimator_kernel", lambda model, est: kernel)
+        def block_kernel(Y):
+            return np.array([kernel(y) for y in Y]), {}
+
+        monkeypatch.setattr(montecarlo, "estimator_kernel", lambda model, est: block_kernel)
         trials = 10_000  # three chunks
         out = run_trials(model, x, est, trials=trials, seed=4)
         q = np.array(qs) - 1e6  # exact: every q lies in [1e6, 2e6]
@@ -341,6 +345,54 @@ class TestLeanPath:
         model, x, est = oracle_setup()
         with pytest.raises(InvalidInputError, match="workers"):
             run_trials(model, x, est, trials=10, seed=0, workers=0)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("case", sorted(_lean_path_cases()))
+    def test_block_size_does_not_change_the_summary(self, case, monkeypatch):
+        model, signal, spec = _lean_path_cases()[case]
+        trials = TRIAL_CHUNK + 300  # two chunks
+
+        def summary(rows):
+            monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 8 * model.m * rows)
+            out = run_trials(model, signal, spec, trials, seed=21, stream_key=(2, 1))
+            return out.mse, out.std_error_mse, out.failures, out.bias.tobytes()
+
+        default = summary(montecarlo.BLOCK_BYTES // (8 * model.m))
+        assert summary(1) == default
+        assert TRIAL_CHUNK % 1000 != 0
+        assert summary(1000) == default
+
+    def test_draw_blocks_rows_are_the_trial_streams(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 8 * 3 * 4)  # four trials a block
+        mean = np.array([1.0, -2.0, 0.5])
+        blocks = list(montecarlo.draw_blocks(mean, 0.3, 5, (1, 2), 2, 13))
+        assert [(t0, len(Y)) for t0, Y in blocks] == [(2, 4), (6, 4), (10, 3)]
+        for t0, Y in blocks:
+            for i, y in enumerate(Y):
+                want = mean + 0.3 * trial_stream(5, t0 + i, (1, 2)).standard_normal(3)
+                np.testing.assert_array_equal(y, want)
+
+    def test_first_failure_is_found_in_a_later_block(self, monkeypatch):
+        model, x, est = oracle_setup()  # A = I and sigma_x = 1, so y = x + z
+
+        def block_kernel(Y):
+            big = np.flatnonzero(Y[:, 1] > 2.0)
+            return Y.copy(), {int(i): InvalidInputError("y_1 above 2") for i in big}
+
+        monkeypatch.setattr(montecarlo, "estimator_kernel", lambda model, est: block_kernel)
+        trials, rows = 1000, 7
+        failing = [
+            t for t in range(trials) if (x.x + trial_stream(3, t).standard_normal(6))[1] > 2.0
+        ]
+        assert failing[0] >= rows and len(failing) > FAILURE_BUDGET * trials
+        for block_bytes in (8 * model.m * rows, montecarlo.BLOCK_BYTES):
+            monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+            with pytest.raises(ExcessiveFailureError) as exc:
+                run_trials(model, x, est, trials, seed=3)
+            msg = str(exc.value)
+            assert f"{len(failing)}/{trials} trials failed" in msg
+            assert msg.endswith(f"first failure: trial {failing[0]}: y_1 above 2")
 
 
 class TestOracleFactorCache:
