@@ -14,9 +14,7 @@ failure (any MathDomainError), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -33,7 +31,7 @@ from .ccrb import (
     transition_ce,
 )
 from .errors import InvalidInputError, MathDomainError, SparseBoundsError
-from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting, row_dot
+from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -41,15 +39,7 @@ from .model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
-from .montecarlo import (
-    TRIAL_CHUNK,
-    chunk_moments,
-    draw_blocks,
-    merge_moments,
-    mse_stats,
-    run_trials,
-    sweep,
-)
+from .montecarlo import run_maps, run_trials, sweep
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -142,7 +132,6 @@ class ExperimentConfig:
     s: int | None = None
     sigma_n: float | None = None
     x_q: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         for name in ("trials", "points", "draws", "n", "m", "s"):
@@ -286,15 +275,7 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
         for pi, sigma_n in enumerate(grid):
             model = base.with_noise(sigma_e, sigma_n)
             for j, (name, spec) in enumerate(specs):
-                summary = run_trials(
-                    model,
-                    signal,
-                    spec,
-                    trials,
-                    cfg.seed,
-                    workers=cfg.workers,
-                    stream_key=(ei, pi, j),
-                )
+                summary = run_trials(model, signal, spec, trials, cfg.seed, stream_key=(ei, pi, j))
                 rows.append(
                     (
                         sigma_n,
@@ -326,35 +307,23 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     """Least-squares versus noise-exploiting estimation at high dimension.
 
     The sensing matrix is the identity, so measurements are drawn from
-    the equivalent law without materializing it, and both estimators map
-    the same blocks of draws.  A squared error is added to its running
-    sum in trial order across the whole run.
+    the equivalent law y = x + sigma_e z (sigma_x = sigma_e ||x|| with
+    ||x|| = 1 and sigma_n = 0) without materializing it.  The Monte Carlo
+    engine (run_maps) runs both estimators on the same draws and reduces
+    each as run_trials does.
     """
     n = cfg.n if cfg.n is not None else 10_000
     trials = cfg.trials if cfg.trials is not None else 10_000
     sigma_e = 0.01
     x = np.zeros(n)
     x[0] = 1.0
-    sx = sigma_e  # sigma_x^2 = sigma_e^2 ||x||^2, sigma_n = 0
-    kernels = {"ls": lambda Y: _ml_unit(Y, 1), "ne": _noise_exploiting}
-    sums = dict.fromkeys(kernels, 0.0)
-    moments = dict.fromkeys(kernels, (0, 0.0, 0.0))
-    for lo in range(0, trials, TRIAL_CHUNK):
-        qs = {key: [] for key in kernels}
-        for _, Y in draw_blocks(x, sx, cfg.seed, (), lo, min(lo + TRIAL_CHUNK, trials)):
-            for key, kernel in kernels.items():
-                xhat, errors, _ = kernel(Y)
-                if errors:
-                    raise errors[min(errors)]
-                q = row_dot(xhat - x).tolist()
-                qs[key] += q
-                sums[key] = functools.reduce(operator.add, q, sums[key])
-        for key in kernels:
-            moments[key] = merge_moments(moments[key], chunk_moments(qs[key]))
-    rows = [(float(n), "ls_theoretical", sigma_e**2, 0.0)]
-    for key, label in zip(kernels, ("ls_empirical", "noise_exploiting_empirical")):
-        rows.append((float(n), label, *mse_stats(sums[key], moments[key])))
-    return rows
+    maps = (lambda Y: _ml_unit(Y, 1)[:2], lambda Y: _noise_exploiting(Y)[:2])
+    ls, ne = run_maps(x, sigma_e, x, maps, trials, cfg.seed, ())
+    return [
+        (float(n), "ls_theoretical", sigma_e**2, 0.0),
+        (float(n), "ls_empirical", ls.mse, ls.std_error_mse),
+        (float(n), "noise_exploiting_empirical", ne.mse, ne.std_error_mse),
+    ]
 
 
 _FIGURES = {
@@ -567,7 +536,6 @@ def cmd_simulate(args) -> None:
         _parse_estimators(args.estimators, base, signal),
         args.trials,
         args.seed,
-        workers=args.workers,
     )
     rows = []
     for r in raw:
@@ -586,14 +554,23 @@ def cmd_simulate(args) -> None:
 # parser
 
 
-def _seed(text: str) -> int:
-    """A nonnegative integer, as SeedSequence requires."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+def _int_type(least: int, what: str):
+    """An argparse type: an integer of at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+
+    return parse
+
+
+_seed = _int_type(0, "nonnegative")  # as SeedSequence requires
+_positive = _int_type(1, "positive")
+_WORKERS_HELP = "must be positive; changes nothing, as the trials run serially"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -635,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         pf.add_argument(flag, type=int)  # None: the protocol's own default
     pf.add_argument("--sigma-n", dest="sigma_n", type=float)
     pf.add_argument("--x-q", dest="x_q", type=float)
-    pf.add_argument("--workers", type=int, default=1)
+    pf.add_argument("--workers", type=_positive, default=1, help=_WORKERS_HELP)
     _add_common(pf)
     pf.set_defaults(func=cmd_figure)
 
@@ -653,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         help="comma list of oracle, ml, unbiased, noise (default %(default)s)",
     )
-    ps.add_argument("--trials", type=int, default=10_000)
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--trials", type=_positive, default=10_000)
+    ps.add_argument("--workers", type=_positive, default=1, help=_WORKERS_HELP)
     _add_common(ps)
     ps.set_defaults(func=cmd_simulate)
 

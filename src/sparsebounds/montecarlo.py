@@ -1,11 +1,13 @@
 """Monte Carlo harness validating the bounds against reference estimators.
 
+One engine, run_maps, serves every Monte Carlo cell: run_trials for one
+estimator, and the table1 protocol for two estimators on the same draws.
 Every trial draws from its own random stream derived from the master
-seed and the trial index, into one row of a block of trials; the
+seed and the trial index, into one row of a block of trials; each
 estimator maps the whole block at once.  Trials are summed in trial
 order within fixed chunks of TRIAL_CHUNK, and the chunk sums are reduced
 in chunk-index order, so a result depends only on the seed, the stream
-key and the trial count, not on the block size.
+key and the trial count, not on the block size.  The trials run serially.
 """
 
 from __future__ import annotations
@@ -209,30 +211,6 @@ def draw_blocks(
         yield lo, Y
 
 
-def _chunk_sums(mean, sx, x, kernel, seed, key, start, stop):
-    sum_sq = 0.0
-    qs = []
-    sum_err = np.zeros(x.size)
-    failures = 0
-    first_error = None
-    for t0, Y in draw_blocks(mean, sx, seed, key, start, stop):
-        xhat, errors = kernel(Y)
-        if errors:
-            failures += len(errors)
-            if first_error is None:
-                row = min(errors)
-                first_error = f"trial {t0 + row}: {errors[row]}"
-            xhat = np.delete(xhat, list(errors), axis=0)
-        err = xhat - x
-        q = row_dot(err).tolist()
-        qs += q
-        # in trial order: reduce and cumsum add one row at a time, where
-        # sum would add pairwise
-        sum_sq = functools.reduce(operator.add, q, sum_sq)
-        sum_err = np.cumsum(np.concatenate((sum_err[None], err)), axis=0)[-1]
-    return sum_sq, chunk_moments(qs), sum_err, failures, first_error
-
-
 def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFailureError:
     return ExcessiveFailureError(
         f"{failures}/{trials} trials failed (budget {FAILURE_BUDGET:.0%}); "
@@ -263,14 +241,63 @@ def merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * (na * nb / n)
 
 
-def mse_stats(total: float, moments: tuple[int, float, float]) -> tuple[float, float]:
-    """Mean of `count` squared errors and its standard error, from their
-    sum and their merged (count, mean, M2)."""
-    count, _, m2 = moments
-    mse = total / count
-    if count > 1:
-        return mse, math.sqrt(m2 / (count - 1) / count)
-    return mse, 0.0
+def run_maps(mean, sx, x, maps, trials: int, seed: int, key) -> list[TrialSummary]:
+    """The Monte Carlo engine: one TrialSummary per block map of `maps`.
+
+    Trial t draws y = mean + sx z with z from trial_stream(seed, t, key)
+    into a row of a block (draw_blocks), and every map estimates the same
+    block: Y (k, m) -> (Xhat, {row: error}), with x the true signal.  Xhat
+    must be a new array, as the engine overwrites it with the errors.
+    Within each TRIAL_CHUNK a map's squared errors and errors are summed
+    in trial order from zero; the chunk sums are added in chunk order and
+    the squared errors' moments merged by merge_moments.  Each map counts
+    its own failed trials; more than FAILURE_BUDGET of them aborts the run
+    with that map's first diagnostic.
+    """
+    k = len(maps)
+    sum_sq, moments, failures, first_error = [0.0] * k, [(0, 0.0, 0.0)] * k, [0] * k, [None] * k
+    sum_err = [np.zeros(x.size) for _ in maps]
+    for lo in range(0, trials, TRIAL_CHUNK):
+        c_sq, c_qs, c_err = [0.0] * k, [[] for _ in maps], [np.zeros(x.size) for _ in maps]
+        for t0, Y in draw_blocks(mean, sx, seed, key, lo, min(lo + TRIAL_CHUNK, trials)):
+            for j, block_map in enumerate(maps):
+                xhat, errors = block_map(Y)
+                if errors:
+                    failures[j] += len(errors)
+                    if first_error[j] is None:
+                        row = min(errors)
+                        first_error[j] = f"trial {t0 + row}: {errors[row]}"
+                    xhat = np.delete(xhat, list(errors), axis=0)
+                err = np.subtract(xhat, x, out=xhat)  # a map's Xhat is its own
+                q = row_dot(err).tolist()
+                c_qs[j] += q
+                # in trial order: reduce and cumsum add one row at a time,
+                # where sum would add pairwise
+                c_sq[j] = functools.reduce(operator.add, q, c_sq[j])
+                if len(err) == 1:  # cumsum's one add, without its copies
+                    c_err[j] += err[0]
+                else:
+                    c_err[j] = np.cumsum(np.concatenate((c_err[j][None], err)), axis=0)[-1]
+        for j in range(k):
+            sum_sq[j] += c_sq[j]
+            moments[j] = merge_moments(moments[j], chunk_moments(c_qs[j]))
+            sum_err[j] += c_err[j]
+    summaries = []
+    for j in range(k):
+        if failures[j] > FAILURE_BUDGET * trials:
+            raise _excessive_failures(failures[j], trials, first_error[j])
+        ok, _, m2 = moments[j]
+        summaries.append(
+            TrialSummary(
+                mse=sum_sq[j] / ok,
+                bias=sum_err[j] / ok,
+                trials=trials,
+                seed=seed,
+                std_error_mse=math.sqrt(m2 / (ok - 1) / ok) if ok > 1 else 0.0,
+                failures=failures[j],
+            )
+        )
+    return summaries
 
 
 def run_trials(
@@ -279,25 +306,18 @@ def run_trials(
     estimator: EstimatorSpec,
     trials: int,
     seed: int,
-    workers: int = 1,
     stream_key: tuple[int, ...] = (),
 ) -> TrialSummary:
     """Estimate the MSE and bias of one estimator over independent trials.
 
     The cell is checked and set up once: the mean Ax, the deviation
-    sigma_x and the estimator's block map.  Trial t draws
-    y = Ax + sigma_x z with z from trial_stream(seed, t, stream_key) into
-    a row of a block (draw_blocks), and the map estimates the whole
-    block.  Trials the map reports as failed are counted; more than
-    FAILURE_BUDGET of them aborts the run with the first diagnostic.
-    `workers` must be at least 1 but changes nothing: the trials run
-    serially, so the result is bit-identical for a given
-    (seed, stream_key) whatever its value.
+    sigma_x and the estimator's block map, which run_maps then runs over
+    trials drawn as y = Ax + sigma_x z with z from
+    trial_stream(seed, t, stream_key).  More than FAILURE_BUDGET failed
+    trials abort the run with the first diagnostic.
     """
     if trials < 1:
         raise InvalidInputError("trials must be positive")
-    if workers < 1:
-        raise InvalidInputError("workers must be positive")
     sx = math.sqrt(sigma_x_squared(model, signal))
     mean = model.A @ signal.x
     try:
@@ -305,34 +325,8 @@ def run_trials(
     except SparseBoundsError as exc:
         # the estimator does not fit the model, so every trial would fail
         raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
-    sum_sq = 0.0
-    moments = (0, 0.0, 0.0)
-    sum_err = np.zeros(model.n)
-    failures = 0
-    first_error = None
-    for lo in range(0, trials, TRIAL_CHUNK):
-        hi = min(lo + TRIAL_CHUNK, trials)
-        p_sq, p_moments, p_err, p_fail, p_msg = _chunk_sums(
-            mean, sx, signal.x, kernel, seed, stream_key, lo, hi
-        )
-        sum_sq += p_sq
-        moments = merge_moments(moments, p_moments)
-        sum_err += p_err
-        failures += p_fail
-        if first_error is None:
-            first_error = p_msg
-    if failures > FAILURE_BUDGET * trials:
-        raise _excessive_failures(failures, trials, first_error)
-    ok = trials - failures
-    mse, std_error = mse_stats(sum_sq, moments)
-    return TrialSummary(
-        mse=mse,
-        bias=sum_err / ok,
-        trials=trials,
-        seed=seed,
-        std_error_mse=std_error,
-        failures=failures,
-    )
+    (summary,) = run_maps(mean, sx, signal.x, [kernel], trials, seed, stream_key)
+    return summary
 
 
 def _analytic_bounds(model: ProblemModel, signal: SparseSignal) -> dict:
@@ -356,7 +350,6 @@ def sweep(
     estimators: list[EstimatorSpec],
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> list[dict]:
     """Run every estimator on every instance of a parameter grid.
 
@@ -365,8 +358,7 @@ def sweep(
     the trial summary next to the analytic bound values; with no
     estimators, one bounds-only row per point.  Each cell uses the
     stream key (point index, estimator index) so the whole sweep is
-    reproducible from the single seed.  `workers` is passed to run_trials,
-    which validates it; the trials run serially.
+    reproducible from the single seed.
     """
     rows: list[dict] = []
     for idx, (point, model, signal) in enumerate(instances):
@@ -386,15 +378,7 @@ def sweep(
             )
             continue
         for j, est in enumerate(estimators):
-            summary = run_trials(
-                model,
-                signal,
-                est,
-                trials,
-                seed,
-                workers=workers,
-                stream_key=(idx, j),
-            )
+            summary = run_trials(model, signal, est, trials, seed, stream_key=(idx, j))
             rows.append(
                 {
                     **point,

@@ -683,27 +683,22 @@ class TestSimulateCommand:
 
 
     def test_zero_workers_exits_two(self, tmp_path, capsys):
-        code = run(
-            [
-                "simulate",
-                "--n", "5", "--m", "5", "--s", "1",
-                "--sigma-e", "0.1",
-                "--sigma-n", "0.5",
-                "--trials", "50",
-                "--workers", "0",
-                "--output", str(tmp_path / "sim.csv"),
-            ]
-        )
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
-        code = run(
-            [
-                "figure", "fig-estimators",
-                "--trials", "50", "--points", "2", "--workers", "0",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 2
+        no_estimators = SIMULATE_TINY + ["--estimators", ""]
+        fig3 = ["figure", "fig3", "--points", "3"]
+        cases = [
+            SIMULATE_TINY + ["--workers", "0"],
+            ["figure", "fig-estimators", "--trials", "50", "--points", "2", "--workers", "0"],
+            # no Monte Carlo trial runs, so the flags are checked when parsed
+            fig3 + ["--workers", "0"],
+            fig3 + ["--workers", "-5"],
+            no_estimators + ["--workers", "0"],
+            no_estimators + ["--trials", "-3"],
+        ]
+        for argv in cases:
+            code = run(argv + ["--out-dir", str(tmp_path), "--output", "out.csv"])
+            assert code == 2, argv
+            flag = "workers" if "--workers" in argv else "trials"
+            assert f"argument --{flag}" in capsys.readouterr().err
 
 
 class TestDefaultSeed:

@@ -26,8 +26,6 @@ from sparsebounds.errors import (
 from sparsebounds.estimators import (
     EstimatorSpec,
     apply_estimator,
-    estimate_ml_unit,
-    estimate_noise_exploiting,
     estimate_oracle,
 )
 from sparsebounds.model import (
@@ -164,13 +162,6 @@ class TestRunTrials:
         b = run_trials(model, x, est, trials=5_000, seed=42)
         assert (a.mse, a.std_error_mse) == (b.mse, b.std_error_mse)
         np.testing.assert_array_equal(a.bias, b.bias)
-
-    def test_worker_count_does_not_change_results(self):
-        model, x, est = oracle_setup(sigma_e=0.2)
-        serial = run_trials(model, x, est, trials=9_000, seed=9, workers=1)
-        parallel = run_trials(model, x, est, trials=9_000, seed=9, workers=4)
-        assert (serial.mse, serial.std_error_mse) == (parallel.mse, parallel.std_error_mse)
-        np.testing.assert_array_equal(serial.bias, parallel.bias)
 
     def test_seed_changes_results(self):
         model, x, est = oracle_setup()
@@ -341,11 +332,6 @@ class TestLeanPath:
         with pytest.raises(InvalidInputError):
             run_trials(model, SparseSignal(np.ones(4)), est, trials=10, seed=0)
 
-    def test_zero_workers_rejected(self):
-        model, x, est = oracle_setup()
-        with pytest.raises(InvalidInputError, match="workers"):
-            run_trials(model, x, est, trials=10, seed=0, workers=0)
-
 
 class TestBlocks:
     @pytest.mark.parametrize("case", sorted(_lean_path_cases()))
@@ -393,6 +379,33 @@ class TestBlocks:
             msg = str(exc.value)
             assert f"{len(failing)}/{trials} trials failed" in msg
             assert msg.endswith(f"first failure: trial {failing[0]}: y_1 above 2")
+
+
+    def test_each_map_keeps_its_own_failures(self):
+        # y = x + z on three coordinates; a map fails the trials whose
+        # y_1 lies above its level
+        x = np.array([1.0, 0.0, 0.0])
+
+        def above(level):
+            def block_map(Y):
+                big = np.flatnonzero(Y[:, 1] > level)
+                return Y.copy(), {int(i): InvalidInputError(f"y_1 above {level}") for i in big}
+
+            return block_map
+
+        def exact(summary):
+            return summary.mse, summary.std_error_mse, summary.failures, summary.bias.tobytes()
+
+        trials = 1000
+        maps = [above(2.5), above(math.inf)]
+        both = montecarlo.run_maps(x, 1.0, x, maps, trials, 3, ())
+        alone = [montecarlo.run_maps(x, 1.0, x, [m], trials, 3, ())[0] for m in maps]
+        assert [exact(s) for s in both] == [exact(s) for s in alone]
+        assert 0 < both[0].failures <= FAILURE_BUDGET * trials and both[1].failures == 0
+        # the second map alone exceeds the budget, and reports its own failure
+        last = r"first failure: trial \d+: y_1 above 2.0$"
+        with pytest.raises(ExcessiveFailureError, match=last):
+            montecarlo.run_maps(x, 1.0, x, [above(2.5), above(2.0)], trials, 3, ())
 
 
 class TestOracleFactorCache:
@@ -467,31 +480,29 @@ class TestOracleFactorCache:
 
 
 def test_table1_matches_public_estimators(tmp_path):
-    n, trials, seed = 40, 300, 5
-    code = main(
-        [
-            "figure", "table1", "--n", str(n), "--trials", str(trials),
-            "--seed", str(seed), "--out-dir", str(tmp_path),
-        ]
-    )
-    assert code == 0
-    with open(tmp_path / "table1.csv", newline="") as fh:
-        got = {r["curve_id"]: (float(r["value"]), float(r["std_error"])) for r in csv.DictReader(fh)}
-    x = np.zeros(n)
-    x[0] = 1.0
-    sums = {"ls_empirical": [0.0, []], "noise_exploiting_empirical": [0.0, []]}
-    for t in range(trials):
-        y = x + 0.01 * trial_stream(seed, t).standard_normal(n)
-        for label, est in (
-            ("ls_empirical", estimate_ml_unit(y, 1)),
-            ("noise_exploiting_empirical", estimate_noise_exploiting(y)),
-        ):
-            err = est.x - x
-            q = float(err @ err)
-            sums[label][0] += q
-            sums[label][1].append(q)
-    for label, (total, qs) in sums.items():
-        mse = total / trials
-        _, _, m2 = chunk_moments(qs)  # one chunk
-        assert got[label] == (mse, math.sqrt(m2 / (trials - 1) / trials))
-    assert got["ls_theoretical"] == (0.01**2, 0.0)
+    """table1 is run_trials for each of its estimators on y = x + 0.01 z,
+    over one set of draws: compare it with reference_trials."""
+    n, seed = 40, 5
+    model = ProblemModel(np.eye(n), 0.01, 0.0, 1)  # sigma_x = 0.01 exactly
+    signal = SparseSignal(np.eye(n)[0])
+    specs = {
+        "ls_empirical": EstimatorSpec.maximum_likelihood(1),
+        "noise_exploiting_empirical": EstimatorSpec.noise_exploiting(),
+    }
+    for trials in (300, TRIAL_CHUNK + 300):  # one chunk, then two
+        code = main(
+            [
+                "figure", "table1", "--n", str(n), "--trials", str(trials),
+                "--seed", str(seed), "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        with open(tmp_path / "table1.csv", newline="") as fh:
+            got = {
+                r["curve_id"]: (float(r["value"]), float(r["std_error"]))
+                for r in csv.DictReader(fh)
+            }
+        for label, spec in specs.items():
+            mse, std_error, _, _ = reference_trials(model, signal, spec, trials, seed)
+            assert got[label] == (mse, std_error), trials
+        assert got["ls_theoretical"] == (0.01**2, 0.0)
