@@ -37,6 +37,7 @@ from .fisher import fim_closed_form
 from .model import (
     ProblemModel,
     SparseSignal,
+    _check_signal,
     gram_factor,
     numerically_singular,
     positive_sigma_x_squared,
@@ -146,8 +147,7 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
     A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0.
     """
-    if signal.n != model.n:
-        raise InvalidInputError("signal length does not match model")
+    _check_signal(model, signal)
     if signal.nonzero_count != model.s or len(signal.support) != model.s:
         raise WrongRegimeError(
             f"maximal-support bound needs ||x||_0 = s = {model.s}, "
@@ -170,8 +170,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     Raises NoUnbiasedEstimatorError when J is singular: no unbiased
     estimator of such a signal has finite variance.
     """
-    if signal.n != model.n:
-        raise InvalidInputError("signal length does not match model")
+    _check_signal(model, signal)
     if signal.nonzero_count >= model.s:
         raise WrongRegimeError(
             f"non-maximal bound needs ||x||_0 < s = {model.s}, "
@@ -288,8 +287,7 @@ def noise_levels(model: ProblemModel, signal: SparseSignal) -> NoiseLevels:
 
     c_e = m s sigma_e^2 / tr(A_S^T A_S) and c_n = m sigma_n^2 / ||x||^2.
     """
-    if signal.n != model.n:
-        raise InvalidInputError("signal length does not match model")
+    _check_signal(model, signal)
     energy, tr_gram = _support_energy(model.A, signal)
     c_e = model.m * model.s * model.sigma_e**2 / tr_gram
     c_n = model.m * model.sigma_n**2 / energy

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
-from .montecarlo import run_maps, run_trials, sweep
+from .montecarlo import run_maps, sweep
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -118,8 +118,10 @@ def _logspace(lo: float, hi: float, points: int) -> list[float]:
 class ExperimentConfig:
     """Knobs shared by the figure protocols.
 
-    Fields left as None fall back to each protocol's documented default;
-    the counts (trials, points, draws, n, m, s) must be positive.
+    Each protocol reads only some knobs, and fills those left as None with
+    its own default (the protocol table in README, and _FIGURES); it
+    ignores the others.  The counts (trials, points, draws, n, m, s) must
+    be positive.
     """
 
     experiment: str
@@ -146,13 +148,11 @@ _CN_LEVELS = (("0", 0.0), ("-5dB", _db(-5.0)), ("15dB", _db(15.0)))
 
 def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
     """Analytic gamma(c_e, c_n) curves; each includes its transition point."""
-    s = cfg.s if cfg.s is not None else 10
-    points = cfg.points if cfg.points is not None else 61
     rows = []
     for label, c_n in _CN_LEVELS:
-        grid = sorted(set(_logspace(_db(-30), _db(30), points)) | {transition_ce(c_n)})
+        grid = sorted(set(_logspace(_db(-30), _db(30), cfg.points)) | {transition_ce(c_n)})
         for c_e in grid:
-            rows.append((c_e, f"gamma_cn={label}", gamma_approx(c_e, c_n, s), 0.0))
+            rows.append((c_e, f"gamma_cn={label}", gamma_approx(c_e, c_n, cfg.s), 0.0))
     return rows
 
 
@@ -172,16 +172,14 @@ def _instance_gammas(rng: Generator, m: int, n: int, s: int, levels) -> list[flo
 
 def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
     """gamma of random instances against the scalar approximation."""
-    s = cfg.s if cfg.s is not None else 10
-    n = cfg.n if cfg.n is not None else 20 * s
+    s = cfg.s
+    n = cfg.n if cfg.n is not None else 20 * s  # the one default derived from s
     m = cfg.m if cfg.m is not None else 10 * s
-    points = cfg.points if cfg.points is not None else 21
-    draws = cfg.draws if cfg.draws is not None else 3
     rows = []
-    grid = _logspace(_db(-30), _db(30), points)
+    grid = _logspace(_db(-30), _db(30), cfg.points)
     for ci, (label, c_n) in enumerate(_CN_LEVELS):
         for pi, c_e in enumerate(grid):
-            for di in range(draws):
+            for di in range(cfg.draws):
                 rng = _substream(cfg.seed, ci, pi, di)
                 (gamma,) = _instance_gammas(rng, m, n, s, [(c_e, c_n)])
                 rows.append((c_e, f"ccrb_cn={label}", gamma, 0.0))
@@ -201,11 +199,10 @@ _FIG5_LEVELS = [
 def _rows_fig5(cfg: ExperimentConfig) -> list[tuple]:
     """gamma versus sparsity on a log-log scale, one curve per (c_e, c_n)."""
     s_values = (3, 10, 30, 100, 300)
-    draws = cfg.draws if cfg.draws is not None else 3
     levels = [(c_e, c_n) for _, c_e, c_n in _FIG5_LEVELS]
     rows = []
     for si, s in enumerate(s_values):
-        for di in range(draws):
+        for di in range(cfg.draws):
             gammas = _instance_gammas(_substream(cfg.seed, si, di), 10 * s, 20 * s, s, levels)
             for (label, _, _), gamma in zip(_FIG5_LEVELS, gammas):
                 rows.append((float(s), f"ccrb_{label}", gamma, 0.0))
@@ -218,37 +215,30 @@ def _rows_fig5(cfg: ExperimentConfig) -> list[tuple]:
 def _rows_fig6(cfg: ExperimentConfig) -> list[tuple]:
     """Normalized HCRB gap term against sigma_e^2 for several sparsities."""
     s_values = (1, 3, 10, 30, 100)
-    sigma_n = cfg.sigma_n if cfg.sigma_n is not None else 0.1
-    x_q = cfg.x_q if cfg.x_q is not None else 1000.0
-    points = cfg.points if cfg.points is not None else 25
-    grid = _logspace(1e-4, 1e2, points)
+    grid = _logspace(1e-4, 1e2, cfg.points)
     rows = []
     for s in s_values:
         n = 10 * s
         A = np.eye(n)
         x = np.zeros(n)
-        x[:s] = x_q
+        x[:s] = cfg.x_q
         signal = SparseSignal(x, tuple(range(s)))
-        base = ProblemModel(A, 0.0, sigma_n, s)
+        base = ProblemModel(A, 0.0, cfg.sigma_n, s)
         for se2 in grid:
-            model = base.with_noise(math.sqrt(se2), sigma_n)
+            model = base.with_noise(math.sqrt(se2), cfg.sigma_n)
             rows.append((se2, f"s={s}", d_hcrb(model, signal) / (n - s), 0.0))
     return rows
 
 
 def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
     """HCRB gap term against the smallest entry for several sigma_e."""
-    n = cfg.n if cfg.n is not None else 10
-    sigma_n = cfg.sigma_n if cfg.sigma_n is not None else 0.1
-    points = cfg.points if cfg.points is not None else 41
-    sigma_e_values = (0.01, 0.1, 1.0, 10.0)
-    grid = _logspace(1e-3, 1e3, points)
-    base = ProblemModel(np.eye(n), 0.0, sigma_n, 1)
+    grid = _logspace(1e-3, 1e3, cfg.points)
+    base = ProblemModel(np.eye(cfg.n), 0.0, cfg.sigma_n, 1)
     rows = []
-    for sigma_e in sigma_e_values:
-        model = base.with_noise(sigma_e, sigma_n)
+    for sigma_e in (0.01, 0.1, 1.0, 10.0):
+        model = base.with_noise(sigma_e, cfg.sigma_n)
         for x_q in grid:
-            x = np.zeros(n)
+            x = np.zeros(cfg.n)
             x[0] = x_q
             signal = SparseSignal(x, (0,))
             rows.append((x_q, f"sigma_e={sigma_e:g}", d_hcrb(model, signal), 0.0))
@@ -256,50 +246,31 @@ def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
-    """Empirical MSE of the ML and locally unbiased estimators vs the bounds."""
-    n = cfg.n if cfg.n is not None else 5
-    trials = cfg.trials if cfg.trials is not None else 10_000
-    points = cfg.points if cfg.points is not None else 25
-    sigma_e_values = (0.1, 1.0)
-    grid = _logspace(1e-3, 10.0, points)
-    base = ProblemModel(np.eye(n), 0.0, 0.0, 1)
-    x = np.zeros(n)
+    """Empirical MSE of the ML and locally unbiased estimators vs the bounds.
+
+    sweep leaves a bound it cannot compute empty, so each point's bounds
+    are computed first, and their error ends the run before any trial.
+    """
+    grid = _logspace(1e-3, 10.0, cfg.points)
+    base = ProblemModel(np.eye(cfg.n), 0.0, 0.0, 1)
+    x = np.zeros(cfg.n)
     x[0] = 1.0
     signal = SparseSignal(x, (0,))
-    specs = (
-        ("ml", EstimatorSpec.maximum_likelihood(1)),
-        ("unbiased", EstimatorSpec.locally_unbiased(signal)),
-    )
+    specs = [EstimatorSpec.maximum_likelihood(1), EstimatorSpec.locally_unbiased(signal)]
     rows = []
-    for ei, sigma_e in enumerate(sigma_e_values):
-        for pi, sigma_n in enumerate(grid):
-            model = base.with_noise(sigma_e, sigma_n)
-            for j, (name, spec) in enumerate(specs):
-                summary = run_trials(model, signal, spec, trials, cfg.seed, stream_key=(ei, pi, j))
-                rows.append(
-                    (
-                        sigma_n,
-                        f"mse_{name}_sigma_e={sigma_e:g}",
-                        summary.mse,
-                        summary.std_error_mse,
-                    )
-                )
-            rows.append(
-                (
-                    sigma_n,
-                    f"hcrb_sigma_e={sigma_e:g}",
-                    hcrb_unit_closed_form(model, signal).bound,
-                    0.0,
-                )
-            )
-            rows.append(
-                (
-                    sigma_n,
-                    f"ccrb_sigma_e={sigma_e:g}",
-                    ccrb_maximal(model, signal).bound,
-                    0.0,
-                )
-            )
+    for ei, sigma_e in enumerate((0.1, 1.0)):
+        points = [({"sigma_n": sn}, base.with_noise(sigma_e, sn), signal) for sn in grid]
+        for _, model, _ in points:
+            hcrb_unit_closed_form(model, signal)
+            ccrb_maximal(model, signal)
+        cells = sweep(points, specs, cfg.trials, cfg.seed, key=(ei,))
+        # one sweep row per (point, estimator), each with the point's bounds
+        for pair in zip(cells[::2], cells[1::2]):
+            for r in pair:
+                curve = f"mse_{r['estimator']}_sigma_e={sigma_e:g}"
+                rows.append((r["sigma_n"], curve, r["mse"], r["std_error"]))
+            for name in ("hcrb", "ccrb"):
+                rows.append((r["sigma_n"], f"{name}_sigma_e={sigma_e:g}", r[name], 0.0))
     return rows
 
 
@@ -312,38 +283,40 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     engine (run_maps) runs both estimators on the same draws and reduces
     each as run_trials does.
     """
-    n = cfg.n if cfg.n is not None else 10_000
-    trials = cfg.trials if cfg.trials is not None else 10_000
     sigma_e = 0.01
-    x = np.zeros(n)
+    x = np.zeros(cfg.n)
     x[0] = 1.0
     maps = (lambda Y: _ml_unit(Y, 1)[:2], lambda Y: _noise_exploiting(Y)[:2])
-    ls, ne = run_maps(x, sigma_e, x, maps, trials, cfg.seed, ())
+    ls, ne = run_maps(x, sigma_e, x, maps, cfg.trials, cfg.seed, ())
     return [
-        (float(n), "ls_theoretical", sigma_e**2, 0.0),
-        (float(n), "ls_empirical", ls.mse, ls.std_error_mse),
-        (float(n), "noise_exploiting_empirical", ne.mse, ne.std_error_mse),
+        (float(cfg.n), "ls_theoretical", sigma_e**2, 0.0),
+        (float(cfg.n), "ls_empirical", ls.mse, ls.std_error_mse),
+        (float(cfg.n), "noise_exploiting_empirical", ne.mse, ne.std_error_mse),
     ]
 
 
+# figure id -> (row function, {knob: default}); a protocol reads only the
+# knobs listed here (fig4 also reads n and m, whose defaults follow s)
 _FIGURES = {
-    "fig3": _rows_fig3,
-    "fig4": _rows_fig4,
-    "fig5": _rows_fig5,
-    "fig6": _rows_fig6,
-    "fig7": _rows_fig7,
-    "fig-estimators": _rows_fig_estimators,
-    "table1": _rows_table1,
+    "fig3": (_rows_fig3, {"s": 10, "points": 61}),
+    "fig4": (_rows_fig4, {"s": 10, "points": 21, "draws": 3}),
+    "fig5": (_rows_fig5, {"draws": 3}),
+    "fig6": (_rows_fig6, {"sigma_n": 0.1, "x_q": 1000.0, "points": 25}),
+    "fig7": (_rows_fig7, {"n": 10, "sigma_n": 0.1, "points": 41}),
+    "fig-estimators": (_rows_fig_estimators, {"n": 5, "trials": 10_000, "points": 25}),
+    "table1": (_rows_table1, {"n": 10_000, "trials": 10_000}),
 }
 
 
 def figure_rows(cfg: ExperimentConfig) -> list[tuple]:
-    """Rows (x_value, curve_id, value, std_error) for a named protocol."""
+    """Rows (x_value, curve_id, value, std_error) for a named protocol,
+    its unset knobs filled with the protocol's defaults."""
     try:
-        fn = _FIGURES[cfg.experiment]
+        fn, defaults = _FIGURES[cfg.experiment]
     except KeyError:
         raise InvalidInputError(f"unknown figure id {cfg.experiment!r}") from None
-    return fn(cfg)
+    unset = {k: v for k, v in defaults.items() if getattr(cfg, k) is None}
+    return fn(replace(cfg, **unset))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedMatrixError,
     WrongRegimeError,
 )
-from .model import ProblemModel, SparseSignal, positive_sigma_x_squared
+from .model import ProblemModel, SparseSignal, _check_signal, positive_sigma_x_squared
 
 __all__ = [
     "TestPointSet",
@@ -101,8 +101,6 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     vs_ij^2 <= 0 and OverflowingTestPointError (an OverflowError) when
     H_ij overflows.
     """
-    if signal.n != model.n:
-        raise InvalidInputError("signal length does not match model")
     sx2 = positive_sigma_x_squared(model, signal)
     vs = []
     for v in offsets:
@@ -162,11 +160,11 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     return TestPointSet(offsets=tuple(vs), V=V, H=H, varsigma2=varsigma2)
 
 
-def _pinv_psd(H: np.ndarray, rtol: float = PINV_RTOL) -> np.ndarray:
+def _pinv_psd(H: np.ndarray) -> np.ndarray:
     # divide and conquer: several times faster than the default driver on
     # the unit-diagonal matrices hcrb_general passes in
     w, Q = scipy.linalg.eigh(H, driver="evd")
-    cut = rtol * max(w[-1], 0.0)
+    cut = PINV_RTOL * max(w[-1], 0.0)
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
     return (Q * inv) @ Q.T
 
@@ -229,8 +227,7 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
 
 
 def _require_unit_maximal(model: ProblemModel, signal: SparseSignal) -> None:
-    if signal.n != model.n:
-        raise InvalidInputError("signal length does not match model")
+    _check_signal(model, signal)
     if model.m != model.n or not np.array_equal(model.A, np.eye(model.n)):
         raise UnsupportedMatrixError("closed-form HCRB requires identity matrix")
     if model.n < 2:

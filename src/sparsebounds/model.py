@@ -279,7 +279,6 @@ def sample_measurement(
     which matches the joint perturbation-plus-noise distribution exactly
     and never materializes the m-by-n perturbation.
     """
-    _check_signal(model, signal)
     sx = math.sqrt(sigma_x_squared(model, signal))
     z = rng.standard_normal(model.m)
     return Measurement(model.A @ signal.x + sx * z)

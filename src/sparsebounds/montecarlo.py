@@ -345,50 +345,35 @@ def _analytic_bounds(model: ProblemModel, signal: SparseSignal) -> dict:
     return out
 
 
+# the sweep columns that come from a cell's trial summary
+_CELL_KEYS = ("estimator", "mse", "std_error", "bias_l2", "trials", "failures")
+
+
 def sweep(
     instances,
     estimators: list[EstimatorSpec],
     trials: int,
     seed: int,
+    key: tuple[int, ...] = (),
 ) -> list[dict]:
     """Run every estimator on every instance of a parameter grid.
 
     `instances` yields (point, model, signal) where point is a dict of
     grid coordinates.  Returns one row per (point, estimator) carrying
-    the trial summary next to the analytic bound values; with no
-    estimators, one bounds-only row per point.  Each cell uses the
-    stream key (point index, estimator index) so the whole sweep is
-    reproducible from the single seed.
+    the trial summary next to the analytic bound values, which are None
+    where a bound does not apply; with no estimators, one bounds-only row
+    per point.  Each cell uses the stream key (*key, point index,
+    estimator index) so the whole sweep is reproducible from the single
+    seed.
     """
     rows: list[dict] = []
     for idx, (point, model, signal) in enumerate(instances):
         bounds = _analytic_bounds(model, signal)
-        if not estimators:
-            rows.append(
-                {
-                    **point,
-                    "estimator": "",
-                    "mse": None,
-                    "std_error": None,
-                    "bias_l2": None,
-                    "trials": 0,
-                    "failures": 0,
-                    **bounds,
-                }
-            )
-            continue
+        cells = []
         for j, est in enumerate(estimators):
-            summary = run_trials(model, signal, est, trials, seed, stream_key=(idx, j))
-            rows.append(
-                {
-                    **point,
-                    "estimator": est.name,
-                    "mse": summary.mse,
-                    "std_error": summary.std_error_mse,
-                    "bias_l2": float(np.linalg.norm(summary.bias)),
-                    "trials": summary.trials,
-                    "failures": summary.failures,
-                    **bounds,
-                }
-            )
+            s = run_trials(model, signal, est, trials, seed, stream_key=(*key, idx, j))
+            bias_l2 = float(np.linalg.norm(s.bias))
+            cells.append((est.name, s.mse, s.std_error_mse, bias_l2, s.trials, s.failures))
+        for cell in cells or [("", None, None, None, 0, 0)]:  # a bounds-only row
+            rows.append({**point, **dict(zip(_CELL_KEYS, cell)), **bounds})
     return rows

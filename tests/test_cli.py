@@ -12,11 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 import sparsebounds
 import sparsebounds.cli as cli
-from sparsebounds.ccrb import transition_ce
-from sparsebounds.cli import DEFAULT_SEED, SEED_ENV_VAR, load_config, main
+from sparsebounds.ccrb import ccrb_maximal, transition_ce
+from sparsebounds.cli import (
+    DEFAULT_SEED,
+    SEED_ENV_VAR,
+    ExperimentConfig,
+    figure_rows,
+    load_config,
+    main,
+)
 from sparsebounds.errors import InvalidInputError
-from sparsebounds.hcrb import d_hcrb
+from sparsebounds.estimators import EstimatorSpec
+from sparsebounds.hcrb import d_hcrb, hcrb_unit_closed_form
 from sparsebounds.model import ProblemModel, SparseSignal
+from sparsebounds.montecarlo import run_trials
 
 
 def read_csv(path):
@@ -238,6 +247,29 @@ class TestExitCodes:
         assert code == 2
 
 
+# the protocol table of README: the knobs each protocol reads, and their
+# defaults (fig4 also reads n and m, whose defaults follow s)
+README_DEFAULTS = {
+    "fig3": {"s": 10, "points": 61},
+    "fig4": {"s": 10, "points": 21, "draws": 3},
+    "fig5": {"draws": 3},
+    "fig6": {"sigma_n": 0.1, "x_q": 1000.0, "points": 25},
+    "fig7": {"n": 10, "sigma_n": 0.1, "points": 41},
+    "fig-estimators": {"n": 5, "trials": 10_000, "points": 25},
+    "table1": {"n": 10_000, "trials": 10_000},
+}
+# cheap values for the knobs a test does not set to their defaults
+SMALL_KNOBS = {
+    "fig3": {"s": 3, "points": 5},
+    "fig4": {"s": 3, "points": 2, "draws": 1},
+    "fig5": {"draws": 1},
+    "fig6": {"sigma_n": 0.5, "x_q": 2.0, "points": 4},
+    "fig7": {"n": 4, "sigma_n": 0.5, "points": 4},
+    "fig-estimators": {"n": 3, "trials": 20, "points": 2},
+    "table1": {"n": 10, "trials": 20},
+}
+
+
 class TestFigureCommand:
     def test_fig3_schema_and_transition_rows(self, tmp_path, capsys):
         code = run(["figure", "fig3", "--out-dir", str(tmp_path), "--points", "11"])
@@ -318,6 +350,46 @@ class TestFigureCommand:
             ]
         )
         assert (d1 / "fig4.csv").read_bytes() == (d2 / "fig4.csv").read_bytes()
+
+    def test_fig_estimators_matches_public_api(self):
+        # cell (sigma_e index, sigma_n index, estimator index) draws the
+        # stream key (ei, pi, j)
+        rows = figure_rows(ExperimentConfig("fig-estimators", points=3, trials=300))
+        x = np.zeros(5)
+        x[0] = 1.0
+        signal = SparseSignal(x, (0,))
+        specs = [EstimatorSpec.maximum_likelihood(1), EstimatorSpec.locally_unbiased(signal)]
+        want = []
+        for ei, sigma_e in enumerate((0.1, 1.0)):
+            for pi, sigma_n in enumerate(np.logspace(-3, 1, 3)):
+                model = ProblemModel(np.eye(5), sigma_e, sigma_n, 1)
+                for j, (name, spec) in enumerate(zip(("ml", "unbiased"), specs)):
+                    out = run_trials(model, signal, spec, 300, DEFAULT_SEED, (ei, pi, j))
+                    curve = f"mse_{name}_sigma_e={sigma_e:g}"
+                    want.append((sigma_n, curve, out.mse, out.std_error_mse))
+                hcrb = hcrb_unit_closed_form(model, signal).bound
+                want.append((sigma_n, f"hcrb_sigma_e={sigma_e:g}", hcrb, 0.0))
+                ccrb = ccrb_maximal(model, signal).bound
+                want.append((sigma_n, f"ccrb_sigma_e={sigma_e:g}", ccrb, 0.0))
+        assert rows == want
+
+    @pytest.mark.parametrize(
+        "fig, knob",
+        [(fig, knob) for fig, defaults in README_DEFAULTS.items() for knob in defaults],
+    )
+    def test_explicit_default_gives_the_same_rows(self, fig, knob, monkeypatch):
+        assert cli._FIGURES[fig][1] == README_DEFAULTS[fig]
+        if fig == "fig5":
+            # a cheap stand-in for the random instances that still reads
+            # each draw's own stream
+            def stand_in(rng, m, n, s, levels):
+                return [rng.random() for _ in levels]
+
+            monkeypatch.setattr(cli, "_instance_gammas", stand_in)
+        small = {k: v for k, v in SMALL_KNOBS[fig].items() if k != knob}
+        unset = figure_rows(ExperimentConfig(fig, seed=5, **small))
+        default = {knob: README_DEFAULTS[fig][knob]}
+        assert figure_rows(ExperimentConfig(fig, seed=5, **small, **default)) == unset
 
     def test_table1_trial_counts(self, tmp_path):
         argv = ["figure", "table1", "--n", "10", "--out-dir", str(tmp_path), "--trials"]
@@ -510,6 +582,14 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "identity" in err and "gaussian" in err and repr(kind) in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_fig_estimators_fails_without_its_bounds(self, tmp_path, capsys):
+        # simulate leaves a bound it cannot compute empty; fig-estimators
+        # plots the bounds, so it must fail instead
+        argv = ["figure", "fig-estimators", "--n", "1", "--points", "2", "--trials", "10"]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "closed-form HCRB requires n >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "fig-estimators.csv").exists()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("fig", ["fig7", "fig-estimators", "table1"])

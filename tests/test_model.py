@@ -6,10 +6,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sparsebounds.model as model_module
+from sparsebounds.ccrb import (
+    ccrb_bound,
+    ccrb_maximal,
+    ccrb_nonmaximal,
+    noise_levels,
+    oracle_mse_theoretical,
+)
 from sparsebounds.errors import (
     AssumptionViolatedError,
     InvalidInputError,
     UnsupportedSizeError,
+)
+from sparsebounds.estimators import EstimatorSpec
+from sparsebounds.fisher import fim_closed_form, fim_monte_carlo, log_likelihood, score
+from sparsebounds.hcrb import (
+    beta_of,
+    d_hcrb,
+    hcrb_general,
+    hcrb_unit_closed_form,
+    test_points as make_test_points,
 )
 from sparsebounds.model import (
     Measurement,
@@ -18,10 +34,12 @@ from sparsebounds.model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
     measurement_vector,
+    positive_sigma_x_squared,
     sample_measurement,
     sigma_x_squared,
     spark_exceeds,
 )
+from sparsebounds.montecarlo import run_trials
 
 
 def make_model(A, sigma_e, sigma_n, s, **kw):
@@ -321,3 +339,35 @@ class TestSpark:
     def test_enumeration_limit(self):
         with pytest.raises(UnsupportedSizeError):
             spark_exceeds(np.eye(30), 25)
+
+
+# every public function of (model, signal), called on a model with n = 4
+_SIGNAL_FUNCTIONS = {
+    "sigma_x_squared": sigma_x_squared,
+    "positive_sigma_x_squared": positive_sigma_x_squared,
+    "ccrb_bound": ccrb_bound,
+    "ccrb_maximal": ccrb_maximal,
+    "ccrb_nonmaximal": ccrb_nonmaximal,
+    "noise_levels": noise_levels,
+    "oracle_mse_theoretical": lambda m, x: oracle_mse_theoretical(m, (0,), x),
+    "test_points": lambda m, x: make_test_points(m, x, [np.eye(4)[1]]),
+    "hcrb_general": lambda m, x: hcrb_general(m, x, [np.eye(4)[1]]),
+    "hcrb_unit_closed_form": hcrb_unit_closed_form,
+    "d_hcrb": d_hcrb,
+    "beta_of": beta_of,
+    "fim_closed_form": fim_closed_form,
+    "fim_monte_carlo": lambda m, x: fim_monte_carlo(m, x, 10, np.random.default_rng(0)),
+    "log_likelihood": lambda m, x: log_likelihood(m, x, np.zeros(4)),
+    "score": lambda m, x: score(m, x, np.zeros(4)),
+    "sample_measurement": lambda m, x: sample_measurement(m, x, np.random.default_rng(0)),
+    "run_trials": lambda m, x: run_trials(m, x, EstimatorSpec.oracle((0,)), 10, 0),
+}
+
+
+@pytest.mark.parametrize("length", [3, 5])
+@pytest.mark.parametrize("name", sorted(_SIGNAL_FUNCTIONS))
+def test_signal_length_mismatch_is_an_input_error(name, length):
+    model = make_model(np.eye(4), sigma_e=0.1, sigma_n=0.2, s=1)
+    signal = SparseSignal(np.eye(length)[0])
+    with pytest.raises(InvalidInputError, match=f"signal length {length} does not match model n=4"):
+        _SIGNAL_FUNCTIONS[name](model, signal)
