@@ -38,7 +38,6 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
-    gram_factor,
     numerically_singular,
     positive_sigma_x_squared,
     support_inverse,
@@ -183,7 +182,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             "signal has finite variance"
         )
     try:
-        G = scipy.linalg.cho_solve(gram_factor(model.A), np.eye(model.n))
+        G = support_inverse(model, tuple(range(model.n)))
     except SingularMatrixError:
         first = float(np.trace(scipy.linalg.solve(fim.J, np.eye(model.n), assume_a="pos")))
         return _report(first, 0.0, "nonmaximal")
@@ -213,13 +212,12 @@ def rip_constants(
     mode: str = "auto",
     samples: int = RIP_DEFAULT_SAMPLES,
     rng: np.random.Generator | None = None,
-    enumeration_limit: int = RIP_ENUMERATION_LIMIT,
 ) -> RipConstants:
     """Restricted eigenvalue extremes over supports of size s.
 
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
     uniform supports, and "auto" enumerates iff C(n, s) fits within
-    `enumeration_limit`.  Supports are visited in blocks of RIP_BLOCK: each
+    RIP_ENUMERATION_LIMIT.  Supports are visited in blocks of RIP_BLOCK: each
     block's Gram matrices are stacked and solved by one batched eigvalsh.
     Sampled supports are drawn one at a time as before, so a given `rng`
     yields the same supports and, on success, ends in the same state.
@@ -235,11 +233,11 @@ def rip_constants(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     total = math.comb(n, s)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= enumeration_limit)
-    if exhaustive and mode == "exhaustive" and total > enumeration_limit:
+    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= RIP_ENUMERATION_LIMIT)
+    if exhaustive and mode == "exhaustive" and total > RIP_ENUMERATION_LIMIT:
         raise InvalidInputError(
             f"exhaustive enumeration of {total} supports exceeds the limit "
-            f"{enumeration_limit}"
+            f"{RIP_ENUMERATION_LIMIT}"
         )
     if exhaustive:
         supports = itertools.combinations(range(n), s)
@@ -308,6 +306,14 @@ def sigmas_for_levels(
     return sigma_e, sigma_n
 
 
+def _gamma(ta: float, tb: float, levels: NoiseLevels, s: int) -> float:
+    """(ta^3/tb^2) 2 c_e / (2 tb c_e + ta + c_n/c_e) / s, and 0 at c_e = 0."""
+    c_e, c_n = levels.c_e, levels.c_n
+    if c_e == 0.0:
+        return 0.0
+    return (ta**3 / tb**2) * 2.0 * c_e / (2.0 * tb * c_e + ta + c_n / c_e) / s
+
+
 def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float, float]:
     """Two-sided matrix-free bounds on gamma from restricted eigenvalues.
 
@@ -322,14 +328,9 @@ def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float,
         raise AssumptionViolatedError(
             "theta_lower >= 1 leaves no positive restricted eigenvalue floor"
         )
-    c_e, c_n = levels.c_e, levels.c_n
-    if c_e == 0.0:
-        return 0.0, 0.0
     tp = 1.0 + rip.theta_upper
     tm = 1.0 - rip.theta_lower
-    upper = (tp**3 / tm**2) * 2.0 * c_e / (2.0 * tm * c_e + tp + c_n / c_e) / s
-    lower = (tm**3 / tp**2) * 2.0 * c_e / (2.0 * tp * c_e + tm + c_n / c_e) / s
-    return lower, upper
+    return _gamma(tm, tp, levels, s), _gamma(tp, tm, levels, s)
 
 
 def gamma_approx(c_e: float, c_n: float, s: int) -> float:
@@ -339,11 +340,7 @@ def gamma_approx(c_e: float, c_n: float, s: int) -> float:
     """
     if s < 1:
         raise InvalidInputError("s must be positive")
-    if c_e < 0.0 or c_n < 0.0:
-        raise InvalidInputError("noise levels must be nonnegative")
-    if c_e == 0.0:
-        return 0.0
-    return 2.0 * c_e / (2.0 * c_e + 1.0 + c_n / c_e) / s
+    return _gamma(1.0, 1.0, NoiseLevels(c_e, c_n), s)
 
 
 def transition_ce(c_n: float) -> float:

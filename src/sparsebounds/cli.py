@@ -7,8 +7,8 @@ figure    reproduce a named experiment protocol as a plot-ready CSV
 simulate  run reference estimators against the bounds over a sigma_n grid
 
 Numbers are serialized at '%.17g' so a fixed seed reproduces output
-files byte for byte.  Exit codes: 0 success, 2 usage, 3 math-domain
-failure (any MathDomainError), 4 I/O failure.
+files byte for byte.  Exit codes: 0 success, a package error's
+`exit_code` (2 usage, 3 any MathDomainError), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ccrb import (
     sigmas_for_levels,
     transition_ce,
 )
-from .errors import InvalidInputError, MathDomainError, SparseBoundsError
+from .errors import InvalidInputError, SparseBoundsError
 from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
@@ -248,8 +248,9 @@ def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
 def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
     """Empirical MSE of the ML and locally unbiased estimators vs the bounds.
 
-    sweep leaves a bound it cannot compute empty, so each point's bounds
-    are computed first, and their error ends the run before any trial.
+    sweep leaves a bound it cannot compute empty, so each point's HCRB
+    (whose support part is the CCRB) is computed first, and its error
+    ends the run before any trial.
     """
     grid = _logspace(1e-3, 10.0, cfg.points)
     base = ProblemModel(np.eye(cfg.n), 0.0, 0.0, 1)
@@ -262,7 +263,6 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
         points = [({"sigma_n": sn}, base.with_noise(sigma_e, sn), signal) for sn in grid]
         for _, model, _ in points:
             hcrb_unit_closed_form(model, signal)
-            ccrb_maximal(model, signal)
         cells = sweep(points, specs, cfg.trials, cfg.seed, key=(ei,))
         # one sweep row per (point, estimator), each with the point's bounds
         for pair in zip(cells[::2], cells[1::2]):
@@ -633,12 +633,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits itself on usage errors; keep main() returning
         return int(exc.code or 0)
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SparseBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,13 +1,15 @@
 """Exception types raised by the bound computations.
 
 A MathDomainError means the input is well formed but the mathematics has
-no answer for it; the command line maps it to exit code 3 and any other
-SparseBoundsError to exit code 2.
+no answer for it.  `exit_code` is the one map from errors to command-line
+exit codes: 3 for a MathDomainError, 2 for any other SparseBoundsError.
 """
 
 
 class SparseBoundsError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidInputError(SparseBoundsError, ValueError):
@@ -16,6 +18,8 @@ class InvalidInputError(SparseBoundsError, ValueError):
 
 class MathDomainError(SparseBoundsError):
     """The requested quantity does not exist or cannot be computed."""
+
+    exit_code = 3
 
 
 class DegenerateModelError(MathDomainError):

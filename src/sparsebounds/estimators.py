@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModelError, InvalidInputError, SparseBoundsError
+from .errors import InvalidInputError, SparseBoundsError
 from .model import (
-    Measurement,
     ProblemModel,
     SparseSignal,
     measurement_vector,
+    model_measurement,
+    positive_sigma_x_squared,
     support_factor,
 )
 
@@ -136,9 +137,7 @@ def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     S = tuple(sorted(int(i) for i in support))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
         raise InvalidInputError("invalid oracle support")
-    yv = measurement_vector(y)
-    if yv.size != model.m:
-        raise InvalidInputError("measurement length does not match model m")
+    yv = model_measurement(model, y)
     A_S, (upper, _) = support_factor(model, S)
     coeffs, _ = scipy.linalg.lapack.dpotrs(upper, A_S.T @ yv, lower=0, overwrite_b=1)
     x = np.zeros(model.n)
@@ -191,18 +190,10 @@ def estimate_ml_unit(y, s: int) -> SparseSignal:
 
 
 def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
-    """The block map of the estimator anchored at x0."""
-    if len(x0.support) != 1:
-        raise InvalidInputError("reference point must have a single-index support")
-    if x0.n != model.n:
-        raise InvalidInputError("reference point length does not match model")
-    if model.m != model.n:
-        raise InvalidInputError("this estimator requires m = n measurements")
+    """The block map of the estimator anchored at a 1-sparse x0."""
+    s0sq = positive_sigma_x_squared(model, x0)
     q = x0.support[0]
     x0q = float(x0.x[q])
-    s0sq = model.sigma_e**2 * x0q**2 + model.sigma_n**2
-    if s0sq <= 0.0:
-        raise DegenerateModelError("reference noise variance is zero")
 
     def kernel(Y: np.ndarray):
         yq = Y[:, q]
@@ -222,10 +213,7 @@ def estimate_locally_unbiased(model: ProblemModel, y, x0: SparseSignal) -> np.nd
     likelihood ratio between -x0q and 0 at coordinate q.  The output is
     dense: it is not projected onto a sparse support.
     """
-    yv = measurement_vector(y)
-    if yv.size != model.n:
-        raise InvalidInputError("this estimator requires m = n measurements")
-    return _locally_unbiased(model, x0)(yv[None])[0][0]
+    return apply_estimator(model, y, EstimatorSpec.locally_unbiased(x0))
 
 
 def _noise_exploiting(Y: np.ndarray):
@@ -271,25 +259,20 @@ def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
     """
     if spec.kind == "oracle":
         return _oracle(model, spec.support)
+    if model.m != model.n:
+        raise InvalidInputError("estimate length does not match model n")
     if spec.kind == "locally_unbiased":
         return _locally_unbiased(model, spec.x0)
     if spec.kind == "maximum_likelihood":
-        s = spec.s
-        if s > model.m:
-            raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
-        kernel = lambda Y: _ml_unit(Y, s)[:2]  # noqa: E731
-    else:
-        kernel = lambda Y: _noise_exploiting(Y)[:2]  # noqa: E731
-    if model.m != model.n:
-        raise InvalidInputError("estimate length does not match model n")
-    return kernel
+        if spec.s > model.m:
+            raise InvalidInputError(f"need 1 <= s <= len(y), got s={spec.s}")
+        return lambda Y: _ml_unit(Y, spec.s)[:2]
+    return lambda Y: _noise_exploiting(Y)[:2]
 
 
 def apply_estimator(model: ProblemModel, y, spec: EstimatorSpec) -> np.ndarray:
     """Run one estimator and return a dense estimate of length n."""
-    yv = measurement_vector(y)
-    if yv.size != model.m:
-        raise InvalidInputError("measurement length does not match model m")
+    yv = model_measurement(model, y)
     X, errors = estimator_kernel(model, spec)(yv[None])
     if errors:
         raise errors[0]

@@ -26,7 +26,7 @@ from .errors import InvalidInputError
 from .model import (
     ProblemModel,
     SparseSignal,
-    measurement_vector,
+    model_measurement,
     positive_sigma_x_squared,
 )
 
@@ -65,9 +65,7 @@ class FisherMatrix:
 def log_likelihood(model: ProblemModel, signal: SparseSignal, y) -> float:
     """Exact log-density of a measurement under the equivalent noise law."""
     sx2 = positive_sigma_x_squared(model, signal)
-    r = measurement_vector(y) - model.A @ signal.x
-    if r.size != model.m:
-        raise InvalidInputError("measurement length does not match model m")
+    r = model_measurement(model, y) - model.A @ signal.x
     return float(-0.5 * model.m * math.log(2.0 * math.pi * sx2) - (r @ r) / (2.0 * sx2))
 
 
@@ -79,9 +77,7 @@ def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
     """
     sx2 = positive_sigma_x_squared(model, signal)
     x = signal.x
-    r = measurement_vector(y) - model.A @ x
-    if r.size != model.m:
-        raise InvalidInputError("measurement length does not match model m")
+    r = model_measurement(model, y) - model.A @ x
     se2 = model.sigma_e**2
     return model.A.T @ r / sx2 + (se2 * ((r @ r) - model.m * sx2) / sx2**2) * x
 

@@ -10,8 +10,9 @@ and, with s_i^2 = sigma_{x+v_i}^2 and 1/vs_ij^2 = 1/s_i^2 + 1/s_j^2
                  + (vs_ij^2/2) ||A v_i / s_i^2 + A v_j / s_j^2||^2) - 1.
 
 For a unit sensing matrix and a fully supported signal the supremum over
-offsets has a closed form: the support part equals the maximal-support
-CCRB and the off-support part is sigma_x^2 d with
+offsets has a closed form: the support part is the maximal-support
+CCRB, computed by ccrb_maximal itself, and the off-support part is
+sigma_x^2 d with
 
     d = (n-s) beta e^{-beta} / (e^beta - 1)
         * (1 - 1/(n - s + e^beta (1 - g(beta))^{-1})),
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .ccrb import ccrb_maximal
 from .errors import (
     DegenerateModelError,
     DivergentTestPointError,
@@ -263,18 +265,14 @@ def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
 def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbReport:
     """Closed-form HCRB for a unit sensing matrix and ||x||_0 = s.
 
-    The support part coincides with the maximal-support CCRB at A = I;
-    the off-support part sigma_x^2 d closes the gap toward the
-    unconstrained bound as the smallest entry shrinks.
+    The support part is ccrb_maximal(model, signal).bound, so CCRB <= HCRB
+    holds bit for bit; the off-support part sigma_x^2 d closes the gap
+    toward the unconstrained bound as the smallest entry shrinks.  The
+    unit-matrix checks of the off-support part come first.
     """
     beta, g, d = _off_support(model, signal)
-    sx2 = positive_sigma_x_squared(model, signal)
-    n, s = model.n, model.s
-    x = signal.x
-    energy = float(x @ x)
-    c = 2.0 * n * model.sigma_e**4
-    support_part = sx2 * (s - c * energy / (sx2 + c * energy))
-    nonsupport_part = sx2 * d
+    support_part = ccrb_maximal(model, signal).bound
+    nonsupport_part = positive_sigma_x_squared(model, signal) * d
     return HcrbReport(
         bound=support_part + nonsupport_part,
         support_part=support_part,

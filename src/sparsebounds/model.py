@@ -203,6 +203,14 @@ def measurement_vector(y) -> np.ndarray:
     return arr
 
 
+def model_measurement(model: ProblemModel, y) -> np.ndarray:
+    """measurement_vector(y), raising InvalidInputError unless its length is m."""
+    yv = measurement_vector(y)
+    if yv.size != model.m:
+        raise InvalidInputError("measurement length does not match model m")
+    return yv
+
+
 def _check_signal(model: ProblemModel, signal: SparseSignal) -> None:
     if signal.n != model.n:
         raise InvalidInputError(

@@ -25,7 +25,7 @@ from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
-from .model import ProblemModel, SparseSignal, sigma_x_squared
+from .model import ProblemModel, SparseSignal, _check_signal, sigma_x_squared
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
 
@@ -368,6 +368,7 @@ def sweep(
     """
     rows: list[dict] = []
     for idx, (point, model, signal) in enumerate(instances):
+        _check_signal(model, signal)  # _analytic_bounds would leave it empty
         bounds = _analytic_bounds(model, signal)
         cells = []
         for j, est in enumerate(estimators):

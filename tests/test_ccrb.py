@@ -373,7 +373,7 @@ class TestRipConstants:
     def test_exhaustive_overflow_guard(self):
         A = generate_gaussian_matrix(10, 80, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
-            rip_constants(A, 6, mode="exhaustive", enumeration_limit=1000)
+            rip_constants(A, 6, mode="exhaustive")
 
 
 class TestNoiseLevels:

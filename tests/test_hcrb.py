@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparsebounds.ccrb import ccrb_maximal, ccrb_nonmaximal
 from sparsebounds.errors import (
@@ -489,3 +489,43 @@ class TestDhcrbSweep:
     def test_transition_scale(self):
         for s in (1, 4, 25):
             assert transition_sigma_e(s) == pytest.approx(1.0 / np.sqrt(s), rel=1e-14)
+
+
+@st.composite
+def unit_instances(draw):
+    """A = I_n with a signal of exactly s nonzeros on a random support."""
+    n = draw(st.integers(2, 8))
+    s = draw(st.integers(1, n))
+    support = sorted(draw(st.permutations(range(n)))[:s])
+    x = np.zeros(n)
+    x[support] = draw(
+        st.lists(
+            st.floats(0.01, 10.0).flatmap(lambda v: st.sampled_from([v, -v])),
+            min_size=s,
+            max_size=s,
+        )
+    )
+    sigma_e = draw(st.floats(0.0, 3.0))
+    sigma_n = draw(st.floats(0.01, 3.0))
+    return identity_model(n, sigma_e, sigma_n, s), SparseSignal(x)
+
+
+class TestSupportPartIsTheCcrb:
+    """At A = I the closed-form HCRB's support part is the maximal CCRB
+    itself, so CCRB <= HCRB holds bit for bit."""
+
+    @given(instance=unit_instances())
+    @example(instance=(identity_model(5, 0.1, 0.1, 1), SparseSignal(np.eye(5)[0])))
+    def test_support_part_equals_ccrb_maximal(self, instance):
+        model, signal = instance
+        rep = hcrb_unit_closed_form(model, signal)
+        ccrb = ccrb_maximal(model, signal).bound
+        assert rep.support_part == ccrb
+        assert rep.bound >= ccrb
+
+    def test_matrix_errors_come_before_ccrb_errors(self):
+        # sigma_x^2 = 0 is a CCRB error; the non-identity A is reported first
+        A = np.diag([1.0, 2.0, 1.0])
+        model = ProblemModel(A=A, sigma_e=0.0, sigma_n=0.0, s=1)
+        with pytest.raises(UnsupportedMatrixError):
+            hcrb_unit_closed_form(model, SparseSignal(np.eye(3)[0]))

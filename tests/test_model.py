@@ -18,7 +18,12 @@ from sparsebounds.errors import (
     InvalidInputError,
     UnsupportedSizeError,
 )
-from sparsebounds.estimators import EstimatorSpec
+from sparsebounds.estimators import (
+    EstimatorSpec,
+    apply_estimator,
+    estimate_locally_unbiased,
+    estimate_oracle,
+)
 from sparsebounds.fisher import fim_closed_form, fim_monte_carlo, log_likelihood, score
 from sparsebounds.hcrb import (
     beta_of,
@@ -371,3 +376,33 @@ def test_signal_length_mismatch_is_an_input_error(name, length):
     signal = SparseSignal(np.eye(length)[0])
     with pytest.raises(InvalidInputError, match=f"signal length {length} does not match model n=4"):
         _SIGNAL_FUNCTIONS[name](model, signal)
+
+
+_E0 = SparseSignal(np.eye(3)[0])
+
+# every public function of (model, measurement), called on A = I_3
+_MEASUREMENT_FUNCTIONS = {
+    "log_likelihood": lambda m, y: log_likelihood(m, _E0, y),
+    "score": lambda m, y: score(m, _E0, y),
+    "estimate_oracle": lambda m, y: estimate_oracle(m, y, (0,)),
+    "estimate_locally_unbiased": lambda m, y: estimate_locally_unbiased(m, y, _E0),
+    **{
+        f"apply_estimator[{spec.name}]": (
+            lambda m, y, spec=spec: apply_estimator(m, y, spec)
+        )
+        for spec in (
+            EstimatorSpec.oracle((0,)),
+            EstimatorSpec.maximum_likelihood(1),
+            EstimatorSpec.locally_unbiased(_E0),
+            EstimatorSpec.noise_exploiting(),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("name", sorted(_MEASUREMENT_FUNCTIONS))
+def test_measurement_length_mismatch_is_an_input_error(name, length):
+    model = make_model(np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
+    with pytest.raises(InvalidInputError, match="measurement length does not match model m"):
+        _MEASUREMENT_FUNCTIONS[name](model, np.full(length, 0.5))

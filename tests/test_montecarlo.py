@@ -254,6 +254,24 @@ class TestSweep:
         assert rows[0]["hcrb"] is None
         assert rows[0]["ccrb"] > 0
 
+    def test_signal_length_mismatch_is_raised(self):
+        model = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.5, s=1)
+        signal = SparseSignal(np.eye(5)[0])
+        with pytest.raises(InvalidInputError, match="signal length 5 does not match model n=4"):
+            sweep([({}, model, signal)], [], 10, 0)
+
+    def test_bound_that_does_not_apply_stays_empty(self, tmp_path):
+        # the closed-form HCRB needs n >= 2, so simulate --n 1 has no hcrb
+        out = tmp_path / "n1.csv"
+        argv = [
+            "simulate", "--n", "1", "--m", "1", "--s", "1", "--sigma-e", "0.1",
+            "--sigma-n", "0.5", "--x", "1", "--estimators", "", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        (row,) = csv.DictReader(out.open())
+        assert row["hcrb"] == ""
+        assert float(row["ccrb"]) > 0
+
 
 def reference_trials(model, signal, spec, trials, seed, key=()):
     """run_trials spelled out with the public per-trial API: per chunk,
