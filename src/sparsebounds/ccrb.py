@@ -38,9 +38,10 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
+    checked_support,
     numerically_singular,
     positive_sigma_x_squared,
-    support_inverse,
+    support_factor,
 )
 
 __all__ = [
@@ -140,21 +141,29 @@ def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     return ccrb_nonmaximal(model, signal)
 
 
+def maximal_support(model: ProblemModel, signal: SparseSignal) -> tuple[int, ...]:
+    """The indices of the signal's nonzero entries when ||x||_0 = s, the
+    maximal regime; a wider declared support plays no part.  Raises
+    WrongRegimeError otherwise."""
+    _check_signal(model, signal)
+    S = tuple(np.flatnonzero(signal.x).tolist())
+    if len(S) != model.s:
+        raise WrongRegimeError(
+            f"maximal-support bound needs ||x||_0 = s = {model.s}, got {len(S)}"
+        )
+    return S
+
+
 def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     """CCRB for a signal with exactly s nonzero entries.
 
     Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
     A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0.
     """
-    _check_signal(model, signal)
-    if signal.nonzero_count != model.s or len(signal.support) != model.s:
-        raise WrongRegimeError(
-            f"maximal-support bound needs ||x||_0 = s = {model.s}, "
-            f"got {signal.nonzero_count}"
-        )
+    S = maximal_support(model, signal)
     sx2 = positive_sigma_x_squared(model, signal)
-    G = support_inverse(model, signal.support)
-    return _rank_one_report(model, sx2, G, signal.x[list(signal.support)], "maximal")
+    G = support_factor(model, S)[2]
+    return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -182,7 +191,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             "signal has finite variance"
         )
     try:
-        G = support_inverse(model, tuple(range(model.n)))
+        G = support_factor(model, tuple(range(model.n)))[2]
     except SingularMatrixError:
         first = float(np.trace(scipy.linalg.solve(fim.J, np.eye(model.n), assume_a="pos")))
         return _report(first, 0.0, "nonmaximal")
@@ -195,15 +204,11 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     sigma_x^2 tr((A_S^T A_S)^{-1}) for a known support S covering the
     signal's nonzeros.
     """
-    S = tuple(sorted(int(i) for i in support))
-    if len(S) != len(set(S)) or not S:
-        raise InvalidInputError("support must be nonempty and duplicate free")
-    if S[0] < 0 or S[-1] >= model.n:
-        raise InvalidInputError("support indices out of range")
+    S = checked_support(model, support)
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
     sx2 = positive_sigma_x_squared(model, signal)
-    return float(sx2 * np.trace(support_inverse(model, S)))
+    return float(sx2 * np.trace(support_factor(model, S)[2]))
 
 
 def rip_constants(

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
 
 from .ccrb import (
     ccrb_bound,
@@ -31,7 +30,7 @@ from .ccrb import (
     transition_ce,
 )
 from .errors import InvalidInputError, SparseBoundsError
-from .estimators import _KIND_NAMES, EstimatorSpec, _ml_unit, _noise_exploiting
+from .estimators import EstimatorSpec, _ml_unit, _noise_exploiting
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -39,7 +38,7 @@ from .model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
-from .montecarlo import run_maps, sweep
+from .montecarlo import key_stream, run_maps, sweep
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -94,10 +93,6 @@ def _emit(path: Path | None, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_table(fh, header, rows)
-
-
-def _substream(seed: int, *key: int) -> Generator:
-    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _db(db_value: float) -> float:
@@ -156,7 +151,7 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
     return rows
 
 
-def _instance_gammas(rng: Generator, m: int, n: int, s: int, levels) -> list[float]:
+def _instance_gammas(rng: np.random.Generator, m: int, n: int, s: int, levels) -> list[float]:
     """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
     from one model and one support factor.  Nothing of the instance
     outlives the call, so its A is freed before the next one is drawn."""
@@ -180,7 +175,7 @@ def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
     for ci, (label, c_n) in enumerate(_CN_LEVELS):
         for pi, c_e in enumerate(grid):
             for di in range(cfg.draws):
-                rng = _substream(cfg.seed, ci, pi, di)
+                rng = key_stream(cfg.seed, (ci, pi, di))
                 (gamma,) = _instance_gammas(rng, m, n, s, [(c_e, c_n)])
                 rows.append((c_e, f"ccrb_cn={label}", gamma, 0.0))
         for c_e in _logspace(_db(-30), _db(30), 121):
@@ -203,7 +198,7 @@ def _rows_fig5(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     for si, s in enumerate(s_values):
         for di in range(cfg.draws):
-            gammas = _instance_gammas(_substream(cfg.seed, si, di), 10 * s, 20 * s, s, levels)
+            gammas = _instance_gammas(key_stream(cfg.seed, (si, di)), 10 * s, 20 * s, s, levels)
             for (label, _, _), gamma in zip(_FIG5_LEVELS, gammas):
                 rows.append((float(s), f"ccrb_{label}", gamma, 0.0))
     for label, c_e, c_n in _FIG5_LEVELS:
@@ -405,7 +400,7 @@ def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
             raise InvalidInputError("identity matrix requires m = n >= 1")
         return np.eye(n)
     if kind == "gaussian":
-        return generate_gaussian_matrix(m, n, _substream(seed, 0))
+        return generate_gaussian_matrix(m, n, key_stream(seed, (0,)))
     if not os.path.isfile(kind):
         raise InvalidInputError(
             f"matrix must be identity, gaussian or a CSV file, got {kind!r}"
@@ -431,24 +426,6 @@ def _parse_grid(spec: str) -> list[float]:
     except ValueError:
         raise InvalidInputError("grid must look like log:LO:HI:POINTS") from None
     return _logspace(lo, hi, points)
-
-
-def _parse_estimators(spec: str, model: ProblemModel, signal: SparseSignal):
-    names = [tok.strip() for tok in spec.split(",") if tok.strip() != ""]
-    out = []
-    for name in names:
-        kind = next((k for k, short in _KIND_NAMES.items() if name in (k, short)), None)
-        if kind is None:
-            raise InvalidInputError(f"unknown estimator {name!r}")
-        if kind == "oracle":
-            out.append(EstimatorSpec.oracle(signal.support))
-        elif kind == "maximum_likelihood":
-            out.append(EstimatorSpec.maximum_likelihood(model.s))
-        elif kind == "locally_unbiased":
-            out.append(EstimatorSpec.locally_unbiased(signal))
-        else:
-            out.append(EstimatorSpec.noise_exploiting())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +477,13 @@ def cmd_simulate(args) -> None:
     if args.x is not None:
         signal = SparseSignal(_parse_vector(args.x, args.n))
     else:
-        signal = generate_bernoulli_signal(args.n, args.s, _substream(args.seed, 1))
+        signal = generate_bernoulli_signal(args.n, args.s, key_stream(args.seed, (1,)))
     grid = _parse_grid(args.sigma_n)
     base = ProblemModel(A, args.sigma_e, grid[0], args.s)
     points = [({"sigma_n": sn}, base.with_noise(args.sigma_e, sn), signal) for sn in grid]
-    raw = sweep(
-        points,
-        _parse_estimators(args.estimators, base, signal),
-        args.trials,
-        args.seed,
-    )
+    names = [tok.strip() for tok in args.estimators.split(",")]
+    specs = [EstimatorSpec.named(name, base, signal) for name in names if name]
+    raw = sweep(points, specs, args.trials, args.seed)
     rows = []
     for r in raw:
         rel_gap = None
@@ -541,7 +515,7 @@ def _int_type(least: int, what: str):
     return parse
 
 
-_seed = _int_type(0, "nonnegative")  # as SeedSequence requires
+_seed = _int_type(0, "nonnegative")  # as key_stream requires
 _positive = _int_type(1, "positive")
 _WORKERS_HELP = "must be positive; changes nothing, as the trials run serially"
 

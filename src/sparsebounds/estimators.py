@@ -23,6 +23,7 @@ from .errors import InvalidInputError, SparseBoundsError
 from .model import (
     ProblemModel,
     SparseSignal,
+    checked_support,
     measurement_vector,
     model_measurement,
     positive_sigma_x_squared,
@@ -95,6 +96,22 @@ class EstimatorSpec:
     def noise_exploiting(cls) -> "EstimatorSpec":
         return cls(kind="noise_exploiting")
 
+    @classmethod
+    def named(cls, name: str, model: ProblemModel, signal: SparseSignal) -> "EstimatorSpec":
+        """The estimator a long or short name selects, set up for one model
+        and signal: the oracle on the signal's support, maximum likelihood
+        at the model's s, the locally unbiased one anchored at the signal."""
+        kind = next((k for k, short in _KIND_NAMES.items() if name in (k, short)), None)
+        if kind is None:
+            raise InvalidInputError(f"unknown estimator {name!r}")
+        if kind == "oracle":
+            return cls.oracle(signal.support)
+        if kind == "maximum_likelihood":
+            return cls.maximum_likelihood(model.s)
+        if kind == "locally_unbiased":
+            return cls.locally_unbiased(signal)
+        return cls.noise_exploiting()
+
     @property
     def name(self) -> str:
         return _KIND_NAMES[self.kind]
@@ -134,11 +151,9 @@ def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     solve gives the same bits as cho_solve.  Raises SingularMatrixError
     when A_S^T A_S is numerically singular, by the same test as the bounds.
     """
-    S = tuple(sorted(int(i) for i in support))
-    if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
-        raise InvalidInputError("invalid oracle support")
+    S = checked_support(model, support)
     yv = model_measurement(model, y)
-    A_S, (upper, _) = support_factor(model, S)
+    A_S, (upper, _), _ = support_factor(model, S)
     coeffs, _ = scipy.linalg.lapack.dpotrs(upper, A_S.T @ yv, lower=0, overwrite_b=1)
     x = np.zeros(model.n)
     x[list(S)] = coeffs

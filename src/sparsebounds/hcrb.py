@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ccrb import ccrb_maximal
+from .ccrb import ccrb_maximal, maximal_support
 from .errors import (
     DegenerateModelError,
     DivergentTestPointError,
@@ -39,7 +39,6 @@ from .errors import (
     InvalidInputError,
     OverflowingTestPointError,
     UnsupportedMatrixError,
-    WrongRegimeError,
 )
 from .model import ProblemModel, SparseSignal, _check_signal, positive_sigma_x_squared
 
@@ -234,11 +233,7 @@ def _require_unit_maximal(model: ProblemModel, signal: SparseSignal) -> None:
         raise UnsupportedMatrixError("closed-form HCRB requires identity matrix")
     if model.n < 2:
         raise InvalidInputError("closed-form HCRB requires n >= 2")
-    if signal.nonzero_count != model.s or len(signal.support) != model.s:
-        raise WrongRegimeError(
-            f"closed-form HCRB needs ||x||_0 = s = {model.s}, "
-            f"got {signal.nonzero_count}"
-        )
+    maximal_support(model, signal)
 
 
 def _off_support(model: ProblemModel, signal: SparseSignal) -> tuple[float, float, float]:

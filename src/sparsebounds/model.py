@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    AssumptionViolatedError,
     DegenerateModelError,
     InvalidInputError,
     SingularMatrixError,
@@ -79,20 +78,15 @@ class ProblemModel:
         Standard deviation of the additive measurement noise.
     s : int
         Sparsity budget; signals live in {x : ||x||_0 <= s}.
-    verify_spark : bool
-        When True, verify spark(A) > 2s on construction.  Only possible
-        for n <= SPARK_ENUMERATION_LIMIT.
     """
 
     A: np.ndarray
     sigma_e: float
     sigma_n: float
     s: int
-    verify_spark: bool = field(default=False, compare=False)
-    # sorted support -> (A_S, cho_factor of A_S^T A_S); see support_factor
+    # sorted support -> (A_S, cho_factor of A_S^T A_S, (A_S^T A_S)^{-1});
+    # see support_factor
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # sorted support -> (A_S^T A_S)^{-1}; see support_inverse
-    _inverses: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -110,16 +104,11 @@ class ProblemModel:
         object.__setattr__(self, "sigma_e", sigma_e)
         object.__setattr__(self, "sigma_n", sigma_n)
         object.__setattr__(self, "s", s)
-        if self.verify_spark and not spark_exceeds(self.A, 2 * s):
-            raise AssumptionViolatedError(
-                f"spark(A) must exceed 2s = {2 * s} for identifiability"
-            )
 
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
         checks them.  The sibling shares the validated A (no copy and no
-        finiteness scan), s, verify_spark and the support factors and
-        inverses."""
+        finiteness scan), s and the support factors."""
         sibling = copy.copy(self)
         for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
             object.__setattr__(sibling, name, value)
@@ -211,6 +200,15 @@ def model_measurement(model: ProblemModel, y) -> np.ndarray:
     return yv
 
 
+def checked_support(model: ProblemModel, support) -> tuple[int, ...]:
+    """A support as a sorted tuple, raising InvalidInputError unless it is
+    nonempty, duplicate free and within [0, n)."""
+    S = tuple(sorted(map(int, support)))
+    if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
+        raise InvalidInputError("support must be nonempty, duplicate free and within [0, n)")
+    return S
+
+
 def _check_signal(model: ProblemModel, signal: SparseSignal) -> None:
     if signal.n != model.n:
         raise InvalidInputError(
@@ -255,26 +253,19 @@ def gram_factor(A_S: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def support_factor(model: ProblemModel, support: tuple[int, ...]):
-    """(A_S, gram_factor(A_S)) for a sorted support S, computed once per A
-    and shared by the bounds, the oracle and every with_noise sibling.  A
-    singular support is not cached and raises on every call."""
+    """(A_S, gram_factor(A_S), G) for a sorted, duplicate-free support S,
+    with G the read-only (A_S^T A_S)^{-1}: one entry per A and S, shared by
+    the bounds, the oracle and every with_noise sibling.  The full
+    support's A_S is model.A itself.  A singular support is not cached and
+    raises on every call."""
     hit = model._factors.get(support)
     if hit is None:
-        A_S = model.A[:, list(support)]
-        # when threads race on a cold entry, all get the first one stored
-        hit = model._factors.setdefault(support, (A_S, gram_factor(A_S)))
-    return hit
-
-
-def support_inverse(model: ProblemModel, support: tuple[int, ...]) -> np.ndarray:
-    """Read-only (A_S^T A_S)^{-1} for a sorted support S, solved once from
-    support_factor per A and shared like it by every with_noise sibling."""
-    hit = model._inverses.get(support)
-    if hit is None:
-        _, factor = support_factor(model, support)
+        A_S = model.A if len(support) == model.n else model.A[:, list(support)]
+        factor = gram_factor(A_S)
         G = scipy.linalg.cho_solve(factor, np.eye(len(support)))
         G.setflags(write=False)
-        hit = model._inverses.setdefault(support, G)
+        # when threads race on a cold entry, all get the first one stored
+        hit = model._factors.setdefault(support, (A_S, factor, G))
     return hit
 
 

@@ -156,6 +156,13 @@ class _TrialSeed(ISpawnableSeedSequence):
         return getattr(self.seed_sequence(), name)
 
 
+def key_stream(seed: int, key: tuple[int, ...]) -> Generator:
+    """Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key))), the one
+    construction of a keyed stream: trial_stream's direct path and the
+    command line's matrix and signal draws."""
+    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
+
+
 def trial_stream(seed: int, index: int, key: tuple[int, ...] = ()) -> Generator:
     """Independent generator for one trial of one experiment cell.
 
@@ -174,7 +181,7 @@ def trial_stream(seed: int, index: int, key: tuple[int, ...] = ()) -> Generator:
         if table is not None:
             state = table[index & ((1 << STREAM_BLOCK_BITS) - 1)]
             return Generator(PCG64(_TrialSeed(seed, key, index, state)))
-    return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(*key, index))))
+    return key_stream(seed, (*key, index))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,13 +29,16 @@ from sparsebounds.errors import (
     SingularMatrixError,
     WrongRegimeError,
 )
+from sparsebounds.estimators import estimate_oracle
 from sparsebounds.fisher import fim_closed_form
+from sparsebounds.hcrb import hcrb_unit_closed_form
 from sparsebounds.model import (
     ProblemModel,
     SparseSignal,
     generate_bernoulli_signal,
     generate_gaussian_matrix,
     sigma_x_squared,
+    support_factor,
 )
 
 
@@ -163,7 +166,7 @@ class TestSharedSupportFactor:
             assert got == float(sx2 * np.trace(G))  # the solve it replaces, bit for bit
             assert ccrb_maximal(sibling, x).first_term == got
         assert len(solves) == 1
-        cached = model_module.support_inverse(base, x.support)
+        cached = model_module.support_factor(base, x.support)[2]
         np.testing.assert_array_equal(cached, G)
         assert not cached.flags.writeable
 
@@ -179,6 +182,17 @@ class TestSharedSupportFactor:
                 oracle_mse_theoretical(model, (0, 1), x)
         assert len(calls) == 6
         assert base._factors == {}
+
+    def test_full_support_entry_is_the_matrix_itself(self, rng):
+        model = ProblemModel(generate_gaussian_matrix(7, 5, rng), 0.1, 0.2, 3)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0, -1.0, 0.0]))
+        rep = ccrb_nonmaximal(model, x)
+        A_S, _, G = support_factor(model, tuple(range(5)))
+        assert A_S is model.A
+        assert ccrb_nonmaximal(model.with_noise(0.1, 0.2), x) == rep
+        np.testing.assert_array_equal(
+            G, scipy.linalg.cho_solve(scipy.linalg.cho_factor(model.A.T @ model.A), np.eye(5))
+        )
 
 
 class TestNonmaximal:
@@ -266,6 +280,43 @@ class TestDispatch:
             ccrb_bound(model, SparseSignal(np.r_[np.ones(4), np.zeros(4)]))
 
 
+class TestDeclaredWiderSupport:
+    """The regime is read from ||x||_0 alone: a declared support wider
+    than the nonzeros gives the report of its default-support twin."""
+
+    @pytest.mark.parametrize(
+        "model, x, declared",
+        [
+            (ProblemModel(np.eye(3), 0.1, 0.1, 1), [1.0, 0.0, 0.0], (0, 1)),
+            (ProblemModel(np.eye(5), 0.3, 0.05, 2), [1.0, 0.0, -2.0, 0.0, 0.0], (0, 1, 2, 4)),
+        ],
+    )
+    def test_unit_matrix(self, model, x, declared):
+        wide, twin = SparseSignal(np.array(x), declared), SparseSignal(np.array(x))
+        for bound in (ccrb_bound, ccrb_maximal, hcrb_unit_closed_form):
+            assert bound(model, wide) == bound(model, twin)  # bit for bit
+
+    def test_gaussian_matrix_two_nonzeros(self):
+        model, twin = gaussian_instance(13, m=8, n=10, s=2)
+        extra = next(i for i in range(10) if i not in twin.support)
+        wide = SparseSignal(twin.x, tuple(sorted((*twin.support, extra))))
+        assert ccrb_bound(model, wide) == ccrb_bound(model, twin)
+        assert ccrb_maximal(model, wide) == ccrb_maximal(model, twin)
+        assert ccrb_maximal(model, wide).regime == "maximal"
+
+    def test_other_nonzero_counts_are_still_the_wrong_regime(self):
+        model = ProblemModel(np.eye(4), 0.1, 0.1, 2)
+        # the declared support has s entries, but ||x||_0 = 1
+        fewer = SparseSignal(np.array([1.0, 0.0, 0.0, 0.0]), (0, 1))
+        for bound in (ccrb_maximal, hcrb_unit_closed_form):
+            with pytest.raises(WrongRegimeError, match=r"needs \|\|x\|\|_0 = s = 2, got 1"):
+                bound(model, fewer)
+        more = SparseSignal(np.array([1.0, 1.0, 1.0, 0.0]))
+        for bound in (ccrb_bound, ccrb_maximal, hcrb_unit_closed_form):
+            with pytest.raises(WrongRegimeError):
+                bound(model, more)
+
+
 class TestOracleTheory:
     def test_identity(self):
         model = ProblemModel(A=np.eye(5), sigma_e=0.3, sigma_n=0.4, s=2)
@@ -278,6 +329,17 @@ class TestOracleTheory:
         rep = ccrb_maximal(model, x)
         val = oracle_mse_theoretical(model, x.support, x)
         assert val == pytest.approx(rep.first_term, rel=1e-12)
+
+    @pytest.mark.parametrize("support", [(), (1, 1), (0, 2, 0), (-1, 0), (0, 4), (7,)])
+    def test_invalid_support_has_one_message(self, support):
+        model = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.1, s=2)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(InvalidInputError) as oracle:
+            estimate_oracle(model, x.x, support)
+        with pytest.raises(InvalidInputError) as theory:
+            oracle_mse_theoretical(model, support, x)
+        assert str(oracle.value) == str(theory.value)
+        assert "duplicate free" in str(theory.value)
 
     def test_support_must_cover_signal(self):
         model = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.1, s=2)

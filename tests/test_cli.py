@@ -735,6 +735,13 @@ class TestSimulateCommand:
         rows = read_csv(out)
         assert [r["estimator"] for r in rows] == ["oracle"]
 
+    def test_unknown_estimator_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = run(SIMULATE_TINY + ["--estimators", "oracle,bogus", "--output", str(out)])
+        assert code == 2
+        assert "unknown estimator 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_biased_regime_needs_a_three_stderr_margin(self):
         # an MSE one standard error below the HCRB is Monte Carlo noise
         assert not cli._biased_regime(0.99, 0.01, 1.0)

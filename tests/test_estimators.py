@@ -177,6 +177,28 @@ class TestDispatch:
         assert EstimatorSpec.maximum_likelihood(2).name == "ml"
         assert EstimatorSpec.oracle((1,)).name == "oracle"
 
+    def test_named_gives_each_factory_spec_for_long_and_short_names(self):
+        model = ProblemModel(A=np.eye(5), sigma_e=0.1, sigma_n=0.3, s=1)
+        x0 = SparseSignal(np.array([0.0, 0.0, 2.0, 0.0, 0.0]))
+        want = {
+            "oracle": EstimatorSpec.oracle(x0.support),
+            "maximum_likelihood": EstimatorSpec.maximum_likelihood(model.s),
+            "locally_unbiased": EstimatorSpec.locally_unbiased(x0),
+            "noise_exploiting": EstimatorSpec.noise_exploiting(),
+        }
+        fields = ("kind", "support", "s", "x0")
+        for kind, spec in want.items():
+            for name in (kind, spec.name):
+                got = EstimatorSpec.named(name, model, x0)
+                assert [getattr(got, f) for f in fields] == [getattr(spec, f) for f in fields]
+        assert {spec.name for spec in want.values()} == {"oracle", "ml", "unbiased", "noise"}
+
+    def test_named_rejects_an_unknown_name(self):
+        model = ProblemModel(A=np.eye(3), sigma_e=0.1, sigma_n=0.3, s=1)
+        x0 = SparseSignal(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidInputError, match="unknown estimator 'bogus'"):
+            EstimatorSpec.named("bogus", model, x0)
+
 
 # values that make ties, zeros and non-finite entries likely
 _ENTRIES = st.one_of(

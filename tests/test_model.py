@@ -14,7 +14,6 @@ from sparsebounds.ccrb import (
     oracle_mse_theoretical,
 )
 from sparsebounds.errors import (
-    AssumptionViolatedError,
     InvalidInputError,
     UnsupportedSizeError,
 )
@@ -129,13 +128,12 @@ class TestProblemModel:
     def test_verify_spark_flags_degenerate_matrix(self):
         A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         # columns 0 and 1 coincide, so spark = 2 and 2s = 2 is not exceeded
-        with pytest.raises(AssumptionViolatedError):
-            make_model(A, 0.1, 0.1, 1, verify_spark=True)
-        make_model(A, 0.1, 0.1, 1)  # unchecked by default
+        assert not spark_exceeds(A, 2 * 1)
+        make_model(A, 0.1, 0.1, 1)  # the model does not check the spark
 
     def test_verify_spark_accepts_generic_matrix(self, rng):
         A = generate_gaussian_matrix(6, 8, rng)
-        make_model(A, 0.1, 0.1, 3, verify_spark=True)
+        assert spark_exceeds(A, 2 * 3)
 
 
 class TestWithNoise:
@@ -153,11 +151,11 @@ class TestWithNoise:
         assert (base.sigma_e, base.sigma_n) == (0.1, 0.1)
 
     def test_shares_the_matrix_and_the_factor_cache(self, rng):
-        base = make_model(generate_gaussian_matrix(6, 8, rng), 0.1, 0.2, 3, verify_spark=True)
+        base = make_model(generate_gaussian_matrix(6, 8, rng), 0.1, 0.2, 3)
         sibling = base.with_noise(np.float64(0.3), 1)
         assert sibling.A is base.A and not sibling.A.flags.writeable
         assert sibling._factors is base._factors
-        assert (sibling.s, sibling.verify_spark) == (3, True)
+        assert sibling.s == 3
         assert (sibling.sigma_e, sibling.sigma_n) == (0.3, 1.0)
         assert type(sibling.sigma_e) is float and type(sibling.sigma_n) is float
         assert (base.sigma_e, base.sigma_n) == (0.1, 0.2)
