@@ -144,8 +144,8 @@ def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
 def maximal_support(model: ProblemModel, signal: SparseSignal) -> tuple[int, ...]:
     """The indices of the signal's nonzero entries when ||x||_0 = s, the
     maximal regime; a wider declared support plays no part.  Raises
-    WrongRegimeError otherwise."""
-    _check_signal(model, signal)
+    WrongRegimeError otherwise.  The caller has checked the signal's
+    length."""
     S = tuple(np.flatnonzero(signal.x).tolist())
     if len(S) != model.s:
         raise WrongRegimeError(
@@ -160,8 +160,16 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
     A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0.
     """
+    _check_signal(model, signal)
     S = maximal_support(model, signal)
-    sx2 = positive_sigma_x_squared(model, signal)
+    return maximal_report(model, signal, S, positive_sigma_x_squared(model, signal))
+
+
+def maximal_report(
+    model: ProblemModel, signal: SparseSignal, S: tuple[int, ...], sx2: float
+) -> CcrbReport:
+    """ccrb_maximal past its checks, from the maximal support S and
+    sigma_x^2 > 0."""
     G = support_factor(model, S)[2]
     return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
 
@@ -301,14 +309,24 @@ def sigmas_for_levels(
     A: np.ndarray, signal: SparseSignal, c_e: float, c_n: float, s: int
 ) -> tuple[float, float]:
     """Invert noise_levels: deviations (sigma_e, sigma_n) hitting (c_e, c_n)."""
-    if c_e < 0.0 or c_n < 0.0:
+    (sigmas,) = sigmas_at_levels(A, signal, [(c_e, c_n)], s)
+    return sigmas
+
+
+def sigmas_at_levels(
+    A: np.ndarray, signal: SparseSignal, levels: list[tuple[float, float]], s: int
+) -> list[tuple[float, float]]:
+    """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass
+    over A_S.  Every level is checked before A is read."""
+    if any(c_e < 0.0 or c_n < 0.0 for c_e, c_n in levels):
         raise InvalidInputError("noise levels must be nonnegative")
     A = np.asarray(A, dtype=float)
     energy, tr_gram = _support_energy(A, signal)
     m = A.shape[0]
-    sigma_e = math.sqrt(c_e * tr_gram / (m * s))
-    sigma_n = math.sqrt(c_n * energy / m)
-    return sigma_e, sigma_n
+    return [
+        (math.sqrt(c_e * tr_gram / (m * s)), math.sqrt(c_n * energy / m))
+        for c_e, c_n in levels
+    ]
 
 
 def _gamma(ta: float, tb: float, levels: NoiseLevels, s: int) -> float:

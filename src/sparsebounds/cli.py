@@ -26,7 +26,7 @@ from .ccrb import (
     ccrb_bound,
     ccrb_maximal,
     gamma_approx,
-    sigmas_for_levels,
+    sigmas_at_levels,
     transition_ce,
 )
 from .errors import InvalidInputError, SparseBoundsError
@@ -154,15 +154,17 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
 def _instance_gammas(rng: np.random.Generator, m: int, n: int, s: int, levels) -> list[float]:
     """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
     from one model and one support factor.  Nothing of the instance
-    outlives the call, so its A is freed before the next one is drawn."""
+    outlives the call, so its A is freed before the next one is drawn.
+    The frozen draw is the model's A itself, not a copy, and the support
+    energy behind every level's deviations is summed once."""
     A = generate_gaussian_matrix(m, n, rng)
+    A.setflags(write=False)
     signal = generate_bernoulli_signal(n, s, rng)
     model = ProblemModel(A, 0.0, 0.0, s)
-    gammas = []
-    for c_e, c_n in levels:
-        sibling = model.with_noise(*sigmas_for_levels(A, signal, c_e, c_n, s))
-        gammas.append(ccrb_maximal(sibling, signal).gamma_ccrb)
-    return gammas
+    return [
+        ccrb_maximal(model.with_noise(*sigmas), signal).gamma_ccrb
+        for sigmas in sigmas_at_levels(A, signal, levels, s)
+    ]
 
 
 def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
@@ -395,21 +397,25 @@ def _parse_vector(spec: str, n: int) -> np.ndarray:
 
 
 def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
+    """The --matrix array, read-only so that ProblemModel adopts it
+    without a copy."""
     if kind == "identity":
         if m != n or n < 1:
             raise InvalidInputError("identity matrix requires m = n >= 1")
-        return np.eye(n)
-    if kind == "gaussian":
-        return generate_gaussian_matrix(m, n, key_stream(seed, (0,)))
-    if not os.path.isfile(kind):
+        A = np.eye(n)
+    elif kind == "gaussian":
+        A = generate_gaussian_matrix(m, n, key_stream(seed, (0,)))
+    elif not os.path.isfile(kind):
         raise InvalidInputError(
             f"matrix must be identity, gaussian or a CSV file, got {kind!r}"
         )
-    A = _read_csv(kind, 2)
-    if A.shape != (m, n):
-        raise InvalidInputError(
-            f"matrix file has shape {A.shape}, expected ({m}, {n})"
-        )
+    else:
+        A = _read_csv(kind, 2)
+        if A.shape != (m, n):
+            raise InvalidInputError(
+                f"matrix file has shape {A.shape}, expected ({m}, {n})"
+            )
+    A.setflags(write=False)
     return A
 
 

@@ -11,7 +11,7 @@ and, with s_i^2 = sigma_{x+v_i}^2 and 1/vs_ij^2 = 1/s_i^2 + 1/s_j^2
 
 For a unit sensing matrix and a fully supported signal the supremum over
 offsets has a closed form: the support part is the maximal-support
-CCRB, computed by ccrb_maximal itself, and the off-support part is
+CCRB, computed by ccrb_maximal's own code, and the off-support part is
 sigma_x^2 d with
 
     d = (n-s) beta e^{-beta} / (e^beta - 1)
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ccrb import ccrb_maximal, maximal_support
+from .ccrb import maximal_report, maximal_support
 from .errors import (
     DegenerateModelError,
     DivergentTestPointError,
@@ -203,9 +203,11 @@ def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
     nz = np.flatnonzero(signal.x)
     if nz.size == 0:
         raise InvalidInputError("the zero signal has no smallest nonzero entry")
-    sx2 = positive_sigma_x_squared(model, signal)
-    xq = np.min(np.abs(signal.x[nz]))
-    return float(xq**2 / sx2)
+    return _beta(signal.x[nz], positive_sigma_x_squared(model, signal))
+
+
+def _beta(nonzeros: np.ndarray, sx2: float) -> float:
+    return float(np.min(np.abs(nonzeros)) ** 2 / sx2)
 
 
 def g_function(beta: float, n: int, sigma_e: float) -> float:
@@ -227,20 +229,26 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
     return num / den
 
 
-def _require_unit_maximal(model: ProblemModel, signal: SparseSignal) -> None:
+def _unit_maximal(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:
+    """(S, sigma_x^2) of a unit-matrix instance with ||x||_0 = s, checked in
+    this order: the signal's length, A = I, n >= 2, the regime and
+    sigma_x^2 > 0."""
     _check_signal(model, signal)
-    if model.m != model.n or not np.array_equal(model.A, np.eye(model.n)):
+    A = model.A
+    if model.m != model.n or np.count_nonzero(A) != model.n or not np.all(A.diagonal() == 1.0):
         raise UnsupportedMatrixError("closed-form HCRB requires identity matrix")
     if model.n < 2:
         raise InvalidInputError("closed-form HCRB requires n >= 2")
-    maximal_support(model, signal)
+    return maximal_support(model, signal), positive_sigma_x_squared(model, signal)
 
 
-def _off_support(model: ProblemModel, signal: SparseSignal) -> tuple[float, float, float]:
-    """(beta, g(beta), d) of the unit-matrix bound."""
-    _require_unit_maximal(model, signal)
+def _off_support(
+    model: ProblemModel, signal: SparseSignal, S: tuple[int, ...], sx2: float
+) -> tuple[float, float, float]:
+    """(beta, g(beta), d) of the unit-matrix bound, from the support and
+    sigma_x^2 that _unit_maximal returns."""
     n, s = model.n, model.s
-    beta = beta_of(model, signal)
+    beta = _beta(signal.x[list(S)], sx2)
     g = g_function(beta, n, model.sigma_e)
     if n == s or beta > _BETA_OVERFLOW:
         return beta, g, 0.0
@@ -254,7 +262,7 @@ def _off_support(model: ProblemModel, signal: SparseSignal) -> tuple[float, floa
 
 def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
     """Off-support part of the unit-matrix bound, as a multiple of sigma_x^2."""
-    return _off_support(model, signal)[2]
+    return _off_support(model, signal, *_unit_maximal(model, signal))[2]
 
 
 def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbReport:
@@ -262,12 +270,15 @@ def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbRepo
 
     The support part is ccrb_maximal(model, signal).bound, so CCRB <= HCRB
     holds bit for bit; the off-support part sigma_x^2 d closes the gap
-    toward the unconstrained bound as the smallest entry shrinks.  The
-    unit-matrix checks of the off-support part come first.
+    toward the unconstrained bound as the smallest entry shrinks.  One
+    pass checks the instance and gives the support and sigma_x^2 to both
+    parts; the off-support part's own errors come before the support
+    part's.
     """
-    beta, g, d = _off_support(model, signal)
-    support_part = ccrb_maximal(model, signal).bound
-    nonsupport_part = positive_sigma_x_squared(model, signal) * d
+    S, sx2 = _unit_maximal(model, signal)
+    beta, g, d = _off_support(model, signal, S, sx2)
+    support_part = maximal_report(model, signal, S, sx2).bound
+    nonsupport_part = sx2 * d
     return HcrbReport(
         bound=support_part + nonsupport_part,
         support_part=support_part,

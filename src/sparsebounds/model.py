@@ -59,6 +59,15 @@ def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it is a read-only float64 array owning its data;
+    otherwise a read-only float copy."""
+    if (
+        type(arr) is np.ndarray
+        and not arr.flags.writeable
+        and arr.base is None
+        and arr.dtype == np.float64
+    ):
+        return arr
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
@@ -78,6 +87,14 @@ class ProblemModel:
         Standard deviation of the additive measurement noise.
     s : int
         Sparsity budget; signals live in {x : ||x||_0 <= s}.
+
+    The model keeps a read-only A that no caller can write through.  A
+    float64 array that is already read-only and owns its data is adopted
+    as it is (``model.A is A``), with no copy; any other input, a
+    writeable array or a view of one included, is copied.  Freezing a
+    fresh matrix with ``A.setflags(write=False)`` before building the
+    model thus hands it over without a second copy.  Whoever freezes it
+    keeps no writeable view of it and does not make it writeable again.
     """
 
     A: np.ndarray

@@ -17,9 +17,11 @@ from sparsebounds.ccrb import (
     noise_levels,
     oracle_mse_theoretical,
     rip_constants,
+    sigmas_at_levels,
     sigmas_for_levels,
     transition_ce,
 )
+import sparsebounds.ccrb as ccrb_module
 import sparsebounds.model as model_module
 from sparsebounds.errors import (
     AssumptionViolatedError,
@@ -459,6 +461,24 @@ class TestNoiseLevels:
         model = ProblemModel(A=np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
         with pytest.raises(InvalidInputError):
             noise_levels(model, SparseSignal(np.zeros(3)))
+
+    def test_level_list_gives_the_bits_of_one_level_calls(self):
+        model, x = gaussian_instance(11, m=10, n=16, s=4)
+        levels = [(0.0, 0.0), (0.37, 1.4), (3.0, 0.0), (1e-3, 1e3)]
+        want = [sigmas_for_levels(model.A, x, c_e, c_n, 4) for c_e, c_n in levels]
+        assert sigmas_at_levels(model.A, x, levels, 4) == want
+
+    def test_negative_level_raises_before_the_energy(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the support energy was computed")
+
+        monkeypatch.setattr(ccrb_module, "_support_energy", forbidden)
+        model, x = gaussian_instance(11, m=10, n=16, s=4)
+        for levels in ([(0.5, 0.5), (-0.1, 0.5)], [(0.5, -1.0)]):
+            with pytest.raises(InvalidInputError, match="^noise levels must be nonnegative$"):
+                sigmas_at_levels(model.A, x, levels, 4)
+        with pytest.raises(InvalidInputError, match="^noise levels must be nonnegative$"):
+            sigmas_for_levels(model.A, x, -1.0, 0.5, 4)
 
 
 class TestGammaSandwich:

@@ -5,12 +5,14 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsebounds
+import sparsebounds.ccrb as ccrb_module
 import sparsebounds.cli as cli
 from sparsebounds.ccrb import ccrb_maximal, transition_ce
 from sparsebounds.cli import (
@@ -25,7 +27,7 @@ from sparsebounds.errors import InvalidInputError
 from sparsebounds.estimators import EstimatorSpec
 from sparsebounds.hcrb import d_hcrb, hcrb_unit_closed_form
 from sparsebounds.model import ProblemModel, SparseSignal
-from sparsebounds.montecarlo import run_trials
+from sparsebounds.montecarlo import key_stream, run_trials
 
 
 def read_csv(path):
@@ -689,6 +691,52 @@ class TestFuzz:
         name = data.draw(st.sampled_from(sorted(_FLAGS[command])))
         value = repr(data.draw(_FLAGS[command][name]))
         self.check(_BASE[command] + [tok for flag in name.split() for tok in (flag, value)])
+
+
+FIG5_LEVELS = [(c_e, c_n) for _, c_e, c_n in cli._FIG5_LEVELS]
+
+
+class TestFig5Instance:
+    """One fig5 draw keeps a single copy of its matrix and sums its support
+    energy once for all levels."""
+
+    def test_peak_memory_is_about_one_matrix(self):
+        a_bytes = 1000 * 2000 * 8  # A of the s = 100 instance
+        tracemalloc.start()
+        try:
+            cli._instance_gammas(key_stream(7, (3, 0)), 1000, 2000, 100, FIG5_LEVELS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a_bytes
+
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    def test_support_energy_runs_once_per_draw(self, monkeypatch, count):
+        calls = []
+        energy = ccrb_module._support_energy
+
+        def counted(*args):
+            calls.append(args)
+            return energy(*args)
+
+        monkeypatch.setattr(ccrb_module, "_support_energy", counted)
+        gammas = cli._instance_gammas(key_stream(7, (0, 0)), 30, 60, 3, FIG5_LEVELS[:count])
+        assert len(gammas) == count and len(calls) == 1
+
+
+class TestBuildMatrix:
+    """Every --matrix kind gives a read-only array that ProblemModel adopts
+    without a copy."""
+
+    @pytest.mark.parametrize("kind", ["identity", "gaussian", "csv"])
+    def test_model_adopts_the_matrix(self, tmp_path, kind):
+        if kind == "csv":
+            kind = str(tmp_path / "A.csv")
+            np.savetxt(kind, np.arange(12.0).reshape(3, 4), delimiter=",")
+        m, n = (4, 4) if kind == "identity" else (3, 4)
+        A = cli._build_matrix(kind, m, n, 5)
+        assert A.shape == (m, n) and not A.flags.writeable
+        assert ProblemModel(A, 0.1, 0.1, 1).A is A
 
 
 class TestSimulateCommand:

@@ -13,7 +13,9 @@ from sparsebounds.errors import (
     OverflowingTestPointError,
     SparseBoundsError,
     UnsupportedMatrixError,
+    WrongRegimeError,
 )
+import sparsebounds.hcrb as hcrb_module
 from sparsebounds.hcrb import (
     beta_of,
     d_hcrb,
@@ -529,3 +531,61 @@ class TestSupportPartIsTheCcrb:
         model = ProblemModel(A=A, sigma_e=0.0, sigma_n=0.0, s=1)
         with pytest.raises(UnsupportedMatrixError):
             hcrb_unit_closed_form(model, SparseSignal(np.eye(3)[0]))
+
+
+class TestClosedFormChecks:
+    """One pass checks a closed-form instance: the signal's length, A = I,
+    n >= 2, the regime, then sigma_x^2 > 0.  Each case also fails every
+    later check, so it pins the order."""
+
+    @pytest.mark.parametrize(
+        "A, s, sigma, x, error, message",
+        [
+            (np.diag([1.0, 2.0, 1.0, 1.0]), 1, 0.0, np.zeros(3), InvalidInputError,
+             "signal length 3 does not match model n=4"),
+            (np.eye(2, 3), 1, 0.0, np.zeros(3), UnsupportedMatrixError, "identity matrix"),
+            (np.eye(2)[::-1], 1, 0.0, np.zeros(2), UnsupportedMatrixError, "identity matrix"),
+            (np.eye(1), 1, 0.0, np.zeros(1), InvalidInputError, "requires n >= 2"),
+            (np.eye(3), 2, 0.0, np.eye(3)[0], WrongRegimeError, "got 1"),
+            (np.eye(3), 1, 0.0, np.eye(3)[0], DegenerateModelError, "degenerate"),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [hcrb_unit_closed_form, d_hcrb])
+    def test_first_failing_check_is_reported(self, bound, A, s, sigma, x, error, message):
+        model = ProblemModel(A=A, sigma_e=sigma, sigma_n=sigma, s=s)
+        with pytest.raises(error, match=message):
+            bound(model, SparseSignal(x))
+
+    @pytest.mark.parametrize(
+        "A, unit",
+        [
+            (np.eye(3), True),
+            (np.where(np.eye(3) == 1.0, 1.0, -0.0), True),
+            (np.diag([1.0, 1.0, 2.0]), False),
+            (np.eye(3) + np.eye(3, k=1) * 1e-300, False),
+            (np.eye(3)[[0, 2, 1]], False),
+        ],
+    )
+    def test_identity_test_matches_array_equal(self, A, unit):
+        assert np.array_equal(A, np.eye(3)) == unit
+        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=1)
+        x = SparseSignal(np.eye(3)[0])
+        if unit:
+            want = hcrb_unit_closed_form(identity_model(3, 0.1, 0.1, 1), x)
+            assert hcrb_unit_closed_form(model, x) == want
+        else:
+            with pytest.raises(UnsupportedMatrixError):
+                hcrb_unit_closed_form(model, x)
+
+    def test_sigma_x_squared_is_computed_once(self, monkeypatch):
+        calls = []
+        sx2 = hcrb_module.positive_sigma_x_squared
+
+        def counted(*args):
+            calls.append(args)
+            return sx2(*args)
+
+        monkeypatch.setattr(hcrb_module, "positive_sigma_x_squared", counted)
+        model = identity_model(6, 0.1, 0.2, 2)
+        hcrb_unit_closed_form(model, SparseSignal(np.r_[1.0, 0.5, np.zeros(4)]))
+        assert len(calls) == 1

@@ -171,6 +171,59 @@ class TestWithNoise:
         assert base.with_noise(0.2, 0.3).A is base.A
 
 
+class TestAdoption:
+    """ProblemModel adopts a read-only float64 array that owns its data and
+    copies any other input, so no array the caller can still write through
+    is shared with a model."""
+
+    def test_read_only_owning_float64_array_is_adopted(self, rng):
+        A = generate_gaussian_matrix(6, 8, rng)
+        A.setflags(write=False)
+        assert ProblemModel(A, 0.1, 0.2, 3).A is A
+
+    def test_writeable_array_is_copied(self, rng):
+        A = generate_gaussian_matrix(6, 8, rng)
+        model = ProblemModel(A, 0.1, 0.2, 3)
+        kept = model.A.copy()
+        assert model.A is not A and not model.A.flags.writeable
+        A[0, 0] += 1.0
+        assert np.array_equal(model.A, kept)
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self, rng):
+        base = generate_gaussian_matrix(6, 9, rng)
+        view = base[:, :8]
+        view.setflags(write=False)
+        model = ProblemModel(view, 0.1, 0.2, 3)
+        kept = model.A.copy()
+        assert model.A is not view and not np.shares_memory(model.A, base)
+        base[0, 0] += 1.0
+        assert np.array_equal(model.A, kept)
+
+    def test_read_only_float32_array_is_converted(self):
+        A = np.eye(3, dtype=np.float32)
+        A.setflags(write=False)
+        model = ProblemModel(A, 0.1, 0.2, 1)
+        assert model.A.dtype == np.float64 and not model.A.flags.writeable
+        assert np.array_equal(model.A, np.eye(3))
+
+    def test_with_noise_siblings_share_the_adopted_array(self, rng):
+        A = generate_gaussian_matrix(6, 8, rng)
+        A.setflags(write=False)
+        base = ProblemModel(A, 0.1, 0.2, 3)
+        assert base.with_noise(0.3, 0.4).A is A
+
+    @pytest.mark.parametrize(
+        "frozen", [lambda v: SparseSignal(v).x, lambda v: Measurement(v).y],
+        ids=["SparseSignal", "Measurement"],
+    )
+    def test_signal_and_measurement_copy_writeable_inputs(self, frozen):
+        v = np.array([1.0, 0.0, 2.0])
+        out = frozen(v)
+        assert out is not v and not out.flags.writeable
+        v[0] = 5.0
+        assert out[0] == 1.0
+
+
 class TestSparseSignal:
     def test_support_defaults_to_nonzeros(self):
         x = SparseSignal(np.array([0.0, 2.0, 0.0, -1.0]))
