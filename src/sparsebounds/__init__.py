@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleOffsetError,
     InvalidInputError,
     NoUnbiasedEstimatorError,
+    OverflowingMatrixError,
     SingularMatrixError,
     SparseBoundsError,
     UnsupportedMatrixError,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AssumptionViolatedError,
@@ -170,7 +169,7 @@ def maximal_report(
 ) -> CcrbReport:
     """ccrb_maximal past its checks, from the maximal support S and
     sigma_x^2 > 0."""
-    G = support_factor(model, S)[2]
+    G = support_factor(model, S)[1]
     return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
 
 
@@ -193,15 +192,15 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"got {signal.nonzero_count}"
         )
     fim = fim_closed_form(model, signal)
-    if numerically_singular(fim.J):
+    if numerically_singular(fim.J, "the Fisher information"):
         raise NoUnbiasedEstimatorError(
             "Fisher information is singular: no unbiased estimator of this "
             "signal has finite variance"
         )
     try:
-        G = support_factor(model, tuple(range(model.n)))[2]
+        G = support_factor(model, tuple(range(model.n)))[1]
     except SingularMatrixError:
-        first = float(np.trace(scipy.linalg.solve(fim.J, np.eye(model.n), assume_a="pos")))
+        first = float(np.trace(np.linalg.solve(fim.J, np.eye(model.n))))
         return _report(first, 0.0, "nonmaximal")
     return _rank_one_report(model, fim.sigma_x2, G, signal.x, "nonmaximal")
 
@@ -216,7 +215,7 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
     sx2 = positive_sigma_x_squared(model, signal)
-    return float(sx2 * np.trace(support_factor(model, S)[2]))
+    return float(sx2 * np.trace(support_factor(model, S)[1]))
 
 
 def rip_constants(

@@ -153,7 +153,7 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
 
 def _instance_gammas(rng: np.random.Generator, m: int, n: int, s: int, levels) -> list[float]:
     """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
-    from one model and one support factor.  Nothing of the instance
+    from one model and one cached support inverse.  Nothing of the instance
     outlives the call, so its A is freed before the next one is drawn.
     The frozen draw is the model's A itself, not a copy, and the support
     energy behind every level's deviations is summed once."""

@@ -30,6 +30,10 @@ class SingularMatrixError(MathDomainError):
     """A required Gram matrix is singular or numerically rank deficient."""
 
 
+class OverflowingMatrixError(OverflowError, MathDomainError):
+    """A required matrix or its spectrum exceeds double precision."""
+
+
 class NoUnbiasedEstimatorError(MathDomainError):
     """The Fisher information is singular: no finite-variance unbiased
     estimator exists for this signal."""

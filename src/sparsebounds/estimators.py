@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, SparseBoundsError
 from .model import (
@@ -146,15 +145,15 @@ def _not_finite(values: np.ndarray) -> dict:
 def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
     """Least squares restricted to a known support.
 
-    The Cholesky factor of A_S^T A_S is the one the bounds use
-    (model.support_factor), computed once per matrix and support; the
-    solve gives the same bits as cho_solve.  Raises SingularMatrixError
-    when A_S^T A_S is numerically singular, by the same test as the bounds.
+    Computes G A_S^T y with G = (A_S^T A_S)^{-1} the inverse the bounds use
+    (model.support_factor), computed once per matrix and support.  Raises
+    SingularMatrixError when A_S^T A_S is numerically singular, by the
+    same test as the bounds.
     """
     S = checked_support(model, support)
     yv = model_measurement(model, y)
-    A_S, (upper, _), _ = support_factor(model, S)
-    coeffs, _ = scipy.linalg.lapack.dpotrs(upper, A_S.T @ yv, lower=0, overwrite_b=1)
+    A_S, G = support_factor(model, S)
+    coeffs = G @ (A_S.T @ yv)
     x = np.zeros(model.n)
     x[list(S)] = coeffs
     return SparseSignal(x, S)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ccrb import maximal_report, maximal_support
 from .errors import (
@@ -162,12 +161,12 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
 
 
 def _pinv_psd(H: np.ndarray) -> np.ndarray:
-    # divide and conquer: several times faster than the default driver on
-    # the unit-diagonal matrices hcrb_general passes in
-    w, Q = scipy.linalg.eigh(H, driver="evd")
+    # numpy's eigh is LAPACK's divide and conquer syevd, several times
+    # faster than the QR-based syev on the unit-diagonal H hcrb_general passes in
+    w, Q = np.linalg.eigh(H)
     cut = PINV_RTOL * max(w[-1], 0.0)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (Q * inv) @ Q.T
+    recip = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+    return (Q * recip) @ Q.T
 
 
 def hcrb_general(

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateModelError,
     InvalidInputError,
+    OverflowingMatrixError,
     SingularMatrixError,
     UnsupportedSizeError,
 )
@@ -101,8 +101,7 @@ class ProblemModel:
     sigma_e: float
     sigma_n: float
     s: int
-    # sorted support -> (A_S, cho_factor of A_S^T A_S, (A_S^T A_S)^{-1});
-    # see support_factor
+    # sorted support -> (A_S, (A_S^T A_S)^{-1}); see support_factor
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ class ProblemModel:
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
         checks them.  The sibling shares the validated A (no copy and no
-        finiteness scan), s and the support factors."""
+        finiteness scan), s and the support cache."""
         sibling = copy.copy(self)
         for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
             object.__setattr__(sibling, name, value)
@@ -251,38 +250,47 @@ def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float
     return sx2
 
 
-def numerically_singular(M: np.ndarray) -> bool:
-    """Whether symmetric M has lambda_min <= SINGULARITY_RTOL * lambda_max > 0."""
-    w = scipy.linalg.eigvalsh(M)
+def numerically_singular(M: np.ndarray, name: str) -> bool:
+    """Whether symmetric M has lambda_min <= SINGULARITY_RTOL * lambda_max > 0.
+
+    Raises OverflowingMatrixError, naming M, when M or its eigenvalues are
+    not finite: a NaN eigenvalue fails every comparison, so it would pass
+    as regular.
+    """
+    w = np.linalg.eigvalsh(M)
+    if not np.isfinite(w).all():
+        raise OverflowingMatrixError(f"{name} overflows double range")
     return w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]
 
 
-def gram_factor(A_S: np.ndarray) -> tuple[np.ndarray, bool]:
-    """cho_factor of A_S^T A_S, for the bounds and the oracle alike.
+def gram_inverse(A_S: np.ndarray) -> np.ndarray:
+    """The read-only (A_S^T A_S)^{-1}, for the bounds and the oracle alike.
 
-    Raises SingularMatrixError when the Gram is numerically singular, even
-    where the Cholesky factorization itself would succeed.
+    Raises SingularMatrixError when the Gram is numerically singular, and
+    OverflowingMatrixError when the Gram or its inverse is not finite.
     """
-    gram = A_S.T @ A_S
-    if numerically_singular(gram):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gram = A_S.T @ A_S
+    if numerically_singular(gram, "A_S^T A_S"):
         raise SingularMatrixError("A_S^T A_S is singular")
-    return scipy.linalg.cho_factor(gram)
+    G = np.linalg.inv(gram)
+    if not np.isfinite(G).all():
+        raise OverflowingMatrixError("(A_S^T A_S)^{-1} overflows double range")
+    G.setflags(write=False)
+    return G
 
 
 def support_factor(model: ProblemModel, support: tuple[int, ...]):
-    """(A_S, gram_factor(A_S), G) for a sorted, duplicate-free support S,
-    with G the read-only (A_S^T A_S)^{-1}: one entry per A and S, shared by
-    the bounds, the oracle and every with_noise sibling.  The full
-    support's A_S is model.A itself.  A singular support is not cached and
-    raises on every call."""
+    """(A_S, gram_inverse(A_S)) for a sorted, duplicate-free support S: one
+    entry per A and S, shared by the bounds, the oracle and every
+    with_noise sibling.  The full support's A_S is model.A itself.  A
+    singular or overflowing support is not cached and raises on every
+    call."""
     hit = model._factors.get(support)
     if hit is None:
         A_S = model.A if len(support) == model.n else model.A[:, list(support)]
-        factor = gram_factor(A_S)
-        G = scipy.linalg.cho_solve(factor, np.eye(len(support)))
-        G.setflags(write=False)
         # when threads race on a cold entry, all get the first one stored
-        hit = model._factors.setdefault(support, (A_S, factor, G))
+        hit = model._factors.setdefault(support, (A_S, gram_inverse(A_S)))
     return hit
 
 

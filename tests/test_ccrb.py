@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,10 +29,11 @@ from sparsebounds.errors import (
     DegenerateModelError,
     InvalidInputError,
     NoUnbiasedEstimatorError,
+    OverflowingMatrixError,
     SingularMatrixError,
     WrongRegimeError,
 )
-from sparsebounds.estimators import estimate_oracle
+from sparsebounds.estimators import EstimatorSpec, estimate_oracle, estimator_kernel
 from sparsebounds.fisher import fim_closed_form
 from sparsebounds.hcrb import hcrb_unit_closed_form
 from sparsebounds.model import (
@@ -114,15 +116,15 @@ class TestMaximal:
 class TestSharedSupportFactor:
     LEVELS = [(se, sn) for se in (0.0, 0.05, 0.4) for sn in (0.0, 0.1, 1.0)]
 
-    def counted_gram_factor(self, monkeypatch):
+    def counted_gram_inverse(self, monkeypatch):
         calls = []
-        real = model_module.gram_factor
+        real = model_module.gram_inverse
 
         def counting(A_S):
             calls.append(A_S.shape)
             return real(A_S)
 
-        monkeypatch.setattr(model_module, "gram_factor", counting)
+        monkeypatch.setattr(model_module, "gram_inverse", counting)
         return calls
 
     def test_siblings_factor_once_and_match_fresh_models(self, monkeypatch):
@@ -135,7 +137,7 @@ class TestSharedSupportFactor:
             for se, sn in self.LEVELS
             if se or sn
         }
-        calls = self.counted_gram_factor(monkeypatch)
+        calls = self.counted_gram_inverse(monkeypatch)
         for se, sn in self.LEVELS:
             sibling = base.with_noise(se, sn)
             if not (se or sn):
@@ -152,23 +154,23 @@ class TestSharedSupportFactor:
     def test_nine_siblings_solve_the_support_inverse_once(self, monkeypatch):
         base, x = gaussian_instance(12, 12, 20, 4)
         A_S = base.A[:, list(x.support)]
-        G = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A_S.T @ A_S), np.eye(4))
+        G = np.linalg.inv(A_S.T @ A_S)
         solves = []
-        real = scipy.linalg.cho_solve
+        real = np.linalg.inv
 
         def counting(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", counting)
+        monkeypatch.setattr(np.linalg, "inv", counting)
         for se, sn in self.LEVELS:
             sibling = base.with_noise(se, sn + 0.01)
             sx2 = sigma_x_squared(sibling, x)
             got = oracle_mse_theoretical(sibling, x.support, x)
-            assert got == float(sx2 * np.trace(G))  # the solve it replaces, bit for bit
+            assert got == float(sx2 * np.trace(G))  # the inverse it replaces, bit for bit
             assert ccrb_maximal(sibling, x).first_term == got
         assert len(solves) == 1
-        cached = model_module.support_factor(base, x.support)[2]
+        cached = model_module.support_factor(base, x.support)[1]
         np.testing.assert_array_equal(cached, G)
         assert not cached.flags.writeable
 
@@ -176,7 +178,7 @@ class TestSharedSupportFactor:
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         base = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=2)
         x = SparseSignal(np.array([1.0, 1.0, 0.0]))
-        calls = self.counted_gram_factor(monkeypatch)
+        calls = self.counted_gram_inverse(monkeypatch)
         for model in (base, base.with_noise(0.2, 0.1), base):
             with pytest.raises(SingularMatrixError):
                 ccrb_maximal(model, x)
@@ -189,12 +191,41 @@ class TestSharedSupportFactor:
         model = ProblemModel(generate_gaussian_matrix(7, 5, rng), 0.1, 0.2, 3)
         x = SparseSignal(np.array([1.0, 0.0, 0.0, -1.0, 0.0]))
         rep = ccrb_nonmaximal(model, x)
-        A_S, _, G = support_factor(model, tuple(range(5)))
+        A_S, G = support_factor(model, tuple(range(5)))
         assert A_S is model.A
         assert ccrb_nonmaximal(model.with_noise(0.1, 0.2), x) == rep
-        np.testing.assert_array_equal(
-            G, scipy.linalg.cho_solve(scipy.linalg.cho_factor(model.A.T @ model.A), np.eye(5))
-        )
+        np.testing.assert_array_equal(G, np.linalg.inv(model.A.T @ model.A))
+
+
+class TestOverflowingGram:
+    """A finite A whose support Gram, or its inverse, leaves double range is
+    a package error, never a NaN bound or an estimate from one."""
+
+    GRAM = "A_S^T A_S overflows double range"
+    INVERSE = "(A_S^T A_S)^{-1} overflows double range"
+    CASES = [
+        (1, 1e200, (1.0, 0.0), GRAM),
+        (2, 1e200, (1.0, 1.0), GRAM),
+        (1, 1e-160, (1.0, 0.0), INVERSE),
+        (2, 1e-160, (1.0, 1.0), INVERSE),
+    ]
+
+    @pytest.mark.parametrize("s, scale, x, message", CASES)
+    def test_ccrb_maximal(self, s, scale, x, message):
+        model = ProblemModel(A=scale * np.eye(2), sigma_e=0.1, sigma_n=0.1, s=s)
+        with pytest.raises(OverflowingMatrixError, match=re.escape(message)):
+            ccrb_maximal(model, SparseSignal(np.array(x)))
+        assert model._factors == {}
+
+    @pytest.mark.parametrize("s, scale, x, message", CASES)
+    def test_oracle_kernel_fails_every_row(self, s, scale, x, message):
+        model = ProblemModel(A=scale * np.eye(2), sigma_e=0.1, sigma_n=0.1, s=s)
+        support = tuple(np.flatnonzero(x))
+        _, errors = estimator_kernel(model, EstimatorSpec.oracle(support))(np.ones((3, 2)))
+        assert sorted(errors) == [0, 1, 2]
+        for exc in errors.values():
+            assert isinstance(exc, OverflowingMatrixError)
+            assert str(exc) == message
 
 
 class TestNonmaximal:

@@ -148,6 +148,22 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[0] == "1"
 
+    @pytest.mark.parametrize("s, x", [("1", "1,0"), ("2", "1,1")])
+    def test_overflowing_support_gram_is_a_math_error(self, s, x, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        np.savetxt(p, 1e200 * np.eye(2), delimiter=",")
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "2", "--m", "2", "--s", s,
+                "--sigma-e", "0.1", "--sigma-n", "0.1",
+                "--x", x,
+                "--matrix", str(p),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: A_S^T A_S overflows double range\n"
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "row.csv"
         code = run(
@@ -171,6 +187,7 @@ EXIT_CODES = {
     "ExcessiveFailureError": 3,
     "InfeasibleOffsetError": 3,
     "NoUnbiasedEstimatorError": 3,
+    "OverflowingMatrixError": 3,
     "SingularMatrixError": 3,
     "UnsupportedMatrixError": 3,
     "UnsupportedSizeError": 3,

@@ -1,6 +1,8 @@
 """Each shared construction has one home module in the package source:
 keyed random streams in montecarlo, the support-Gram inverse in model and
-the estimator names in estimators."""
+the estimator names in estimators.  The only other matrix inverse, the
+rank-deficient CCRB fallback, is a solve.  The package imports no scipy:
+its linear algebra is numpy.linalg."""
 
 import ast
 from pathlib import Path
@@ -11,7 +13,7 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "sparsebounds"
 
 HOMES = {
     "SeedSequence": "montecarlo.py",
-    "cho_solve": "model.py",
+    "inv": "model.py",
     "_KIND_NAMES": "estimators.py",
 }
 
@@ -35,3 +37,17 @@ def test_referenced_only_in_its_home(name, home):
     found = _references(name)
     assert found, f"{name} is not referenced at all"
     assert [f for f in found if not f.startswith(f"{home}:")] == []
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
