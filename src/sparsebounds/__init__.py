@@ -5,74 +5,22 @@ Hammersley-Chapman-Robbins bound for the model y = (A + E)x + n with an
 s-sparse x, provides the reference estimators the bounds are validated
 against, and ships a Monte Carlo harness plus a CLI reproducing the
 experiment protocols.
+
+The public names are those in each layer's ``__all__``.
 """
 
-from .ccrb import (
-    CcrbReport,
-    NoiseLevels,
-    RipConstants,
-    ccrb_bound,
-    ccrb_maximal,
-    ccrb_nonmaximal,
-    gamma_approx,
-    gamma_bounds,
-    noise_levels,
-    oracle_mse_theoretical,
-    rip_constants,
-    sigmas_for_levels,
-    transition_ce,
-)
-from .errors import (
-    AssumptionViolatedError,
-    DegenerateModelError,
-    DivergentTestPointError,
-    ExcessiveFailureError,
-    InfeasibleOffsetError,
-    InvalidInputError,
-    NoUnbiasedEstimatorError,
-    OverflowingMatrixError,
-    SingularMatrixError,
-    SparseBoundsError,
-    UnsupportedMatrixError,
-    UnsupportedSizeError,
-    WrongRegimeError,
-)
-from .estimators import (
-    EstimatorSpec,
-    apply_estimator,
-    estimate_locally_unbiased,
-    estimate_ml_unit,
-    estimate_noise_exploiting,
-    estimate_oracle,
-)
-from .fisher import (
-    FisherMatrix,
-    fim_closed_form,
-    fim_monte_carlo,
-    log_likelihood,
-    score,
-)
-from .hcrb import (
-    HcrbReport,
-    TestPointSet,
-    beta_of,
-    d_hcrb,
-    g_function,
-    hcrb_general,
-    hcrb_unit_closed_form,
-    test_points,
-    transition_sigma_e,
-)
-from .model import (
-    Measurement,
-    ProblemModel,
-    SparseSignal,
-    generate_bernoulli_signal,
-    generate_gaussian_matrix,
-    sample_measurement,
-    sigma_x_squared,
-    spark_exceeds,
-)
-from .montecarlo import TrialSummary, run_trials, sweep, trial_stream
+from . import ccrb, errors, estimators, fisher, hcrb, model, montecarlo
+from .ccrb import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .fisher import *  # noqa: F403
+from .hcrb import *  # noqa: F403
+from .model import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+
+__all__ = [
+    *errors.__all__, *model.__all__, *fisher.__all__, *ccrb.__all__,
+    *hcrb.__all__, *estimators.__all__, *montecarlo.__all__,
+]
 
 __version__ = "0.1.0"

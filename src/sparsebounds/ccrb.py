@@ -176,11 +176,11 @@ def maximal_report(
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     """CCRB for a signal with fewer than s nonzero entries.
 
-    Equals tr(J^{-1}) for the unconstrained Fisher information J.  When A
-    has full column rank this is evaluated through the same rank-one
-    update form as the maximal bound (with the full matrix and signal);
-    otherwise, if J is still invertible, by a direct solve with the
-    decomposition reported as (bound, 0).
+    Equals tr(J^{-1}) for the unconstrained Fisher information J, which
+    is invertible whenever A^T A is.  When A has full column rank the
+    bound takes the maximal bound's rank-one update form with the full
+    matrix and signal; only a rank-deficient A builds J, and if J is
+    still invertible the bound is a direct solve, reported as (bound, 0).
 
     Raises NoUnbiasedEstimatorError when J is singular: no unbiased
     estimator of such a signal has finite variance.
@@ -191,18 +191,19 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
             f"non-maximal bound needs ||x||_0 < s = {model.s}, "
             f"got {signal.nonzero_count}"
         )
-    fim = fim_closed_form(model, signal)
-    if numerically_singular(fim.J, "the Fisher information"):
-        raise NoUnbiasedEstimatorError(
-            "Fisher information is singular: no unbiased estimator of this "
-            "signal has finite variance"
-        )
+    sx2 = positive_sigma_x_squared(model, signal)
     try:
         G = support_factor(model, tuple(range(model.n)))[1]
     except SingularMatrixError:
-        first = float(np.trace(np.linalg.solve(fim.J, np.eye(model.n))))
+        J = fim_closed_form(model, signal).J
+        if numerically_singular(J, "the Fisher information"):
+            raise NoUnbiasedEstimatorError(
+                "Fisher information is singular: no unbiased estimator of this "
+                "signal has finite variance"
+            ) from None
+        first = float(np.trace(np.linalg.solve(J, np.eye(model.n))))
         return _report(first, 0.0, "nonmaximal")
-    return _rank_one_report(model, fim.sigma_x2, G, signal.x, "nonmaximal")
+    return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
 
 
 def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -> float:
@@ -342,10 +343,12 @@ def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float,
     Each side is (1/s) (1+t_a)^3/(1+t_b)^2 * 2 c_e /
     (2 (1+t_b) c_e + (1+t_a) + c_n/c_e) where the upper bound takes
     t_a = theta_upper, t_b = -theta_lower and the lower bound swaps them.
-    Both collapse to gamma_approx when the thetas vanish.
+    Both collapse to gamma_approx when the thetas vanish.  s must be rip.s.
     """
     if s < 1:
         raise InvalidInputError("s must be positive")
+    if s != rip.s:
+        raise InvalidInputError(f"s={s} does not match the RIP constants' s={rip.s}")
     if rip.theta_lower >= 1.0:
         raise AssumptionViolatedError(
             "theta_lower >= 1 leaves no positive restricted eigenvalue floor"

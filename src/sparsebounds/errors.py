@@ -5,6 +5,14 @@ no answer for it.  `exit_code` is the one map from errors to command-line
 exit codes: 3 for a MathDomainError, 2 for any other SparseBoundsError.
 """
 
+__all__ = [
+    "SparseBoundsError", "InvalidInputError", "MathDomainError", "DegenerateModelError",
+    "SingularMatrixError", "OverflowingMatrixError", "NoUnbiasedEstimatorError",
+    "WrongRegimeError", "UnsupportedSizeError", "AssumptionViolatedError",
+    "DivergentTestPointError", "OverflowingTestPointError", "ExcessiveFailureError",
+    "InfeasibleOffsetError", "UnsupportedMatrixError",
+]
+
 
 class SparseBoundsError(Exception):
     """Base class for all errors raised by this package."""

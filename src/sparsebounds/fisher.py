@@ -73,13 +73,22 @@ def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
     """Gradient of log_likelihood with respect to the signal.
 
     Both the residual and the x-dependence of sigma_x^2 contribute; the
-    second and third terms below are the latter.
+    second term of _scores is the latter.
     """
     sx2 = positive_sigma_x_squared(model, signal)
-    x = signal.x
-    r = model_measurement(model, y) - model.A @ x
+    r = model_measurement(model, y) - model.A @ signal.x
+    return _scores(model, signal.x, sx2, r[None])[0]
+
+
+def _scores(model: ProblemModel, x: np.ndarray, sx2: float, R: np.ndarray) -> np.ndarray:
+    """The score at x for each residual row r of R (k, m):
+    A^T r / sigma_x^2 + sigma_e^2 (||r||^2 - m sigma_x^2) x / sigma_x^4."""
     se2 = model.sigma_e**2
-    return model.A.T @ r / sx2 + (se2 * ((r @ r) - model.m * sx2) / sx2**2) * x
+    S = R @ model.A / sx2
+    if se2 > 0.0:
+        rr = np.einsum("ij,ij->i", R, R)
+        S += ((se2 / sx2**2) * (rr - model.m * sx2))[:, None] * x[None, :]
+    return S
 
 
 def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
@@ -108,19 +117,11 @@ def fim_monte_carlo(
         raise InvalidInputError("samples must be positive")
     sx2 = positive_sigma_x_squared(model, signal)
     sx = math.sqrt(sx2)
-    se2 = model.sigma_e**2
-    x = signal.x
-    m = model.m
     acc = np.zeros((model.n, model.n))
     done = 0
     while done < samples:
         k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
-        r = sx * rng.standard_normal((k, m))
-        # rows of S are score vectors for each sampled residual
-        S = r @ model.A / sx2
-        if se2 > 0.0:
-            rr = np.einsum("ij,ij->i", r, r)
-            S += ((se2 / sx2**2) * (rr - m * sx2))[:, None] * x[None, :]
+        S = _scores(model, signal.x, sx2, sx * rng.standard_normal((k, model.m)))
         acc += S.T @ S
         done += k
     J = acc / samples

@@ -108,7 +108,8 @@ class ProblemModel:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.size == 0:
             raise InvalidInputError("A must be a nonempty 2-d array")
-        if not np.all(np.isfinite(A)):
+        # NaN fails too, and neither reduction makes an m x n temporary
+        if not (np.isfinite(A.min()) and np.isfinite(A.max())):
             raise InvalidInputError("A must be finite")
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
         s = int(self.s)
@@ -188,10 +189,7 @@ class Measurement:
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or y.size == 0:
-            raise InvalidInputError("y must be a nonempty 1-d array")
-        object.__setattr__(self, "y", _frozen(y))
+        object.__setattr__(self, "y", _frozen(measurement_vector(self.y)))
 
     @property
     def m(self) -> int:
@@ -199,12 +197,13 @@ class Measurement:
 
 
 def measurement_vector(y) -> np.ndarray:
-    """Accept either a Measurement or a plain 1-d array and return the array."""
+    """The array of a Measurement, or a plain array checked as Measurement
+    checks it: InvalidInputError unless it is a nonempty 1-d vector."""
     if isinstance(y, Measurement):
         return y.y
     arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError("measurement must be a 1-d vector")
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInputError("measurement must be a nonempty 1-d vector")
     return arr
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,28 @@ class TestNonmaximal:
             rep = ccrb_nonmaximal(model, x)
             J = fim_closed_form(model, x).J
             assert rep.bound == pytest.approx(np.trace(np.linalg.inv(J)), rel=1e-10)
+
+    @pytest.mark.parametrize("sigma_e", [1e2, 1e4, 1e6, 1e7])
+    def test_unit_matrix_at_strong_matrix_noise_is_exact(self, sigma_e):
+        # J = (I + c x x^T / sigma_x^2) / sigma_x^2, c = 2 m sigma_e^4, is
+        # regular however large sigma_e is, though its condition number
+        # passes 1e12; tr(J^-1) = sigma_x^2 (n - 1 + sigma_x^2 / (sigma_x^2 + c ||x||^2))
+        x = [1.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+        model = ProblemModel(A=np.eye(6), sigma_e=sigma_e, sigma_n=0.1, s=3)
+        energy = sum(Fraction(v) ** 2 for v in x)
+        sx2 = Fraction(sigma_e) ** 2 * energy + Fraction(0.1) ** 2
+        c = 2 * 6 * Fraction(sigma_e) ** 4
+        exact = sx2 * (6 - 1 + sx2 / (sx2 + c * energy))
+        bound = ccrb_nonmaximal(model, SparseSignal(np.array(x))).bound
+        assert abs(Fraction(bound) - exact) <= Fraction(1, 10**12) * exact
+
+    def test_full_rank_matrix_never_builds_the_fisher_information(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("J built for a full-rank A")
+
+        monkeypatch.setattr(ccrb_module, "fim_closed_form", forbidden)
+        model, _ = gaussian_instance(3, m=9, n=7, s=3)
+        ccrb_nonmaximal(model, SparseSignal(np.r_[1.0, np.zeros(6)]))
 
     def test_rejects_maximal_signal(self):
         model, x = gaussian_instance(1, m=8, n=12, s=3)
@@ -531,6 +554,11 @@ class TestGammaSandwich:
         rc = RipConstants(theta_lower=0.2, theta_upper=0.2, s=4, exact=True)
         lo, hi = gamma_bounds(rc, NoiseLevels(c_e=0.0, c_n=1.0), 4)
         assert (lo, hi) == (0.0, 0.0)
+
+    def test_rejects_an_s_the_constants_were_not_computed_at(self):
+        rc = RipConstants(theta_lower=0.1, theta_upper=0.2, s=3, exact=True)
+        with pytest.raises(InvalidInputError, match="s=10 does not match"):
+            gamma_bounds(rc, NoiseLevels(c_e=0.5, c_n=0.5), 10)
 
     def test_ill_conditioned_rip_rejected(self):
         rc = RipConstants(theta_lower=1.0, theta_upper=2.0, s=4, exact=True)

@@ -148,7 +148,9 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[0] == "1"
 
-    @pytest.mark.parametrize("s, x", [("1", "1,0"), ("2", "1,1")])
+    # s = 2 with x = (1, 0) is the nonmaximal regime, whose Gram is A^T A
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, x", [("1", "1,0"), ("2", "1,1"), ("2", "1,0")])
     def test_overflowing_support_gram_is_a_math_error(self, s, x, tmp_path, capsys):
         p = tmp_path / "big.csv"
         np.savetxt(p, 1e200 * np.eye(2), delimiter=",")
@@ -163,6 +165,23 @@ class TestBoundsCommand:
         )
         assert code == 3
         assert capsys.readouterr().err == "error: A_S^T A_S overflows double range\n"
+
+    def test_nonmaximal_bound_at_strong_matrix_noise(self, capsys):
+        # at sigma_e = 1e6 the Fisher information's condition number passes
+        # 1e12, yet A = I makes it regular: the bound exists
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "6", "--m", "6", "--s", "3",
+                "--sigma-e", "1e6", "--sigma-n", "0.1",
+                "--x", "1,0,2,0,0,0",
+            ]
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        sx2 = 1e12 * 5 + 0.01
+        exact = sx2 * (5 + sx2 / (sx2 + 12e24 * 5))
+        assert float(row["bound"]) == pytest.approx(exact, rel=1e-12)
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "row.csv"
@@ -194,6 +213,8 @@ EXIT_CODES = {
     "WrongRegimeError": 3,
     "InvalidInputError": 2,
     "SparseBoundsError": 2,
+    "MathDomainError": 3,
+    "OverflowingTestPointError": 3,
 }
 
 EXPORTED_ERRORS = sorted(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import numerical_gradient
 from sparsebounds.errors import DegenerateModelError, InvalidInputError
 from sparsebounds.fisher import (
+    DEFAULT_SAMPLE_CHUNK,
     FisherMatrix,
     fim_closed_form,
     fim_monte_carlo,
@@ -173,6 +174,24 @@ class TestMonteCarlo:
         a = fim_monte_carlo(model, x, 5_000, np.random.default_rng(8))
         b = fim_monte_carlo(model, x, 5_000, np.random.default_rng(8))
         np.testing.assert_array_equal(a.J, b.J)
+
+    def test_is_the_chunked_score_second_moment_bit_for_bit(self):
+        # the estimator spelled out: two chunks, the second one short
+        model, x = small_instance()
+        samples = DEFAULT_SAMPLE_CHUNK + 1000
+        sx2 = sigma_x_squared(model, x)
+        se2 = model.sigma_e**2
+        rng = np.random.default_rng(9)
+        acc = np.zeros((model.n, model.n))
+        for k in (DEFAULT_SAMPLE_CHUNK, 1000):
+            r = np.sqrt(sx2) * rng.standard_normal((k, model.m))
+            S = r @ model.A / sx2
+            rr = np.einsum("ij,ij->i", r, r)
+            S += ((se2 / sx2**2) * (rr - model.m * sx2))[:, None] * x.x[None, :]
+            acc += S.T @ S
+        J = acc / samples
+        est = fim_monte_carlo(model, x, samples, np.random.default_rng(9))
+        np.testing.assert_array_equal(est.J, 0.5 * (J + J.T))
 
     def test_rejects_nonpositive_samples(self):
         model, x = small_instance()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from sparsebounds.estimators import (
     EstimatorSpec,
     apply_estimator,
     estimate_locally_unbiased,
+    estimate_ml_unit,
+    estimate_noise_exploiting,
     estimate_oracle,
 )
 from sparsebounds.fisher import fim_closed_form, fim_monte_carlo, log_likelihood, score
@@ -119,6 +122,25 @@ class TestProblemModel:
             with pytest.raises(InvalidInputError, match="below 1e\\+75"):
                 make_model(np.eye(3), sigma_e, sigma_n, 1)
         assert make_model(np.eye(3), 1e74, 1e74, 1).sigma_e == 1e74
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 12, 24])  # first, middle and last of 5 x 5
+    def test_rejects_a_non_finite_entry_anywhere(self, bad, at):
+        A = np.ones(25)
+        A[at] = bad
+        with pytest.raises(InvalidInputError, match="^A must be finite$"):
+            make_model(A.reshape(5, 5), 0.1, 0.1, 1)
+
+    def test_finiteness_scan_makes_no_matrix_sized_temporary(self):
+        A = np.ones((2000, 2000))
+        A.setflags(write=False)  # adopted, so no copy either
+        tracemalloc.start()
+        try:
+            assert make_model(A, 0.1, 0.1, 1).A is A
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 // 16  # an m x n bool mask would be 4 MB
 
     def test_matrix_is_frozen(self):
         m = make_model(np.eye(3), 0.1, 0.1, 1)
@@ -322,6 +344,14 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             measurement_vector(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("y", [np.ones((2, 2)), np.zeros(0), 1.0])
+    def test_measurement_and_measurement_vector_reject_alike(self, y):
+        message = "^measurement must be a nonempty 1-d vector$"
+        with pytest.raises(InvalidInputError, match=message):
+            measurement_vector(y)
+        with pytest.raises(InvalidInputError, match=message):
+            Measurement(y)
+
 
 class TestGenerators:
     def test_gaussian_matrix_shape_and_determinism(self):
@@ -457,3 +487,18 @@ def test_measurement_length_mismatch_is_an_input_error(name, length):
     model = make_model(np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
     with pytest.raises(InvalidInputError, match="measurement length does not match model m"):
         _MEASUREMENT_FUNCTIONS[name](model, np.full(length, 0.5))
+
+
+# with the model-free estimators, every public function of a measurement
+_ANY_MEASUREMENT_FUNCTIONS = {
+    **_MEASUREMENT_FUNCTIONS,
+    "estimate_ml_unit": lambda m, y: estimate_ml_unit(y, 1),
+    "estimate_noise_exploiting": lambda m, y: estimate_noise_exploiting(y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ANY_MEASUREMENT_FUNCTIONS))
+def test_empty_measurement_is_an_input_error(name):
+    model = make_model(np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
+    with pytest.raises(InvalidInputError, match="^measurement must be a nonempty 1-d vector$"):
+        _ANY_MEASUREMENT_FUNCTIONS[name](model, np.array([]))

@@ -2,12 +2,16 @@
 keyed random streams in montecarlo, the support-Gram inverse in model and
 the estimator names in estimators.  The only other matrix inverse, the
 rank-deficient CCRB fallback, is a solve.  The package imports no scipy:
-its linear algebra is numpy.linalg."""
+its linear algebra is numpy.linalg.  The public names are declared once,
+in each layer's __all__, and the package exports exactly those."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import sparsebounds
+from sparsebounds import ccrb, errors, estimators, fisher, hcrb, model, montecarlo
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "sparsebounds"
 
@@ -51,3 +55,17 @@ def test_no_module_imports_scipy():
                 continue
             found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_package_exports_the_layers_public_names_and_every_error():
+    layers = (ccrb, estimators, fisher, hcrb, model, montecarlo)
+    public = set().union(*(layer.__all__ for layer in layers)) | {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.SparseBoundsError)
+    }
+    assert len(sparsebounds.__all__) == len(public)
+    assert set(sparsebounds.__all__) == public
+    namespace = {}
+    exec("from sparsebounds import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
