@@ -151,34 +151,32 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
     return rows
 
 
-def _instance_gammas(rng: np.random.Generator, m: int, n: int, s: int, levels) -> list[float]:
+def _instance_gammas(rng: np.random.Generator, m: int, s: int, levels) -> list[float]:
     """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
-    from one model and one cached support inverse.  Nothing of the instance
-    outlives the call, so its A is freed before the next one is drawn.
-    The frozen draw is the model's A itself, not a copy, and the support
-    energy behind every level's deviations is summed once."""
-    A = generate_gaussian_matrix(m, n, rng)
-    A.setflags(write=False)
-    signal = generate_bernoulli_signal(n, s, rng)
-    model = ProblemModel(A, 0.0, 0.0, s)
+    from one model and one cached support inverse.  The bound reads A only
+    through A_S, so the draw is A_S itself: on a support drawn independently
+    of A, the columns of an iid N(0, 1/m) matrix are an iid N(0, 1/m)
+    m x s matrix, and x_S is iid +-1.  The support energy behind every
+    level's deviations is summed once."""
+    model = ProblemModel(generate_gaussian_matrix(m, s, rng), 0.0, 0.0, s)
+    signal = generate_bernoulli_signal(s, s, rng)
     return [
         ccrb_maximal(model.with_noise(*sigmas), signal).gamma_ccrb
-        for sigmas in sigmas_at_levels(A, signal, levels, s)
+        for sigmas in sigmas_at_levels(model.A, signal, levels, s)
     ]
 
 
 def _rows_fig4(cfg: ExperimentConfig) -> list[tuple]:
     """gamma of random instances against the scalar approximation."""
     s = cfg.s
-    n = cfg.n if cfg.n is not None else 20 * s  # the one default derived from s
-    m = cfg.m if cfg.m is not None else 10 * s
+    m = cfg.m if cfg.m is not None else 10 * s  # the one default derived from s
     rows = []
     grid = _logspace(_db(-30), _db(30), cfg.points)
     for ci, (label, c_n) in enumerate(_CN_LEVELS):
         for pi, c_e in enumerate(grid):
             for di in range(cfg.draws):
                 rng = key_stream(cfg.seed, (ci, pi, di))
-                (gamma,) = _instance_gammas(rng, m, n, s, [(c_e, c_n)])
+                (gamma,) = _instance_gammas(rng, m, s, [(c_e, c_n)])
                 rows.append((c_e, f"ccrb_cn={label}", gamma, 0.0))
         for c_e in _logspace(_db(-30), _db(30), 121):
             rows.append((c_e, f"approx_cn={label}", gamma_approx(c_e, c_n, s), 0.0))
@@ -200,7 +198,7 @@ def _rows_fig5(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     for si, s in enumerate(s_values):
         for di in range(cfg.draws):
-            gammas = _instance_gammas(key_stream(cfg.seed, (si, di)), 10 * s, 20 * s, s, levels)
+            gammas = _instance_gammas(key_stream(cfg.seed, (si, di)), 10 * s, s, levels)
             for (label, _, _), gamma in zip(_FIG5_LEVELS, gammas):
                 rows.append((float(s), f"ccrb_{label}", gamma, 0.0))
     for label, c_e, c_n in _FIG5_LEVELS:
@@ -293,7 +291,7 @@ def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
 
 
 # figure id -> (row function, {knob: default}); a protocol reads only the
-# knobs listed here (fig4 also reads n and m, whose defaults follow s)
+# knobs listed here (fig4 also reads m, whose default follows s)
 _FIGURES = {
     "fig3": (_rows_fig3, {"s": 10, "points": 61}),
     "fig4": (_rows_fig4, {"s": 10, "points": 21, "draws": 3}),
@@ -397,8 +395,6 @@ def _parse_vector(spec: str, n: int) -> np.ndarray:
 
 
 def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
-    """The --matrix array, read-only so that ProblemModel adopts it
-    without a copy."""
     if kind == "identity":
         if m != n or n < 1:
             raise InvalidInputError("identity matrix requires m = n >= 1")
@@ -415,7 +411,6 @@ def _build_matrix(kind: str, m: int, n: int, seed: int) -> np.ndarray:
             raise InvalidInputError(
                 f"matrix file has shape {A.shape}, expected ({m}, {n})"
             )
-    A.setflags(write=False)
     return A
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OverflowingMatrixError
 from .model import (
     ProblemModel,
     SparseSignal,
@@ -95,10 +95,10 @@ def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
     """Fisher information J(x) in closed form."""
     sx2 = positive_sigma_x_squared(model, signal)
     x = signal.x
-    J = model.A.T @ model.A + (2.0 * model.m * model.sigma_e**4 / sx2) * np.outer(x, x)
-    J /= sx2
-    J = 0.5 * (J + J.T)
-    return FisherMatrix(J, sx2)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _fisher
+        J = model.A.T @ model.A + (2.0 * model.m * model.sigma_e**4 / sx2) * np.outer(x, x)
+        J /= sx2
+        return _fisher(J, sx2)
 
 
 def fim_monte_carlo(
@@ -119,11 +119,19 @@ def fim_monte_carlo(
     sx = math.sqrt(sx2)
     acc = np.zeros((model.n, model.n))
     done = 0
-    while done < samples:
-        k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
-        S = _scores(model, signal.x, sx2, sx * rng.standard_normal((k, model.m)))
-        acc += S.T @ S
-        done += k
-    J = acc / samples
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _fisher
+        while done < samples:
+            k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
+            S = _scores(model, signal.x, sx2, sx * rng.standard_normal((k, model.m)))
+            acc += S.T @ S
+            done += k
+        return _fisher(acc / samples, sx2)
+
+
+def _fisher(J: np.ndarray, sx2: float) -> FisherMatrix:
+    """The FisherMatrix of J symmetrized, raising OverflowingMatrixError
+    when J is not finite: its entries left double range."""
     J = 0.5 * (J + J.T)
+    if not np.isfinite(J).all():
+        raise OverflowingMatrixError("Fisher information J overflows double range")
     return FisherMatrix(J, sx2)

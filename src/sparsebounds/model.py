@@ -58,16 +58,8 @@ def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     return float(sigma_e), float(sigma_n)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr itself when it is a read-only float64 array owning its data;
-    otherwise a read-only float copy."""
-    if (
-        type(arr) is np.ndarray
-        and not arr.flags.writeable
-        and arr.base is None
-        and arr.dtype == np.float64
-    ):
-        return arr
+def _frozen(arr) -> np.ndarray:
+    """A read-only float copy of arr, which no caller can write through."""
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
@@ -88,13 +80,8 @@ class ProblemModel:
     s : int
         Sparsity budget; signals live in {x : ||x||_0 <= s}.
 
-    The model keeps a read-only A that no caller can write through.  A
-    float64 array that is already read-only and owns its data is adopted
-    as it is (``model.A is A``), with no copy; any other input, a
-    writeable array or a view of one included, is copied.  Freezing a
-    fresh matrix with ``A.setflags(write=False)`` before building the
-    model thus hands it over without a second copy.  Whoever freezes it
-    keeps no writeable view of it and does not make it writeable again.
+    The model keeps its own read-only copy of A, which no caller can
+    write through.
     """
 
     A: np.ndarray
@@ -105,7 +92,7 @@ class ProblemModel:
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _frozen(self.A)  # scanned below as the model's own copy
         if A.ndim != 2 or A.size == 0:
             raise InvalidInputError("A must be a nonempty 2-d array")
         # NaN fails too, and neither reduction makes an m x n temporary
@@ -117,7 +104,7 @@ class ProblemModel:
             raise InvalidInputError(
                 f"sparsity budget s={self.s} must lie in [1, n={A.shape[1]}]"
             )
-        object.__setattr__(self, "A", _frozen(A))
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "sigma_e", sigma_e)
         object.__setattr__(self, "sigma_n", sigma_n)
         object.__setattr__(self, "s", s)

@@ -288,7 +288,7 @@ class TestExitCodes:
 
 
 # the protocol table of README: the knobs each protocol reads, and their
-# defaults (fig4 also reads n and m, whose defaults follow s)
+# defaults (fig4 also reads m, whose default follows s)
 README_DEFAULTS = {
     "fig3": {"s": 10, "points": 61},
     "fig4": {"s": 10, "points": 21, "draws": 3},
@@ -375,6 +375,15 @@ class TestFigureCommand:
             outs.append((d / "fig4.csv").read_bytes())
         assert outs[0] != outs[1]
 
+    def test_fig4_ignores_n(self, tmp_path):
+        # the bound reads only A_S, so fig4 draws m x s matrices whatever n is
+        outs = []
+        for extra in ([], ["--n", "2"], ["--n", "50"]):
+            d = tmp_path / str(len(outs))
+            assert run(["figure", "fig4", "--s", "3", "--out-dir", str(d), *extra]) == 0
+            outs.append((d / "fig4.csv").read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
         d1 = tmp_path / "env"
         d2 = tmp_path / "flag"
@@ -422,7 +431,7 @@ class TestFigureCommand:
         if fig == "fig5":
             # a cheap stand-in for the random instances that still reads
             # each draw's own stream
-            def stand_in(rng, m, n, s, levels):
+            def stand_in(rng, m, s, levels):
                 return [rng.random() for _ in levels]
 
             monkeypatch.setattr(cli, "_instance_gammas", stand_in)
@@ -735,18 +744,18 @@ FIG5_LEVELS = [(c_e, c_n) for _, c_e, c_n in cli._FIG5_LEVELS]
 
 
 class TestFig5Instance:
-    """One fig5 draw keeps a single copy of its matrix and sums its support
-    energy once for all levels."""
+    """One fig4 or fig5 draw is the m x s matrix A_S alone, never an m x n
+    A, and it sums its support energy once for all levels."""
 
     def test_peak_memory_is_about_one_matrix(self):
-        a_bytes = 1000 * 2000 * 8  # A of the s = 100 instance
+        unit = 1000 * 100 * 8  # A_S of the s = 100 instance; an m x n A is 20 units
         tracemalloc.start()
         try:
-            cli._instance_gammas(key_stream(7, (3, 0)), 1000, 2000, 100, FIG5_LEVELS)
+            cli._instance_gammas(key_stream(7, (3, 0)), 1000, 100, FIG5_LEVELS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * a_bytes
+        assert peak < 4 * unit
 
     @pytest.mark.parametrize("count", [1, 2, 9])
     def test_support_energy_runs_once_per_draw(self, monkeypatch, count):
@@ -758,23 +767,28 @@ class TestFig5Instance:
             return energy(*args)
 
         monkeypatch.setattr(ccrb_module, "_support_energy", counted)
-        gammas = cli._instance_gammas(key_stream(7, (0, 0)), 30, 60, 3, FIG5_LEVELS[:count])
+        gammas = cli._instance_gammas(key_stream(7, (0, 0)), 30, 3, FIG5_LEVELS[:count])
         assert len(gammas) == count and len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "cfg, shapes",
+        [
+            (ExperimentConfig("fig4", s=3, points=2, draws=1), {(30, 3)}),
+            (ExperimentConfig("fig5", draws=1), {(10 * s, s) for s in (3, 10, 30, 100, 300)}),
+        ],
+        ids=["fig4", "fig5"],
+    )
+    def test_draws_no_more_than_s_columns(self, monkeypatch, cfg, shapes):
+        asked = []
+        draw = cli.generate_gaussian_matrix
 
-class TestBuildMatrix:
-    """Every --matrix kind gives a read-only array that ProblemModel adopts
-    without a copy."""
+        def spy(m, n, rng):
+            asked.append((m, n))
+            return draw(m, n, rng)
 
-    @pytest.mark.parametrize("kind", ["identity", "gaussian", "csv"])
-    def test_model_adopts_the_matrix(self, tmp_path, kind):
-        if kind == "csv":
-            kind = str(tmp_path / "A.csv")
-            np.savetxt(kind, np.arange(12.0).reshape(3, 4), delimiter=",")
-        m, n = (4, 4) if kind == "identity" else (3, 4)
-        A = cli._build_matrix(kind, m, n, 5)
-        assert A.shape == (m, n) and not A.flags.writeable
-        assert ProblemModel(A, 0.1, 0.1, 1).A is A
+        monkeypatch.setattr(cli, "generate_gaussian_matrix", spy)
+        figure_rows(cfg)
+        assert set(asked) == shapes
 
 
 class TestSimulateCommand:

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import numerical_gradient
-from sparsebounds.errors import DegenerateModelError, InvalidInputError
+from sparsebounds.errors import (
+    DegenerateModelError,
+    InvalidInputError,
+    OverflowingMatrixError,
+)
 from sparsebounds.fisher import (
     DEFAULT_SAMPLE_CHUNK,
     FisherMatrix,
@@ -197,3 +203,29 @@ class TestMonteCarlo:
         model, x = small_instance()
         with pytest.raises(InvalidInputError):
             fim_monte_carlo(model, x, 0, np.random.default_rng(0))
+
+
+class TestOverflow:
+    """A finite A whose A^T A leaves double range: both estimates of J
+    raise the overflow error the support Gram raises, with no warning.  A
+    J built directly still fails FisherMatrix's own check."""
+
+    @pytest.mark.parametrize(
+        "fim",
+        [
+            lambda model, x: fim_closed_form(model, x),
+            lambda model, x: fim_monte_carlo(model, x, 100, np.random.default_rng(0)),
+        ],
+        ids=["closed_form", "monte_carlo"],
+    )
+    def test_overflowing_information_is_a_math_error(self, fim):
+        model = ProblemModel(A=1e200 * np.eye(2), sigma_e=0.1, sigma_n=0.1, s=2)
+        x = SparseSignal(np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowingMatrixError, match="Fisher information"):
+                fim(model, x)
+
+    def test_wrapper_still_rejects_a_non_finite_matrix(self):
+        with pytest.raises(InvalidInputError, match="J must be finite"):
+            FisherMatrix(J=np.array([[np.inf]]), sigma_x2=1.0)
