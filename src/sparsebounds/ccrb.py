@@ -29,16 +29,16 @@ from .errors import (
     AssumptionViolatedError,
     InvalidInputError,
     NoUnbiasedEstimatorError,
+    OverflowingMatrixError,
     SingularMatrixError,
     WrongRegimeError,
 )
-from .fisher import fim_closed_form
 from .model import (
+    SINGULARITY_RTOL,
     ProblemModel,
     SparseSignal,
     _check_signal,
     checked_support,
-    numerically_singular,
     positive_sigma_x_squared,
     support_factor,
 )
@@ -176,14 +176,19 @@ def maximal_report(
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     """CCRB for a signal with fewer than s nonzero entries.
 
-    Equals tr(J^{-1}) for the unconstrained Fisher information J, which
-    is invertible whenever A^T A is.  When A has full column rank the
-    bound takes the maximal bound's rank-one update form with the full
-    matrix and signal; only a rank-deficient A builds J, and if J is
-    still invertible the bound is a direct solve, reported as (bound, 0).
+    Equals tr(J^{-1}) for the unconstrained Fisher information J, with
+    sigma_x^2 J = A^T A + (c / sigma_x^2) x x^T and c = 2 m sigma_e^4.  A
+    full-rank A takes the maximal bound's rank-one update form with the
+    full matrix and signal.  When A^T A = Q diag(w) Q^T has one null
+    direction Q[:, 0], the Schur complement of J on it gives, with
+    a = Q[:, 0]^T x and z = Q[:, 1:]^T x over the other eigenpairs,
+    tr(J^{-1}) = sigma_x^2 (sum 1/w + (sigma_x^2/c + sum z^2/w) / a^2),
+    reported as (bound, 0); no term of it grows with c.
 
-    Raises NoUnbiasedEstimatorError when J is singular: no unbiased
-    estimator of such a signal has finite variance.
+    Raises NoUnbiasedEstimatorError when J is singular (c = 0, rank below
+    n - 1, or a^2 <= SINGULARITY_RTOL ||x||^2): no unbiased estimator of
+    such a signal has finite variance.  Raises OverflowingMatrixError
+    when the bound passes double range.
     """
     _check_signal(model, signal)
     if signal.nonzero_count >= model.s:
@@ -195,13 +200,20 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     try:
         G = support_factor(model, tuple(range(model.n)))[1]
     except SingularMatrixError:
-        J = fim_closed_form(model, signal).J
-        if numerically_singular(J, "the Fisher information"):
+        x = signal.x
+        w, Q = np.linalg.eigh(model.A.T @ model.A)
+        a = float(Q[:, 0] @ x)
+        z = Q[:, 1:].T @ x
+        c = 2.0 * model.m * model.sigma_e**4
+        if c == 0.0 or a * a <= SINGULARITY_RTOL * (x @ x) or w[1] <= SINGULARITY_RTOL * w[-1]:
             raise NoUnbiasedEstimatorError(
                 "Fisher information is singular: no unbiased estimator of this "
                 "signal has finite variance"
             ) from None
-        first = float(np.trace(np.linalg.solve(J, np.eye(model.n))))
+        w = w[1:]
+        first = sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a))
+        if not math.isfinite(first):  # c near underflow
+            raise OverflowingMatrixError("J^{-1} overflows double range")
         return _report(first, 0.0, "nonmaximal")
     return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
 

@@ -45,8 +45,8 @@ SPARK_ENUMERATION_LIMIT = 20
 # bounds take sigma^4, which overflows double range beyond about 1e77.
 MAX_DEVIATION = 1e75
 
-# Relative eigenvalue threshold below which a Gram or information matrix
-# is declared singular.
+# Relative threshold below which a Gram eigenvalue, or a signal's share
+# of a Gram null direction, counts as zero.
 SINGULARITY_RTOL = 1e-12
 
 
@@ -236,28 +236,20 @@ def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float
     return sx2
 
 
-def numerically_singular(M: np.ndarray, name: str) -> bool:
-    """Whether symmetric M has lambda_min <= SINGULARITY_RTOL * lambda_max > 0.
-
-    Raises OverflowingMatrixError, naming M, when M or its eigenvalues are
-    not finite: a NaN eigenvalue fails every comparison, so it would pass
-    as regular.
-    """
-    w = np.linalg.eigvalsh(M)
-    if not np.isfinite(w).all():
-        raise OverflowingMatrixError(f"{name} overflows double range")
-    return w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]
-
-
 def gram_inverse(A_S: np.ndarray) -> np.ndarray:
     """The read-only (A_S^T A_S)^{-1}, for the bounds and the oracle alike.
 
-    Raises SingularMatrixError when the Gram is numerically singular, and
-    OverflowingMatrixError when the Gram or its inverse is not finite.
+    Raises SingularMatrixError when the Gram has lambda_min <=
+    SINGULARITY_RTOL * lambda_max, and OverflowingMatrixError when the
+    Gram, its eigenvalues or its inverse are not finite: a NaN eigenvalue
+    fails every comparison, so it would pass as regular.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gram = A_S.T @ A_S
-    if numerically_singular(gram, "A_S^T A_S"):
+    w = np.linalg.eigvalsh(gram)
+    if not np.isfinite(w).all():
+        raise OverflowingMatrixError("A_S^T A_S overflows double range")
+    if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
         raise SingularMatrixError("A_S^T A_S is singular")
     G = np.linalg.inv(gram)
     if not np.isfinite(G).all():

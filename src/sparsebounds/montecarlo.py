@@ -4,17 +4,18 @@ One engine, run_maps, serves every Monte Carlo cell: run_trials for one
 estimator, and the table1 protocol for two estimators on the same draws.
 Every trial draws from its own random stream derived from the master
 seed and the trial index, into one row of a block of trials; each
-estimator maps the whole block at once.  Trials are summed in trial
-order within fixed chunks of TRIAL_CHUNK, and the chunk sums are reduced
-in chunk-index order, so a result depends only on the seed, the stream
-key and the trial count, not on the block size.  The trials run serially.
+estimator maps the whole block at once.  Within fixed chunks of
+TRIAL_CHUNK trials the errors are summed in trial order and the squared
+errors reduced to moments, whose merged mean is the MSE; the chunks are
+combined in chunk-index order, so a result depends only on the seed, the
+stream key and the trial count, not on the block size.  The trials run
+serially.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,27 +36,16 @@ BLOCK_BYTES = 2**17
 FAILURE_BUDGET = 0.01
 
 
-# SeedSequence's entropy hashing (numpy.random.bit_generator), on Python
-# ints and uint32 arrays alike.  Its hash constants advance the same way
-# whatever the data, and a trial index below 2**32 is the last entropy
-# word, so the words before it are mixed once per (seed, key) and the
-# index is mixed in for a whole block of trials at once.
+# SeedSequence's hashing (numpy.random.bit_generator), on uint32 arrays.
+# A trial index below 2**32 is the last entropy word, so numpy mixes the
+# words before it once per (seed, key) and the index is mixed in for a
+# whole block of trials at once.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 STREAM_BLOCK_BITS = 10  # 1024 trials per block of PCG64 seeds
-
-
-def _words(value: int) -> list[int]:
-    """A nonnegative int as little-endian uint32 words, at least one."""
-    out = [value & _MASK32]
-    value >>= 32
-    while value:
-        out.append(value & _MASK32)
-        value >>= 32
-    return out
 
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
@@ -70,39 +60,19 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _absorb(pool, hash_const: int, word):
-    """Mix an entropy word beyond the pool size into every pool word."""
-    out = []
-    for x in pool:
-        v, hash_const = _hashmix(word, hash_const)
-        out.append(_mix(x, v))
-    return out, hash_const
-
-
 @functools.lru_cache(maxsize=256)
 def _mixed_prefix(seed: int, key: tuple[int, ...]):
     """SeedSequence(entropy=seed, spawn_key=(*key, i)) up to, not
-    including, the word i: the pool and the running hash constant.  None
+    including, the word i: numpy's pool for (seed, key) and the hash
+    constant after it.  mix_entropy hashes four times per entropy word,
+    a seed shorter than the pool counting as padded with zeros.  None
     when an input is not a nonnegative int, which SeedSequence handles."""
     if seed < 0 or not all(type(k) is int and k >= 0 for k in key):
         return None
-    words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words))  # a spawn key pads the entropy
-    for k in key:
-        words += _words(k)
-    hash_const = _INIT_A
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        v, hash_const = _hashmix(w, hash_const)
-        pool.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], v)
-    for w in words[_POOL_SIZE:]:
-        pool, hash_const = _absorb(pool, hash_const, w)
-    return tuple(pool), hash_const
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    words += sum(max(1, -(-k.bit_length() // 32)) for k in key)
+    pool = tuple(SeedSequence(entropy=seed, spawn_key=key).pool.tolist())
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
 
 
 @functools.lru_cache(maxsize=4)
@@ -112,8 +82,13 @@ def _stream_block(seed: int, key: tuple[int, ...], block: int):
     prefix = _mixed_prefix(seed, key)
     if prefix is None:
         return None
-    index = np.arange(1 << STREAM_BLOCK_BITS, dtype=np.uint32)
-    pool, _ = _absorb(*prefix, index + np.uint32(block << STREAM_BLOCK_BITS))
+    prefix_pool, hash_const = prefix
+    index = np.arange(1 << STREAM_BLOCK_BITS, dtype=np.uint32) + np.uint32(block << STREAM_BLOCK_BITS)
+    # mix_entropy's last word, the index, into every pool word
+    pool = []
+    for x in prefix_pool:
+        v, hash_const = _hashmix(index, hash_const)
+        pool.append(_mix(x, v))
     # generate_state: eight uint32 words, cycling through the pool
     hash_const = _INIT_B
     state = []
@@ -255,17 +230,19 @@ def run_maps(mean, sx, x, maps, trials: int, seed: int, key) -> list[TrialSummar
     into a row of a block (draw_blocks), and every map estimates the same
     block: Y (k, m) -> (Xhat, {row: error}), with x the true signal.  Xhat
     must be a new array, as the engine overwrites it with the errors.
-    Within each TRIAL_CHUNK a map's squared errors and errors are summed
-    in trial order from zero; the chunk sums are added in chunk order and
-    the squared errors' moments merged by merge_moments.  Each map counts
-    its own failed trials; more than FAILURE_BUDGET of them aborts the run
-    with that map's first diagnostic.
+    Within each TRIAL_CHUNK a map's errors are summed in trial order from
+    zero and its squared errors reduced to (count, mean, M2) by
+    chunk_moments.  The chunks are combined in chunk order, the moments by
+    merge_moments: the merged mean is the MSE and M2 gives its standard
+    error.  Each map counts its own failed trials; more than
+    FAILURE_BUDGET of them aborts the run with that map's first
+    diagnostic.
     """
     k = len(maps)
-    sum_sq, moments, failures, first_error = [0.0] * k, [(0, 0.0, 0.0)] * k, [0] * k, [None] * k
+    moments, failures, first_error = [(0, 0.0, 0.0)] * k, [0] * k, [None] * k
     sum_err = [np.zeros(x.size) for _ in maps]
     for lo in range(0, trials, TRIAL_CHUNK):
-        c_sq, c_qs, c_err = [0.0] * k, [[] for _ in maps], [np.zeros(x.size) for _ in maps]
+        c_qs, c_err = [[] for _ in maps], [np.zeros(x.size) for _ in maps]
         for t0, Y in draw_blocks(mean, sx, seed, key, lo, min(lo + TRIAL_CHUNK, trials)):
             for j, block_map in enumerate(maps):
                 xhat, errors = block_map(Y)
@@ -276,27 +253,24 @@ def run_maps(mean, sx, x, maps, trials: int, seed: int, key) -> list[TrialSummar
                         first_error[j] = f"trial {t0 + row}: {errors[row]}"
                     xhat = np.delete(xhat, list(errors), axis=0)
                 err = np.subtract(xhat, x, out=xhat)  # a map's Xhat is its own
-                q = row_dot(err).tolist()
-                c_qs[j] += q
-                # in trial order: reduce and cumsum add one row at a time,
-                # where sum would add pairwise
-                c_sq[j] = functools.reduce(operator.add, q, c_sq[j])
+                c_qs[j] += row_dot(err).tolist()
+                # in trial order: cumsum adds one row at a time, where sum
+                # would add pairwise
                 if len(err) == 1:  # cumsum's one add, without its copies
                     c_err[j] += err[0]
                 else:
                     c_err[j] = np.cumsum(np.concatenate((c_err[j][None], err)), axis=0)[-1]
         for j in range(k):
-            sum_sq[j] += c_sq[j]
             moments[j] = merge_moments(moments[j], chunk_moments(c_qs[j]))
             sum_err[j] += c_err[j]
     summaries = []
     for j in range(k):
         if failures[j] > FAILURE_BUDGET * trials:
             raise _excessive_failures(failures[j], trials, first_error[j])
-        ok, _, m2 = moments[j]
+        ok, mse, m2 = moments[j]
         summaries.append(
             TrialSummary(
-                mse=sum_sq[j] / ok,
+                mse=mse,
                 bias=sum_err[j] / ok,
                 trials=trials,
                 seed=seed,

@@ -55,6 +55,33 @@ def gaussian_instance(seed, m, n, s, sigma_e=0.3, sigma_n=0.5):
     return model, x
 
 
+def exact_nonmaximal_bound(model, x) -> Fraction:
+    """tr(J^{-1}) in exact arithmetic on the model's float values:
+    sigma_x^2 tr(M^{-1}) with M = A^T A + (c / sigma_x^2) x x^T and
+    c = 2 m sigma_e^4, by Gauss-Jordan elimination."""
+    A = [[Fraction(v) for v in row] for row in model.A.tolist()]
+    x = [Fraction(v) for v in x]
+    m, n = len(A), len(x)
+    se, sn = Fraction(model.sigma_e), Fraction(model.sigma_n)
+    sx2 = se**2 * sum(v * v for v in x) + sn**2
+    k = 2 * m * se**4 / sx2
+    rows = [
+        [sum(A[r][i] * A[r][j] for r in range(m)) + k * x[i] * x[j] for j in range(n)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        rows[col] = [v / p for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return sx2 * sum(rows[i][n + i] for i in range(n))
+
+
 class TestMaximal:
     def test_identity_support_hand_computed(self):
         model = ProblemModel(A=np.eye(4), sigma_e=0.5, sigma_n=0.5, s=2)
@@ -261,13 +288,16 @@ class TestNonmaximal:
         bound = ccrb_nonmaximal(model, SparseSignal(np.array(x))).bound
         assert abs(Fraction(bound) - exact) <= Fraction(1, 10**12) * exact
 
-    def test_full_rank_matrix_never_builds_the_fisher_information(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("J built for a full-rank A")
-
-        monkeypatch.setattr(ccrb_module, "fim_closed_form", forbidden)
+    def test_full_rank_matrix_never_builds_the_fisher_information(self):
+        # a full-rank A takes the rank-one update form on the full support,
+        # which reports the reduction d; the rank-deficient form reports d = 0
         model, _ = gaussian_instance(3, m=9, n=7, s=3)
-        ccrb_nonmaximal(model, SparseSignal(np.r_[1.0, np.zeros(6)]))
+        x = SparseSignal(np.r_[1.0, np.zeros(6)])
+        rep = ccrb_nonmaximal(model, x)
+        sx2 = sigma_x_squared(model, x)
+        assert rep.d_ccrb > 0.0
+        want = sx2 * np.trace(np.linalg.inv(model.A.T @ model.A))
+        assert rep.first_term == pytest.approx(want, rel=1e-12)
 
     def test_rejects_maximal_signal(self):
         model, x = gaussian_instance(1, m=8, n=12, s=3)
@@ -286,6 +316,34 @@ class TestNonmaximal:
         assert rep.bound == pytest.approx(np.trace(np.linalg.inv(J)), rel=1e-9)
         assert rep.d_ccrb == 0.0
         assert rep.first_term == rep.bound
+
+    @pytest.mark.parametrize("sigma_e", [1e-3, 1e-2, 1.0, 1e3, 1e5, 1e6, 1e7, 1e10])
+    @pytest.mark.parametrize("case", ["dependent_columns", "wide_gaussian"])
+    def test_rank_deficient_matches_exact_arithmetic(self, case, sigma_e):
+        # A^T A has one null direction, which x does not miss, so J is
+        # regular at every sigma_e however ill-conditioned it gets
+        if case == "dependent_columns":
+            a1, a3, a4 = np.random.default_rng(17).normal(size=(3, 3))
+            A, x = np.column_stack([a1, -a1, a3, a4]), [1.0, 1.0, 0.0, 0.0]
+        else:
+            A, x = np.random.default_rng(100).normal(size=(4, 5)), [1.0, 0.0, -0.5, 0.0, 0.0]
+        model = ProblemModel(A=A, sigma_e=sigma_e, sigma_n=0.4, s=3)
+        exact = exact_nonmaximal_bound(model, x)
+        bound = ccrb_nonmaximal(model, SparseSignal(np.array(x))).bound
+        assert abs(Fraction(bound) - exact) <= Fraction(1, 10**12) * exact
+
+    def test_rank_deficient_bound_beyond_double_range_is_an_overflow(self):
+        # sigma_x^2 / c passes 1e308 once sigma_e^4 nears underflow
+        a1, a3, a4 = np.random.default_rng(17).normal(size=(3, 3))
+        model = ProblemModel(np.column_stack([a1, -a1, a3, a4]), 1e-80, 0.4, 3)
+        with pytest.raises(OverflowingMatrixError, match=re.escape("J^{-1} overflows")):
+            ccrb_nonmaximal(model, SparseSignal(np.array([1.0, 1.0, 0.0, 0.0])))
+
+    def test_rank_below_n_minus_one_means_no_unbiased_estimator(self):
+        model, _ = gaussian_instance(2, m=3, n=5, s=3, sigma_e=0.5)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(NoUnbiasedEstimatorError):
+            ccrb_nonmaximal(model, x)
 
     def test_singular_fim_means_no_unbiased_estimator(self):
         rng = np.random.default_rng(18)

@@ -70,7 +70,9 @@ class TestTrialStream:
     def reference(seed, index, key=()):
         return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(*key, index))))
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**128, 2**200 - 12345])
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32, 2**64, 2**96, 2**128 - 1, 2**128, 2**200 - 12345]
+    )
     @pytest.mark.parametrize("key", [(), (0,), (3, 2**33)])
     def test_same_streams_as_seed_sequence(self, seed, key):
         # both sides of a block edge, the last one-word index, and the
@@ -277,10 +279,10 @@ def reference_trials(model, signal, spec, trials, seed, key=()):
     """run_trials spelled out with the public per-trial API: per chunk,
     trial_stream -> sample_measurement -> apply_estimator, then the chunk
     partials reduced in order, the squared errors' moments by
-    merge_moments."""
+    merge_moments, whose mean is the MSE."""
     partials = []
     for lo in range(0, trials, TRIAL_CHUNK):
-        sq, qs, err_sum, fails = 0.0, [], np.zeros(model.n), 0
+        qs, err_sum, fails = [], np.zeros(model.n), 0
         for t in range(lo, min(lo + TRIAL_CHUNK, trials)):
             y = sample_measurement(model, signal, trial_stream(seed, t, key))
             try:
@@ -289,20 +291,16 @@ def reference_trials(model, signal, spec, trials, seed, key=()):
                 fails += 1
                 continue
             err = xhat - signal.x
-            q = float(err @ err)
-            sq += q
-            qs.append(q)
+            qs.append(float(err @ err))
             err_sum += err
-        partials.append((sq, chunk_moments(qs), err_sum, fails))
-    total, moments, bias, failures = 0.0, (0, 0.0, 0.0), np.zeros(model.n), 0
-    for sq, chunk, err_sum, fails in partials:
-        total += sq
+        partials.append((chunk_moments(qs), err_sum, fails))
+    moments, bias, failures = (0, 0.0, 0.0), np.zeros(model.n), 0
+    for chunk, err_sum, fails in partials:
         moments = merge_moments(moments, chunk)
         bias += err_sum
         failures += fails
-    ok = trials - failures
-    mse = total / ok
-    return mse, math.sqrt(moments[2] / (ok - 1) / ok), bias / ok, failures
+    ok, mse, m2 = moments
+    return mse, math.sqrt(m2 / (ok - 1) / ok), bias / ok, failures
 
 
 def _lean_path_cases():

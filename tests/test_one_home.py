@@ -1,9 +1,10 @@
 """Each shared construction has one home module in the package source:
 keyed random streams in montecarlo, the support-Gram inverse in model and
-the estimator names in estimators.  The only other matrix inverse, the
-rank-deficient CCRB fallback, is a solve.  The package imports no scipy:
-its linear algebra is numpy.linalg.  The public names are declared once,
-in each layer's __all__, and the package exports exactly those."""
+the estimator names in estimators.  The rank-deficient CCRB inverts no
+matrix: its bound is a closed form in the eigenpairs of A^T A.  The
+package imports no scipy: its linear algebra is numpy.linalg.  The
+public names are declared once, in each layer's __all__, and the package
+exports exactly those."""
 
 import ast
 from pathlib import Path
