@@ -9,8 +9,10 @@ unbiased estimator is
 
 with G = (A_S^T A_S)^{-1}.  The first term is the classical oracle bound;
 d is the reduction created by the signal-dependent noise, and
-gamma = d / first quantifies it.  For ||x||_0 < s the bound is tr(J^{-1})
-with J the full Fisher information, when J is invertible.
+gamma = d / first quantifies it.  The bound is computed as a sum of two
+nonnegative parts that no sigma_e cancels (Sherman-Morrison), so
+first - d equals it only in exact arithmetic.  For ||x||_0 < s the bound
+is tr(J^{-1}) with J the full Fisher information, when J is invertible.
 
 The gamma ratio admits matrix-free two-sided bounds from restricted
 eigenvalue extremes and is approximated by a function of two scalar noise
@@ -81,8 +83,6 @@ class CcrbReport:
     def __post_init__(self):
         for name in ("bound", "first_term", "d_ccrb", "gamma_ccrb"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.regime not in ("maximal", "nonmaximal"):
-            raise InvalidInputError(f"unknown regime {self.regime!r}")
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,21 @@ class NoiseLevels:
         object.__setattr__(self, "c_n", float(self.c_n))
 
 
-def _report(first: float, d: float, regime: str) -> CcrbReport:
-    return CcrbReport(
-        bound=first - d, first_term=first, d_ccrb=d, gamma_ccrb=d / first, regime=regime
-    )
-
-
 def _rank_one_report(
     model: ProblemModel, sx2: float, G: np.ndarray, x: np.ndarray, regime: str
 ) -> CcrbReport:
-    # first = sx2 tr(G); d = sx2 * 2 m se^4 ||u||^2 / (sx2 + 2 m se^4 x^T u), u = G x
-    u = G @ x
+    # bound = (first - t) + t / (1 + r), d = t / (1 + 1/r) with u = G x, c = 2 m se^4,
+    # t = sx2 ||u||^2 / x^T u and r = c x^T u / sx2; first - t is exactly 0 at s = 1
     first = float(sx2 * np.trace(G))
-    c = 2.0 * model.m * model.sigma_e**4
-    d = 0.0 if c == 0.0 else float(sx2 * c * (u @ u) / (sx2 + c * float(x @ u)))
-    return _report(first, d, regime)
+    u = G @ x
+    xu = float(x @ u)
+    r = 2.0 * model.m * model.sigma_e**4 * xu / sx2
+    if r == 0.0:
+        return CcrbReport(first, first, 0.0, 0.0, regime)
+    t = sx2 * float(u @ u) / xu
+    d = t / (1.0 + 1.0 / r)
+    bound = (first - t if x.size > 1 else 0.0) + t / (1.0 + r)
+    return CcrbReport(bound, first, d, d / first, regime)
 
 
 def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -214,7 +214,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
         first = sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a))
         if not math.isfinite(first):  # c near underflow
             raise OverflowingMatrixError("J^{-1} overflows double range")
-        return _report(first, 0.0, "nonmaximal")
+        return CcrbReport(first, first, 0.0, 0.0, "nonmaximal")
     return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
 
 

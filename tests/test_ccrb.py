@@ -55,12 +55,14 @@ def gaussian_instance(seed, m, n, s, sigma_e=0.3, sigma_n=0.5):
     return model, x
 
 
-def exact_nonmaximal_bound(model, x) -> Fraction:
+def exact_ccrb(model, x, support=None) -> Fraction:
     """tr(J^{-1}) in exact arithmetic on the model's float values:
     sigma_x^2 tr(M^{-1}) with M = A^T A + (c / sigma_x^2) x x^T and
-    c = 2 m sigma_e^4, by Gauss-Jordan elimination."""
-    A = [[Fraction(v) for v in row] for row in model.A.tolist()]
-    x = [Fraction(v) for v in x]
+    c = 2 m sigma_e^4, by Gauss-Jordan elimination.  A support restricts
+    A and x to its columns, which gives the maximal bound."""
+    cols = range(len(x)) if support is None else support
+    A = [[Fraction(row[j]) for j in cols] for row in model.A.tolist()]
+    x = [Fraction(x[j]) for j in cols]
     m, n = len(A), len(x)
     se, sn = Fraction(model.sigma_e), Fraction(model.sigma_n)
     sx2 = se**2 * sum(v * v for v in x) + sn**2
@@ -328,7 +330,7 @@ class TestNonmaximal:
         else:
             A, x = np.random.default_rng(100).normal(size=(4, 5)), [1.0, 0.0, -0.5, 0.0, 0.0]
         model = ProblemModel(A=A, sigma_e=sigma_e, sigma_n=0.4, s=3)
-        exact = exact_nonmaximal_bound(model, x)
+        exact = exact_ccrb(model, x)
         bound = ccrb_nonmaximal(model, SparseSignal(np.array(x))).bound
         assert abs(Fraction(bound) - exact) <= Fraction(1, 10**12) * exact
 
@@ -379,6 +381,41 @@ class TestNonmaximal:
         steps = np.abs(np.diff(bounds))
         assert all(a >= b for a, b in zip(steps, steps[1:]))
         assert bounds[-1] < 0.9 * nonmax
+
+
+@pytest.mark.filterwarnings("error")
+class TestExactArithmetic:
+    """The CCRB against exact arithmetic, from weak matrix noise up to
+    sigma_e near MAX_DEVIATION, where the reduction d takes almost all of
+    the first term; the report's parts stay finite and add up."""
+
+    @staticmethod
+    def check(model, x, rep, support=None):
+        exact = exact_ccrb(model, x, support)
+        assert abs(Fraction(rep.bound) - exact) <= Fraction(1, 10**12) * exact
+        assert math.isfinite(rep.d_ccrb) and math.isfinite(rep.gamma_ccrb)
+        assert rep.bound + rep.d_ccrb == pytest.approx(rep.first_term, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma_e", [1e-3, 1.0, 1e4, 1e6, 1e8, 1e20, 1e40, 1e70])
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_maximal_unit_matrix(self, s, sigma_e):
+        x = np.zeros(10)
+        x[:s] = [1.0, -2.0, 0.5, 3.0, -1.0][:s]
+        model = ProblemModel(A=np.eye(10), sigma_e=sigma_e, sigma_n=0.1, s=s)
+        self.check(model, x, ccrb_maximal(model, SparseSignal(x)), range(s))
+
+    @pytest.mark.parametrize("sigma_e", [1e-2, 1.0, 1e4, 1e8, 1e20])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_maximal_gaussian_matrix(self, s, sigma_e):
+        model, signal = gaussian_instance(21, m=8, n=6, s=s, sigma_e=sigma_e, sigma_n=0.1)
+        self.check(model, signal.x, ccrb_maximal(model, signal), signal.support)
+
+    @pytest.mark.parametrize("sigma_e", [1e-2, 1.0, 1e4, 1e8, 1e20, 1e40, 1e52, 1e60])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nonmaximal_full_rank_gaussian_matrix(self, k, sigma_e):
+        model, _ = gaussian_instance(22, m=8, n=4, s=3, sigma_e=sigma_e, sigma_n=0.1)
+        x = np.r_[[1.0, -0.5][:k], np.zeros(4 - k)]
+        self.check(model, x, ccrb_nonmaximal(model, SparseSignal(x)))
 
 
 class TestDispatch:

@@ -120,6 +120,21 @@ class TestBoundsCommand:
         vals = lines[1].split(",")
         assert float(vals[3]) == pytest.approx(float(vals[2]) / float(vals[1]), rel=1e-12)
 
+    def test_hcrb_at_strong_matrix_noise_is_finite(self, capsys):
+        # the support part once cancelled to 0.0 here, and the ratio divided by it
+        code = run(
+            [
+                "bounds", "hcrb",
+                "--n", "10", "--m", "10", "--s", "1",
+                "--sigma-e", "1e8", "--sigma-n", "0.1",
+                "--x", "1,0,0,0,0,0,0,0,0,0",
+            ]
+        )
+        assert code == 0
+        vals = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        for v in (vals[0], vals[1], vals[3]):
+            assert math.isfinite(float(v)) and float(v) > 0.0
+
     @pytest.mark.parametrize("flag", ["--sigma-e", "--sigma-n"])
     def test_infinite_noise_deviation_exits_two(self, flag, capsys):
         argv = [
@@ -694,6 +709,11 @@ _CONFIGS = st.one_of(
 # Numeric flags to fuzz, each with values around and beyond its valid range.
 _SEEDS = st.one_of(st.integers(-3, 3), st.just(2**70))
 _COUNTS = st.integers(-2, 6)
+# up to and past MAX_DEVIATION, where the CCRB's rank-one reduction dominates
+_STRONG_SIGMA_E = st.one_of(
+    st.sampled_from([1e4, 1e8, 1e51, 1e70, 7e74, math.nan, math.inf, 1e100]),
+    st.floats(-1.0, 10.0),
+)
 _FLAGS = {
     "fig3": {"--points": st.integers(-2, 5), "--s": st.integers(-2, 40), "--seed": _SEEDS},
     "simulate": {
@@ -708,11 +728,20 @@ _FLAGS = {
             st.sampled_from([math.nan, math.inf, 1e300, 1e100]), st.floats(-1.0, 10.0)
         ),
     },
+    "bounds ccrb": {"--sigma-e": _STRONG_SIGMA_E},
+    "bounds hcrb": {"--sigma-e": _STRONG_SIGMA_E},
 }
 # Valid tiny runs; the fuzzed flags follow them, and argparse keeps the last value.
 _BASE = {
     "fig3": ["figure", "fig3", "--points", "3"],
     "simulate": SIMULATE_TINY,
+    **{
+        f"bounds {which}": [
+            "bounds", which, "--n", "10", "--m", "10", "--s", "1", "--sigma-e", "0.1",
+            "--sigma-n", "0.1", "--x", "1,0,0,0,0,0,0,0,0,0",
+        ]
+        for which in ("ccrb", "hcrb")
+    },
 }
 
 

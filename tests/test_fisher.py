@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from sparsebounds.errors import (
 from sparsebounds.fisher import (
     DEFAULT_SAMPLE_CHUNK,
     FisherMatrix,
+    _scores,
     fim_closed_form,
     fim_monte_carlo,
     log_likelihood,
@@ -131,15 +133,18 @@ class TestScore:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
     def test_zero_mean(self):
+        # the draws of sample_measurement in one block: row i of sx * Z is
+        # the residual y_i - A x of the i-th draw, from the same stream
         model, x = small_instance()
-        rng = np.random.default_rng(99)
         draws = 200_000
-        acc = np.zeros(model.n)
-        acc2 = np.zeros(model.n)
-        for _ in range(draws):
-            sc = score(model, x, sample_measurement(model, x, rng))
-            acc += sc
-            acc2 += sc * sc
+        sx2 = sigma_x_squared(model, x)
+        R = math.sqrt(sx2) * np.random.default_rng(99).standard_normal((draws, model.m))
+        sc = _scores(model, x.x, sx2, R)
+        for i in range(5):
+            y = Measurement(model.A @ x.x + R[i])
+            np.testing.assert_allclose(score(model, x, y), sc[i], rtol=1e-10)
+        acc = sc.sum(axis=0)
+        acc2 = (sc * sc).sum(axis=0)
         mean = acc / draws
         se = np.sqrt((acc2 / draws - mean**2) / draws)
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
