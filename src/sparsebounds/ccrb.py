@@ -40,6 +40,7 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
+    checked_matrix,
     checked_support,
     positive_sigma_x_squared,
     support_factor,
@@ -65,8 +66,8 @@ __all__ = [
 # sampling in "auto" mode.
 RIP_ENUMERATION_LIMIT = 100_000
 RIP_DEFAULT_SAMPLES = 2000
-# Supports per batched eigensolve in rip_constants; bounds its temporaries
-# to RIP_BLOCK * s * m floats whatever the number of supports.
+# Supports per batched eigensolve in rip_constants: its temporaries are
+# RIP_BLOCK * s * m floats plus one n x m copy of A^T, whatever the support count.
 RIP_BLOCK = 64
 
 
@@ -231,6 +232,19 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
     return float(sx2 * np.trace(support_factor(model, S)[1]))
 
 
+def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None):
+    """`count` sorted size-s supports of range(n) as (B, s) blocks, B <= RIP_BLOCK: in
+    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row."""
+    combos = itertools.combinations(range(n), s)
+    for start in range(0, count, RIP_BLOCK):
+        B = min(RIP_BLOCK, count - start)
+        if rng is None:
+            flat = itertools.chain.from_iterable(itertools.islice(combos, B))
+            yield np.fromiter(flat, dtype=np.intp, count=B * s).reshape(B, s)
+        else:
+            yield np.sort(np.argpartition(rng.random((B, n)), s - 1, axis=1)[:, :s], axis=1)
+
+
 def rip_constants(
     A: np.ndarray,
     s: int,
@@ -241,50 +255,40 @@ def rip_constants(
     """Restricted eigenvalue extremes over supports of size s.
 
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
-    uniform supports, and "auto" enumerates iff C(n, s) fits within
-    RIP_ENUMERATION_LIMIT.  Supports are visited in blocks of RIP_BLOCK: each
-    block's Gram matrices are stacked and solved by one batched eigvalsh.
-    Sampled supports are drawn one at a time as before, so a given `rng`
-    yields the same supports and, on success, ends in the same state.
-    Raises AssumptionViolatedError naming the first visited support with
+    uniform supports from rng (default_rng(0) if None), and "auto"
+    enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  Each block of
+    RIP_BLOCK supports is solved by one batched eigvalsh.  A sampled
+    support is the sorted indices of the s smallest entries of a row of
+    rng.random((B, n)), so a call draws samples * n doubles whatever
+    RIP_BLOCK is.  Raises InvalidInputError unless A is finite, nonempty
+    and 2-d, 1 <= s <= n and samples is an integer >= 1 (in every mode),
+    and AssumptionViolatedError naming the first visited support with
     lambda_min <= 0.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidInputError("A must be 2-d")
+    A = checked_matrix(A)
     n = A.shape[1]
     if not 1 <= s <= n:
         raise InvalidInputError(f"need 1 <= s <= n, got s={s}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     total = math.comb(n, s)
+    if mode == "exhaustive" and total > RIP_ENUMERATION_LIMIT:
+        raise InvalidInputError(f"exhaustive enumeration of {total} supports "
+                                f"exceeds the limit {RIP_ENUMERATION_LIMIT}")
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= RIP_ENUMERATION_LIMIT)
-    if exhaustive and mode == "exhaustive" and total > RIP_ENUMERATION_LIMIT:
-        raise InvalidInputError(
-            f"exhaustive enumeration of {total} supports exceeds the limit "
-            f"{RIP_ENUMERATION_LIMIT}"
-        )
-    if exhaustive:
-        supports = itertools.combinations(range(n), s)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        supports = (
-            np.sort(rng.choice(n, size=s, replace=False)) for _ in range(samples)
-        )
-    lo = math.inf
-    hi = -math.inf
-    while block := list(itertools.islice(supports, RIP_BLOCK)):
-        idx = np.array(block, dtype=np.intp)
-        cols = A.T[idx]  # (B, s, m): the columns of each A_S
+    rng = None if exhaustive else np.random.default_rng(0) if rng is None else rng
+    columns = np.ascontiguousarray(A.T)  # row j is column j of A
+    lo, hi = math.inf, -math.inf
+    for idx in _support_blocks(n, s, total if exhaustive else samples, rng):
+        cols = columns[idx]  # (B, s, m): the columns of each A_S
         w = np.linalg.eigvalsh(cols @ cols.transpose(0, 2, 1))
         bad = np.flatnonzero(w[:, 0] <= 0.0)
         if bad.size:
-            raise AssumptionViolatedError(
-                f"support {tuple(int(i) for i in idx[bad[0]])} has lambda_min <= 0"
-            )
-        lo = min(lo, float(w[:, 0].min()))
-        hi = max(hi, float(w[:, -1].max()))
+            S = tuple(idx[bad[0]].tolist())
+            raise AssumptionViolatedError(f"support {S} has lambda_min <= 0")
+        lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
     return RipConstants(theta_lower=1.0 - lo, theta_upper=hi - 1.0, s=s, exact=exhaustive)
 
 

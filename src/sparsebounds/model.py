@@ -58,6 +58,17 @@ def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     return float(sigma_e), float(sigma_n)
 
 
+def checked_matrix(A) -> np.ndarray:
+    """A as a float array, rejected unless it is nonempty, 2-d and finite.
+    NaN fails too, and neither reduction makes an m x n temporary."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise InvalidInputError("A must be a nonempty 2-d array")
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+        raise InvalidInputError("A must be finite")
+    return A
+
+
 def _frozen(arr) -> np.ndarray:
     """A read-only float copy of arr, which no caller can write through."""
     out = np.array(arr, dtype=float)
@@ -92,22 +103,15 @@ class ProblemModel:
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        A = _frozen(self.A)  # scanned below as the model's own copy
-        if A.ndim != 2 or A.size == 0:
-            raise InvalidInputError("A must be a nonempty 2-d array")
-        # NaN fails too, and neither reduction makes an m x n temporary
-        if not (np.isfinite(A.min()) and np.isfinite(A.max())):
-            raise InvalidInputError("A must be finite")
+        A = checked_matrix(_frozen(self.A))  # scans the model's own copy
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
         s = int(self.s)
         if s < 1 or s > A.shape[1]:
             raise InvalidInputError(
                 f"sparsity budget s={self.s} must lie in [1, n={A.shape[1]}]"
             )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "sigma_e", sigma_e)
-        object.__setattr__(self, "sigma_n", sigma_n)
-        object.__setattr__(self, "s", s)
+        for name, value in zip(("A", "sigma_e", "sigma_n", "s"), (A, sigma_e, sigma_n, s)):
+            object.__setattr__(self, name, value)
 
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
@@ -311,16 +315,13 @@ def spark_exceeds(A: np.ndarray, k: int) -> bool:
     """Decide by enumeration whether spark(A) > k.
 
     spark(A) is the size of the smallest linearly dependent column subset
-    (n + 1 when the columns are in general position).  Every subset of
-    size <= k is independent iff every subset of size min(k, n) is, so one
-    subset size suffices.
+    (n + 1 when the columns are in general position).  One subset size
+    suffices: every subset of size <= k is independent iff each of size k is.
 
     Raises UnsupportedSizeError when A has more than SPARK_ENUMERATION_LIMIT
     columns.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidInputError("A must be 2-d")
+    A = checked_matrix(A)
     m, n = A.shape
     if k < 1:
         raise InvalidInputError("k must be at least 1")
@@ -329,12 +330,7 @@ def spark_exceeds(A: np.ndarray, k: int) -> bool:
             "exhaustive spark verification supports at most "
             f"{SPARK_ENUMERATION_LIMIT} columns, got {n}"
         )
-    if k > n:
-        return False  # spark never exceeds n + 1
-    j = min(k, n)
-    if j > m:
-        return False  # any j > m columns in R^m are dependent
-    for cols in itertools.combinations(range(n), j):
-        if np.linalg.matrix_rank(A[:, cols]) < j:
-            return False
-    return True
+    if k > min(m, n):
+        return False  # spark <= n + 1, and any k > m columns in R^m are dependent
+    subsets = itertools.combinations(range(n), k)
+    return all(np.linalg.matrix_rank(A[:, cols]) == k for cols in subsets)

@@ -505,7 +505,9 @@ def reference_rip_constants(A, s, exhaustive, samples=0, rng=None):
     if exhaustive:
         supports = itertools.combinations(range(n), s)
     else:
-        supports = (np.sort(rng.choice(n, size=s, replace=False)) for _ in range(samples))
+        # the documented block law, all samples as one block
+        draws = rng.random((samples, n))
+        supports = np.sort(np.argpartition(draws, s - 1, axis=1)[:, :s], axis=1)
     lo, hi = math.inf, -math.inf
     for S in supports:
         w = scipy.linalg.eigvalsh(A[:, list(S)].T @ A[:, list(S)])
@@ -587,6 +589,51 @@ class TestRipConstants:
         A = generate_gaussian_matrix(10, 80, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
             rip_constants(A, 6, mode="exhaustive")
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+    @pytest.mark.parametrize("samples", [0, -3, 2.0, "10", None])
+    def test_rejects_samples_that_are_not_a_positive_integer(self, mode, samples):
+        # samples=0 and samples=-3 used to return theta = -inf on both sides
+        with pytest.raises(InvalidInputError, match="samples must be an integer >= 1"):
+            rip_constants(np.eye(4), 2, mode=mode, samples=samples)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_matrix(self, mode, bad):
+        # used to return theta = -inf on both sides, the NaN eigenvalues
+        # lost in min(inf, nan)
+        A = generate_gaussian_matrix(6, 8, np.random.default_rng(4))
+        A[3, 5] = bad
+        with pytest.raises(InvalidInputError, match="^A must be finite$"):
+            rip_constants(A, 2, mode=mode, samples=50)
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        A = generate_gaussian_matrix(20, 40, np.random.default_rng(7))
+        results, states = [], []
+        for block in (7, 64):
+            monkeypatch.setattr(ccrb_module, "RIP_BLOCK", block)
+            rng = np.random.default_rng(11)
+            results.append(rip_constants(A, 5, mode="sampled", samples=150, rng=rng))
+            states.append(rng.bit_generator.state)
+        assert results[0] == results[1]
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("n, s", [(40, 5), (9, 1), (9, 9)])
+    def test_sampled_supports_are_sorted_distinct_and_in_range(self, n, s):
+        count = 2 * RIP_BLOCK + 37
+        blocks = list(ccrb_module._support_blocks(n, s, count, np.random.default_rng(5)))
+        assert all(1 <= len(b) <= RIP_BLOCK for b in blocks)
+        idx = np.concatenate(blocks)
+        assert idx.shape == (count, s)
+        assert (np.diff(idx, axis=1) > 0).all()  # sorted and duplicate-free
+        assert idx.min() >= 0 and idx.max() < n
+
+    def test_sampled_columns_are_uniform(self):
+        n, s, count = 40, 5, 20_000
+        blocks = ccrb_module._support_blocks(n, s, count, np.random.default_rng(8))
+        freq = np.bincount(np.concatenate(list(blocks)).ravel(), minlength=n) / count
+        p = s / n  # each column lies in a uniform s-subset with probability s/n
+        assert np.abs(freq - p).max() <= 5.0 * math.sqrt(p * (1.0 - p) / count)
 
 
 class TestNoiseLevels:

@@ -425,6 +425,19 @@ class TestSpark:
         with pytest.raises(UnsupportedSizeError):
             spark_exceeds(np.eye(30), 25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        # used to end in numpy's LinAlgError from the rank's SVD
+        A = np.eye(4)
+        A[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="^A must be finite$"):
+            spark_exceeds(A, 2)
+
+    @pytest.mark.parametrize("A", [np.ones(4), np.zeros((3, 0)), np.zeros((0, 3))])
+    def test_rejects_an_empty_or_non_matrix_input(self, A):
+        with pytest.raises(InvalidInputError, match="^A must be a nonempty 2-d array$"):
+            spark_exceeds(A, 1)
+
 
 # every public function of (model, signal), called on a model with n = 4
 _SIGNAL_FUNCTIONS = {
