@@ -257,13 +257,21 @@ def rip_constants(
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
     uniform supports from rng (default_rng(0) if None), and "auto"
     enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  Each block of
-    RIP_BLOCK supports is solved by one batched eigvalsh.  A sampled
+    RIP_BLOCK supports is solved by one batched eigvalsh, unless every
+    Gram G of the block is finite and one batched Cholesky of G - lo I and
+    hi I - G succeeds, lo and hi being the extremes found so far: then no
+    support of the block moves either.  Cholesky is backward stable, so a
+    skipped Gram lies within about s eps ||G|| of [lo, hi], the accuracy
+    eigvalsh has; a NaN can factor, hence the finiteness test.  A sampled
     support is the sorted indices of the s smallest entries of a row of
     rng.random((B, n)), so a call draws samples * n doubles whatever
     RIP_BLOCK is.  Raises InvalidInputError unless A is finite, nonempty
-    and 2-d, 1 <= s <= n and samples is an integer >= 1 (in every mode),
-    and AssumptionViolatedError naming the first visited support with
-    lambda_min <= 0.
+    and 2-d, 1 <= s <= n and samples is an integer >= 1 (in every mode);
+    then, naming the first visited support that fails,
+    OverflowingMatrixError when its Gram overflows double range and
+    AssumptionViolatedError when it has lambda_min <= 0.  The first block
+    is always solved, so lo > 0 after it and a support with lambda_min <= 0
+    is never skipped.
     """
     A = checked_matrix(A)
     n = A.shape[1]
@@ -280,13 +288,26 @@ def rip_constants(
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= RIP_ENUMERATION_LIMIT)
     rng = None if exhaustive else np.random.default_rng(0) if rng is None else rng
     columns = np.ascontiguousarray(A.T)  # row j is column j of A
+    eye = np.eye(s)
     lo, hi = math.inf, -math.inf
     for idx in _support_blocks(n, s, total if exhaustive else samples, rng):
         cols = columns[idx]  # (B, s, m): the columns of each A_S
-        w = np.linalg.eigvalsh(cols @ cols.transpose(0, 2, 1))
-        bad = np.flatnonzero(w[:, 0] <= 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            gram = cols @ cols.transpose(0, 2, 1)
+        finite = np.isfinite(gram).all(axis=(1, 2))
+        if lo <= hi and finite.all():
+            try:
+                np.linalg.cholesky(np.concatenate((gram - lo * eye, hi * eye - gram)))
+                continue  # every spectrum lies in [lo, hi]
+            except np.linalg.LinAlgError:
+                pass
+        # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
+        w = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))
+        bad = np.flatnonzero(~finite | (w[:, 0] <= 0.0))
         if bad.size:
             S = tuple(idx[bad[0]].tolist())
+            if not finite[bad[0]]:
+                raise OverflowingMatrixError(f"support {S}: A_S^T A_S overflows double range")
             raise AssumptionViolatedError(f"support {S} has lambda_min <= 0")
         lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
     return RipConstants(theta_lower=1.0 - lo, theta_upper=hi - 1.0, s=s, exact=exhaustive)
@@ -294,16 +315,21 @@ def rip_constants(
 
 def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
     """(||x||^2, tr(A_S^T A_S)) for the signal's support S; both must be
-    positive for the noise levels to be defined."""
+    positive and finite for the noise levels to be defined.  A_S is
+    scanned for a NaN or inf entry only once one of the sums is not
+    finite, to tell InvalidInputError from OverflowingMatrixError."""
     S = list(signal.support)
     if not S:
         raise InvalidInputError("signal support is empty")
-    x = signal.x
-    energy = float(x @ x)
+    x, A_S = signal.x, A[:, S]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        energy, tr_gram = float(x @ x), float(np.einsum("ij,ij->", A_S, A_S))
     if energy == 0.0:
         raise InvalidInputError("noise levels are undefined for the zero signal")
-    A_S = A[:, S]
-    tr_gram = float(np.einsum("ij,ij->", A_S, A_S))
+    if not (math.isfinite(energy) and math.isfinite(tr_gram)):
+        checked_matrix(A_S)  # "A must be finite"
+        name = "tr(A_S^T A_S)" if math.isfinite(energy) else "||x||^2"
+        raise OverflowingMatrixError(f"{name} overflows double range")
     if tr_gram <= 0.0:
         raise InvalidInputError("A_S has zero energy")
     return energy, tr_gram
@@ -333,7 +359,9 @@ def sigmas_at_levels(
     A: np.ndarray, signal: SparseSignal, levels: list[tuple[float, float]], s: int
 ) -> list[tuple[float, float]]:
     """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass
-    over A_S.  Every level is checked before A is read."""
+    over A_S.  Every level is checked before A is read.  A NaN or inf in
+    A_S raises InvalidInputError and an overflowing sum
+    OverflowingMatrixError (see _support_energy)."""
     if any(c_e < 0.0 or c_n < 0.0 for c_e, c_n in levels):
         raise InvalidInputError("noise levels must be nonnegative")
     A = np.asarray(A, dtype=float)

@@ -56,6 +56,10 @@ __all__ = [
 # Relative eigenvalue cutoff for the pseudo-inverse of H.
 PINV_RTOL = 1e-12
 
+# Byte budget of the (rows, k - i0, m) temporary from which test_points
+# builds a block of rows of H.
+H_BLOCK_BYTES = 2**19
+
 # Beyond this beta every exp(-beta)-weighted term underflows double
 # precision outright.
 _BETA_OVERFLOW = 700.0
@@ -90,8 +94,11 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     """Assemble H for a set of offsets.
 
     The per-offset quantities (s_i^2, A v_i, A v_i / s_i^2, log s_i^2) are
-    computed as arrays, then H is filled one row at a time, each row i
-    against every j >= i with vector operations.  Each entry is evaluated
+    computed as arrays, then H is filled a block of rows at a time: rows
+    i0 <= i < i1 against every j >= i0, with the (rows, k - i0, m)
+    temporary of the sums A v_i / s_i^2 + A v_j / s_j^2 kept within
+    H_BLOCK_BYTES.  Only the entries with j >= i are kept and mirrored, so
+    H does not depend on the block size.  Each entry is evaluated
     as expm1 of its logarithm, with ||A v_i / s_i^2 + A v_j / s_j^2||^2
     summed as written, which keeps the -1 cancellation exact for offsets
     of any size.  Raises, for the first offending offset in index order,
@@ -132,31 +139,39 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     H = np.empty((k, k))
     varsigma2 = np.empty((k, k))
     half_m = 0.5 * model.m
-    for i in range(k):
-        # row i against j >= i
-        inv_vs = 1.0 / s2[i] + 1.0 / s2[i:] - 1.0 / sx2
+    i0 = 0
+    while i0 < k:
+        # rows i0:i1 against columns i0:k; the pairs with j < i are computed but not kept
+        i1 = min(k, i0 + max(1, H_BLOCK_BYTES // (8 * (k - i0) * model.m)))
+        i, j = slice(i0, i1), slice(i0, k)
+        inv_vs = 1.0 / s2[i, None] + 1.0 / s2[j] - 1.0 / sx2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vs2 = 1.0 / inv_vs
-            W = U[i] + U[i:]
+            W = U[i, None] + U[j]
             L = (
-                half_m * (log_sx2 + np.log(vs2) - log_s2[i] - log_s2[i:])
-                - half_a[i]
-                - half_a[i:]
-                + 0.5 * vs2 * np.einsum("ij,ij->i", W, W)
+                half_m * (log_sx2 + np.log(vs2) - log_s2[i, None] - log_s2[j])
+                - half_a[i, None]
+                - half_a[j]
+                + 0.5 * vs2 * np.einsum("ijm,ijm->ij", W, W)
             )
             h = np.expm1(L)
         # an entry beyond double precision raises, as math.expm1 does
-        bad = np.flatnonzero((inv_vs <= 0.0) | (np.isinf(h) & np.isfinite(L)))
+        upper = np.arange(i0, k) >= np.arange(i0, i1)[:, None]  # j >= i
+        bad = np.flatnonzero(upper & ((inv_vs <= 0.0) | (np.isinf(h) & np.isfinite(L))))
         if bad.size:
-            j = i + int(bad[0])
-            if inv_vs[j - i] <= 0.0:
+            row, col = divmod(int(bad[0]), k - i0)
+            pair = (i0 + row, i0 + col)
+            if inv_vs[row, col] <= 0.0:
                 raise DivergentTestPointError(
-                    f"test-point pair ({i}, {j}) has vs^2 <= 0; the defining "
-                    "integral diverges"
+                    f"test-point pair {pair} has vs^2 <= 0; the defining integral diverges"
                 )
-            raise OverflowingTestPointError(f"test-point pair ({i}, {j}) overflows H")
-        H[i, i:] = H[i:, i] = h
-        varsigma2[i, i:] = varsigma2[i:, i] = vs2
+            raise OverflowingTestPointError(f"test-point pair {pair} overflows H")
+        r = i1 - i0
+        for M, block in ((H, h), (varsigma2, vs2)):
+            block[:, :r] = np.where(upper[:, :r], block[:, :r], block[:, :r].T)  # mirror j >= i
+            M[i0:i1, i0:] = block
+            M[i0:, i0:i1] = block.T
+        i0 = i1
     return TestPointSet(offsets=tuple(vs), V=V, H=H, varsigma2=varsigma2)
 
 
@@ -231,10 +246,9 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
 def _unit_maximal(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:
     """(S, sigma_x^2) of a unit-matrix instance with ||x||_0 = s, checked in
     this order: the signal's length, A = I, n >= 2, the regime and
-    sigma_x^2 > 0."""
+    sigma_x^2 > 0.  Whether A = I was decided when the model was built."""
     _check_signal(model, signal)
-    A = model.A
-    if model.m != model.n or np.count_nonzero(A) != model.n or not np.all(A.diagonal() == 1.0):
+    if not model._unit:
         raise UnsupportedMatrixError("closed-form HCRB requires identity matrix")
     if model.n < 2:
         raise InvalidInputError("closed-form HCRB requires n >= 2")

@@ -69,6 +69,13 @@ def checked_matrix(A) -> np.ndarray:
     return A
 
 
+def _is_identity(A: np.ndarray) -> bool:
+    """Whether the finite matrix A equals I (-0.0 counts as zero).  Only a
+    square A with a unit diagonal costs a scan of all its entries."""
+    m, n = A.shape
+    return m == n and bool((A.diagonal() == 1.0).all()) and np.count_nonzero(A) == n
+
+
 def _frozen(arr) -> np.ndarray:
     """A read-only float copy of arr, which no caller can write through."""
     out = np.array(arr, dtype=float)
@@ -92,7 +99,8 @@ class ProblemModel:
         Sparsity budget; signals live in {x : ||x||_0 <= s}.
 
     The model keeps its own read-only copy of A, which no caller can
-    write through.
+    write through, and decides once whether A is the identity, which the
+    closed-form HCRB requires.
     """
 
     A: np.ndarray
@@ -101,6 +109,8 @@ class ProblemModel:
     s: int
     # sorted support -> (A_S, (A_S^T A_S)^{-1}); see support_factor
     _factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # A == I; see _is_identity
+    _unit: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = checked_matrix(_frozen(self.A))  # scans the model's own copy
@@ -110,13 +120,14 @@ class ProblemModel:
             raise InvalidInputError(
                 f"sparsity budget s={self.s} must lie in [1, n={A.shape[1]}]"
             )
-        for name, value in zip(("A", "sigma_e", "sigma_n", "s"), (A, sigma_e, sigma_n, s)):
+        for name, value in zip(("A", "sigma_e", "sigma_n", "s", "_unit"),
+                               (A, sigma_e, sigma_n, s, _is_identity(A))):
             object.__setattr__(self, name, value)
 
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
-        checks them.  The sibling shares the validated A (no copy and no
-        finiteness scan), s and the support cache."""
+        checks them.  The sibling shares the validated A (no copy, no
+        finiteness scan and no identity test), s and the support cache."""
         sibling = copy.copy(self)
         for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
             object.__setattr__(sibling, name, value)

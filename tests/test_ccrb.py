@@ -618,6 +618,57 @@ class TestRipConstants:
         assert results[0] == results[1]
         assert states[0] == states[1]
 
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_screen_skips_no_gram_on_both_extremes(self, monkeypatch):
+        # every Gram is I, so G - lo I = hi I - G = 0 fails every Cholesky
+        calls = self.count_eigensolves(monkeypatch)
+        samples = 2 * RIP_BLOCK + 37
+        rc = rip_constants(np.eye(12), 3, mode="sampled", samples=samples,
+                           rng=np.random.default_rng(6))
+        assert (rc.theta_lower, rc.theta_upper) == (0.0, 0.0)
+        assert sum(calls) == samples
+
+    def test_screen_spares_most_eigensolves(self, monkeypatch):
+        # the shape of the benchmark's gamma-sandwich instances
+        A = generate_gaussian_matrix(100, 200, np.random.default_rng(12))
+        calls = self.count_eigensolves(monkeypatch)
+        rc = rip_constants(A, 10, mode="sampled", samples=2000, rng=np.random.default_rng(13))
+        blocks = math.ceil(2000 / RIP_BLOCK)
+        assert 1 <= len(calls) <= blocks // 2
+        lower, upper = reference_rip_constants(A, 10, False, 2000, np.random.default_rng(13))
+        assert abs(rc.theta_lower - lower) <= 1e-12
+        assert abs(rc.theta_upper - upper) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "n, s, column, exhaustive_support",
+        [(6, 2, None, (0, 1)), (300, 1, 280, (280,))],
+        ids=["first_block", "later_screened_block"],
+    )
+    def test_overflowing_gram_raises(self, mode, n, s, column, exhaustive_support):
+        # used to return theta = -inf on both sides, with numpy's overflow warning
+        if column is None:
+            A = 1e200 * np.eye(n)
+        else:
+            A = generate_gaussian_matrix(4, n, np.random.default_rng(2))
+            A[:, column] *= 1e200
+        with pytest.raises(OverflowingMatrixError, match="overflows double range") as info:
+            rip_constants(A, s, mode=mode)
+        if mode == "exhaustive":
+            assert str(info.value).startswith(f"support {exhaustive_support}:")
+
     @pytest.mark.parametrize("n, s", [(40, 5), (9, 1), (9, 9)])
     def test_sampled_supports_are_sorted_distinct_and_in_range(self, n, s):
         count = 2 * RIP_BLOCK + 37
@@ -675,6 +726,38 @@ class TestNoiseLevels:
                 sigmas_at_levels(model.A, x, levels, 4)
         with pytest.raises(InvalidInputError, match="^noise levels must be nonnegative$"):
             sigmas_for_levels(model.A, x, -1.0, 0.5, 4)
+
+
+class TestNonFiniteSupportEnergy:
+    """sigmas_for_levels and sigmas_at_levels read A_S through two sums; a
+    non-finite sum is told apart as a non-finite A or an overflow."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        # used to return a nan or inf deviation
+        A = generate_gaussian_matrix(4, 6, np.random.default_rng(3))
+        A[0, 0] = bad
+        x = SparseSignal(np.eye(6)[0])
+        with pytest.raises(InvalidInputError, match="^A must be finite$"):
+            sigmas_for_levels(A, x, 0.5, 0.5, 1)
+        with pytest.raises(InvalidInputError, match="^A must be finite$"):
+            sigmas_at_levels(A, x, [(0.5, 0.5), (1.0, 0.0)], 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_support_energy_raises(self):
+        A = generate_gaussian_matrix(4, 6, np.random.default_rng(3))
+        A[:, 0] *= 1e200
+        x = SparseSignal(np.eye(6)[0])
+        with pytest.raises(OverflowingMatrixError, match=r"^tr\(A_S\^T A_S\) overflows"):
+            sigmas_for_levels(A, x, 0.5, 0.5, 1)
+
+    def test_finite_matrix_is_not_scanned(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("A_S was scanned")
+
+        monkeypatch.setattr(ccrb_module, "checked_matrix", forbidden)
+        model, x = gaussian_instance(11, m=10, n=16, s=4)
+        sigmas_at_levels(model.A, x, [(0.5, 0.5)], 4)
 
 
 class TestGammaSandwich:

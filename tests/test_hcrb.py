@@ -147,6 +147,33 @@ class TestTestPoints:
             if kind is not OverflowError:  # math.expm1 says only "math range error"
                 assert str(got) == str(want)
 
+    @pytest.mark.parametrize("budget", [1, 20_000, 2**30])  # 1-row to one-block
+    def test_row_blocks_give_the_same_bits(self, monkeypatch, budget):
+        n = 40
+        model = identity_model(n, 0.05, 0.1, 3)
+        x = SparseSignal(np.r_[1.0, 0.5, np.zeros(n - 2)])
+        offsets = axis_offsets(n, (1e-3, 0.1, 0.5))
+        # s^2 = 100 then 150 + 10000 at 7: pair (1, 7) diverges, mid-block
+        div_model = identity_model(2, 1.0, 0.0, 1)
+        div_x = SparseSignal(np.array([10.0, 0.0]))
+        div = [np.array([math.sqrt(q) - 10.0, 0.0])
+               for q in (100, 150, 120, 130, 140, 110, 105, 10000)]
+        # sigma_x^2 = 1e-4, so H_(12, 12) overflows, mid-block
+        big_model = identity_model(2, 0.0, 0.01, 1)
+        big_x = SparseSignal(np.array([1.0, 0.0]))
+        big = [np.array([t, 0.0]) for t in np.linspace(1e-4, 1e-2, 12)] + [np.array([0.5, 0.0])] * 3
+        want = make_test_points(model, x, offsets)
+        want_div = _raised(make_test_points, div_model, div_x, div)
+        want_big = _raised(make_test_points, big_model, big_x, big)
+        monkeypatch.setattr(hcrb_module, "H_BLOCK_BYTES", budget)
+        got = make_test_points(model, x, offsets)
+        assert got.H.tobytes() == want.H.tobytes()
+        assert got.varsigma2.tobytes() == want.varsigma2.tobytes()
+        for case, err in (((div_model, div_x, div), want_div), ((big_model, big_x, big), want_big)):
+            raised = _raised(make_test_points, *case)
+            assert type(raised) is type(err) and str(raised) == str(err)
+        assert "pair (1, 7)" in str(want_div) and "pair (12, 12)" in str(want_big)
+
     def test_overflow_is_a_package_error(self):
         # sigma_x^2 = 1e-4 and an offset of 0.5: H_11 = expm1(2500) overflows
         model = identity_model(2, 0.0, 0.01, 1)
@@ -576,6 +603,43 @@ class TestClosedFormChecks:
         else:
             with pytest.raises(UnsupportedMatrixError):
                 hcrb_unit_closed_form(model, x)
+
+    @staticmethod
+    def count_full_scans(monkeypatch, size):
+        scans = []
+        count_nonzero = np.count_nonzero
+
+        def counted(a, *args, **kwargs):
+            scans.extend([1] if np.size(a) == size else [])
+            return count_nonzero(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counted)
+        return scans
+
+    def test_identity_is_scanned_once_per_model(self, monkeypatch):
+        n = 1000
+        scans = self.count_full_scans(monkeypatch, n * n)
+        base = identity_model(n, 0.0, 0.1, 3)
+        signal = SparseSignal(np.r_[np.ones(3), np.zeros(n - 3)])
+        for se in np.linspace(0.01, 1.0, 25):
+            d_hcrb(base.with_noise(se, 0.1), signal)
+        assert len(scans) == 1
+
+    def test_near_identities_are_rejected(self, monkeypatch):
+        n = 1000
+        off_diagonal, two = np.eye(n), np.eye(n)
+        off_diagonal[3, 700] = 1e-300
+        two[500, 500] = 2.0
+        scans = self.count_full_scans(monkeypatch, n * n)
+        signal = SparseSignal(np.r_[1.0, np.zeros(n - 1)])
+        for A in (off_diagonal, two):
+            model = ProblemModel(A, 0.1, 0.1, 1)
+            for bound in (hcrb_unit_closed_form, d_hcrb):
+                with pytest.raises(UnsupportedMatrixError,
+                                   match=r"^closed-form HCRB requires identity matrix$"):
+                    bound(model.with_noise(0.2, 0.1), signal)
+        # a diagonal entry other than 1 is decided without a scan of all entries
+        assert len(scans) == 1
 
     def test_sigma_x_squared_is_computed_once(self, monkeypatch):
         calls = []
