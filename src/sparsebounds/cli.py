@@ -30,7 +30,7 @@ from .ccrb import (
     transition_ce,
 )
 from .errors import InvalidInputError, SparseBoundsError
-from .estimators import EstimatorSpec, _ml_unit, _noise_exploiting
+from .estimators import EstimatorSpec
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
@@ -38,7 +38,14 @@ from .model import (
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
-from .montecarlo import key_stream, run_maps, sweep
+from .montecarlo import (
+    TRIAL_CHUNK,
+    chunk_moments,
+    key_stream,
+    merge_moments,
+    std_error_of_mean,
+    sweep,
+)
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -272,21 +279,36 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
 def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
     """Least-squares versus noise-exploiting estimation at high dimension.
 
-    The sensing matrix is the identity, so measurements are drawn from
-    the equivalent law y = x + sigma_e z (sigma_x = sigma_e ||x|| with
-    ||x|| = 1 and sigma_n = 0) without materializing it.  The Monte Carlo
-    engine (run_maps) runs both estimators on the same draws and reduces
-    each as run_trials does.
+    The protocol fixes A = I, x = e_0, sigma_e = 0.01 and sigma_n = 0, so
+    y = x + sigma_e z.  Both estimators put their estimate on the peak
+    coordinate of y, and read only y_0 = 1 + sigma_e z_0 and the energy of
+    the rest, sigma_e^2 Q with Q = sum_{j>=1} z_j^2 ~ chi^2_{n-1}: least
+    squares gives y_0, the noise-exploiting estimator (y_0^2 +
+    sigma_e^2 Q) / (2 y_0).  Each trial therefore draws z_0 and Q alone
+    (Q = 0 when n = 1).  This is the law of the full draw up to one event:
+    the peak leaves coordinate 0 only if some |z_j| + |z_0| >= 1/sigma_e
+    = 100, which has probability below 2n 10^-545 per trial.  The shortcut
+    rests on the protocol's fixed sigma_e, sigma_n, A and x.
+
+    One key_stream(seed, ()) draws TRIAL_CHUNK trials at a time, z_0 then
+    Q, and each chunk's squared errors are reduced as run_trials reduces
+    them: chunk_moments per chunk, merge_moments in chunk order.
     """
     sigma_e = 0.01
-    x = np.zeros(cfg.n)
-    x[0] = 1.0
-    maps = (lambda Y: _ml_unit(Y, 1)[:2], lambda Y: _noise_exploiting(Y)[:2])
-    ls, ne = run_maps(x, sigma_e, x, maps, cfg.trials, cfg.seed, ())
+    rng = key_stream(cfg.seed, ())
+    ls, ne = (0, 0.0, 0.0), (0, 0.0, 0.0)
+    for lo in range(0, cfg.trials, TRIAL_CHUNK):
+        k = min(TRIAL_CHUNK, cfg.trials - lo)
+        y0 = 1.0 + sigma_e * rng.standard_normal(k)
+        q = rng.chisquare(cfg.n - 1, k) if cfg.n > 1 else np.zeros(k)
+        ls_err = y0 - 1.0
+        ne_err = (y0 * y0 + sigma_e**2 * q) / (2.0 * y0) - 1.0
+        ls = merge_moments(ls, chunk_moments(ls_err * ls_err))
+        ne = merge_moments(ne, chunk_moments(ne_err * ne_err))
     return [
         (float(cfg.n), "ls_theoretical", sigma_e**2, 0.0),
-        (float(cfg.n), "ls_empirical", ls.mse, ls.std_error_mse),
-        (float(cfg.n), "noise_exploiting_empirical", ne.mse, ne.std_error_mse),
+        (float(cfg.n), "ls_empirical", ls[1], std_error_of_mean(ls)),
+        (float(cfg.n), "noise_exploiting_empirical", ne[1], std_error_of_mean(ne)),
     ]
 
 

@@ -1,15 +1,15 @@
 """Monte Carlo harness validating the bounds against reference estimators.
 
-One engine, run_maps, serves every Monte Carlo cell: run_trials for one
-estimator, and the table1 protocol for two estimators on the same draws.
-Every trial draws from its own random stream derived from the master
-seed and the trial index, into one row of a block of trials; each
-estimator maps the whole block at once.  Within fixed chunks of
-TRIAL_CHUNK trials the errors are summed in trial order and the squared
-errors reduced to moments, whose merged mean is the MSE; the chunks are
-combined in chunk-index order, so a result depends only on the seed, the
-stream key and the trial count, not on the block size.  The trials run
-serially.
+One engine, run_maps, serves every Monte Carlo cell of run_trials (the
+table1 protocol draws only the two numbers its estimators read, and
+reduces them with the same chunk moments).  Every trial draws from its
+own random stream derived from the master seed and the trial index, into
+one row of a block of trials; the estimator maps the whole block at
+once.  Within fixed chunks of TRIAL_CHUNK trials the errors are summed
+in trial order and the squared errors reduced to moments, whose merged
+mean is the MSE; the chunks are combined in chunk-index order, so a
+result depends only on the seed, the stream key and the trial count,
+not on the block size.  The trials run serially.
 """
 
 from __future__ import annotations
@@ -200,12 +200,12 @@ def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFai
     )
 
 
-def chunk_moments(qs: list[float]) -> tuple[int, float, float]:
-    """(count, mean, M2) of one chunk's squared errors, M2 being the sum of
-    squared deviations from the chunk mean."""
-    if not qs:
+def chunk_moments(qs) -> tuple[int, float, float]:
+    """(count, mean, M2) of one chunk's squared errors, a sequence or a 1-d
+    array, M2 being the sum of squared deviations from the chunk mean."""
+    q = np.asarray(qs, dtype=float)
+    if q.size == 0:
         return 0, 0.0, 0.0
-    q = np.array(qs)
     mean = float(q.mean())
     d = q - mean
     return q.size, mean, float(d @ d)
@@ -223,62 +223,59 @@ def merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * (na * nb / n)
 
 
-def run_maps(mean, sx, x, maps, trials: int, seed: int, key) -> list[TrialSummary]:
-    """The Monte Carlo engine: one TrialSummary per block map of `maps`.
+def std_error_of_mean(moments: tuple[int, float, float]) -> float:
+    """The Monte Carlo standard error of the mean of merged (count, mean,
+    M2) moments; 0 with fewer than two values."""
+    count, _, m2 = moments
+    return math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+
+
+def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummary:
+    """The Monte Carlo engine: the TrialSummary of one block map.
 
     Trial t draws y = mean + sx z with z from trial_stream(seed, t, key)
-    into a row of a block (draw_blocks), and every map estimates the same
+    into a row of a block (draw_blocks), and the map estimates the whole
     block: Y (k, m) -> (Xhat, {row: error}), with x the true signal.  Xhat
     must be a new array, as the engine overwrites it with the errors.
-    Within each TRIAL_CHUNK a map's errors are summed in trial order from
-    zero and its squared errors reduced to (count, mean, M2) by
-    chunk_moments.  The chunks are combined in chunk order, the moments by
-    merge_moments: the merged mean is the MSE and M2 gives its standard
-    error.  Each map counts its own failed trials; more than
-    FAILURE_BUDGET of them aborts the run with that map's first
-    diagnostic.
+    Within each TRIAL_CHUNK the errors are summed in trial order from zero
+    and the squared errors reduced to (count, mean, M2) by chunk_moments.
+    The chunks are combined in chunk order, the moments by merge_moments:
+    the merged mean is the MSE and M2 gives its standard error.  More than
+    FAILURE_BUDGET failed trials abort the run with the first diagnostic.
     """
-    k = len(maps)
-    moments, failures, first_error = [(0, 0.0, 0.0)] * k, [0] * k, [None] * k
-    sum_err = [np.zeros(x.size) for _ in maps]
+    moments, failures, first_error = (0, 0.0, 0.0), 0, None
+    sum_err = np.zeros(x.size)
     for lo in range(0, trials, TRIAL_CHUNK):
-        c_qs, c_err = [[] for _ in maps], [np.zeros(x.size) for _ in maps]
+        c_qs, c_err = [], np.zeros(x.size)
         for t0, Y in draw_blocks(mean, sx, seed, key, lo, min(lo + TRIAL_CHUNK, trials)):
-            for j, block_map in enumerate(maps):
-                xhat, errors = block_map(Y)
-                if errors:
-                    failures[j] += len(errors)
-                    if first_error[j] is None:
-                        row = min(errors)
-                        first_error[j] = f"trial {t0 + row}: {errors[row]}"
-                    xhat = np.delete(xhat, list(errors), axis=0)
-                err = np.subtract(xhat, x, out=xhat)  # a map's Xhat is its own
-                c_qs[j] += row_dot(err).tolist()
-                # in trial order: cumsum adds one row at a time, where sum
-                # would add pairwise
-                if len(err) == 1:  # cumsum's one add, without its copies
-                    c_err[j] += err[0]
-                else:
-                    c_err[j] = np.cumsum(np.concatenate((c_err[j][None], err)), axis=0)[-1]
-        for j in range(k):
-            moments[j] = merge_moments(moments[j], chunk_moments(c_qs[j]))
-            sum_err[j] += c_err[j]
-    summaries = []
-    for j in range(k):
-        if failures[j] > FAILURE_BUDGET * trials:
-            raise _excessive_failures(failures[j], trials, first_error[j])
-        ok, mse, m2 = moments[j]
-        summaries.append(
-            TrialSummary(
-                mse=mse,
-                bias=sum_err[j] / ok,
-                trials=trials,
-                seed=seed,
-                std_error_mse=math.sqrt(m2 / (ok - 1) / ok) if ok > 1 else 0.0,
-                failures=failures[j],
-            )
-        )
-    return summaries
+            xhat, errors = block_map(Y)
+            if errors:
+                failures += len(errors)
+                if first_error is None:
+                    row = min(errors)
+                    first_error = f"trial {t0 + row}: {errors[row]}"
+                xhat = np.delete(xhat, list(errors), axis=0)
+            err = np.subtract(xhat, x, out=xhat)  # the map's Xhat is its own
+            c_qs.append(row_dot(err))
+            # in trial order: cumsum adds one row at a time, where sum
+            # would add pairwise
+            if len(err) == 1:  # cumsum's one add, without its copies
+                c_err += err[0]
+            else:
+                c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
+        moments = merge_moments(moments, chunk_moments(np.concatenate(c_qs)))
+        sum_err += c_err
+    if failures > FAILURE_BUDGET * trials:
+        raise _excessive_failures(failures, trials, first_error)
+    ok, mse, _ = moments
+    return TrialSummary(
+        mse=mse,
+        bias=sum_err / ok,
+        trials=trials,
+        seed=seed,
+        std_error_mse=std_error_of_mean(moments),
+        failures=failures,
+    )
 
 
 def run_trials(
@@ -306,8 +303,7 @@ def run_trials(
     except SparseBoundsError as exc:
         # the estimator does not fit the model, so every trial would fail
         raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
-    (summary,) = run_maps(mean, sx, signal.x, [kernel], trials, seed, stream_key)
-    return summary
+    return run_maps(mean, sx, signal.x, kernel, trials, seed, stream_key)
 
 
 def _analytic_bounds(model: ProblemModel, signal: SparseSignal) -> dict:

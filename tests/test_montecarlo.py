@@ -16,7 +16,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from sparsebounds import montecarlo
 from sparsebounds.ccrb import oracle_mse_theoretical
-from sparsebounds.cli import main
+from sparsebounds.cli import ExperimentConfig, figure_rows, main
 from sparsebounds.errors import (
     ExcessiveFailureError,
     InvalidInputError,
@@ -26,6 +26,8 @@ from sparsebounds.errors import (
 from sparsebounds.estimators import (
     EstimatorSpec,
     apply_estimator,
+    estimate_ml_unit,
+    estimate_noise_exploiting,
     estimate_oracle,
 )
 from sparsebounds.model import (
@@ -219,6 +221,14 @@ class TestRunTrials:
         assert "500/500 trials failed" in msg
         assert "first failure: trial 0: A_S^T A_S is singular" in msg
 
+    def test_chunk_moments_reads_a_list_or_an_array_alike(self):
+        qs = [0.25, 3.0, 1e-3, 7.5]
+        count, mean, m2 = chunk_moments(np.array(qs))
+        assert (count, mean, m2) == chunk_moments(qs)
+        assert count == 4 and mean == pytest.approx(np.mean(qs), rel=1e-15)
+        assert m2 == pytest.approx(3 * np.var(qs, ddof=1), rel=1e-14)
+        assert chunk_moments(np.array([])) == chunk_moments([]) == (0, 0.0, 0.0)
+
 
 class TestSweep:
     def test_bounds_only_rows(self):
@@ -398,30 +408,17 @@ class TestBlocks:
 
 
     def test_each_map_keeps_its_own_failures(self):
-        # y = x + z on three coordinates; a map fails the trials whose
-        # y_1 lies above its level
+        # y = x + z on three coordinates; the map fails the trials whose
+        # y_1 lies above 2, more than the budget allows
         x = np.array([1.0, 0.0, 0.0])
 
-        def above(level):
-            def block_map(Y):
-                big = np.flatnonzero(Y[:, 1] > level)
-                return Y.copy(), {int(i): InvalidInputError(f"y_1 above {level}") for i in big}
+        def above_2(Y):
+            big = np.flatnonzero(Y[:, 1] > 2.0)
+            return Y.copy(), {int(i): InvalidInputError("y_1 above 2.0") for i in big}
 
-            return block_map
-
-        def exact(summary):
-            return summary.mse, summary.std_error_mse, summary.failures, summary.bias.tobytes()
-
-        trials = 1000
-        maps = [above(2.5), above(math.inf)]
-        both = montecarlo.run_maps(x, 1.0, x, maps, trials, 3, ())
-        alone = [montecarlo.run_maps(x, 1.0, x, [m], trials, 3, ())[0] for m in maps]
-        assert [exact(s) for s in both] == [exact(s) for s in alone]
-        assert 0 < both[0].failures <= FAILURE_BUDGET * trials and both[1].failures == 0
-        # the second map alone exceeds the budget, and reports its own failure
         last = r"first failure: trial \d+: y_1 above 2.0$"
         with pytest.raises(ExcessiveFailureError, match=last):
-            montecarlo.run_maps(x, 1.0, x, [above(2.5), above(2.0)], trials, 3, ())
+            montecarlo.run_maps(x, 1.0, x, above_2, 1000, 3, ())
 
 
 class TestOracleFactorCache:
@@ -499,30 +496,54 @@ class TestOracleFactorCache:
         assert ref() is None
 
 
-def test_table1_matches_public_estimators(tmp_path):
-    """table1 is run_trials for each of its estimators on y = x + 0.01 z,
-    over one set of draws: compare it with reference_trials."""
-    n, seed = 40, 5
+def _table1(n, trials, seed):
+    rows = figure_rows(ExperimentConfig("table1", seed=seed, n=n, trials=trials))
+    return {curve: (value, std_error) for _, curve, value, std_error in rows}
+
+
+_TABLE1_ESTIMATORS = {
+    "ls_empirical": (EstimatorSpec.maximum_likelihood(1), lambda y: estimate_ml_unit(y, 1)),
+    "noise_exploiting_empirical": (
+        EstimatorSpec.noise_exploiting(),
+        estimate_noise_exploiting,
+    ),
+}
+
+
+def test_table1_at_n1_is_the_public_estimators():
+    """At n = 1, table1 is the public estimators on y = [1 + 0.01 z_0], bit
+    for bit, with z_0 from key_stream(seed, ()) and the squared errors
+    reduced per TRIAL_CHUNK as run_trials reduces them."""
+    seed, trials = 5, TRIAL_CHUNK + 300  # two chunks
+    z = montecarlo.key_stream(seed, ()).standard_normal(trials)
+    got = _table1(1, trials, seed)
+    for label, (_, estimate) in _TABLE1_ESTIMATORS.items():
+        moments = (0, 0.0, 0.0)
+        for lo in range(0, trials, TRIAL_CHUNK):
+            qs = []
+            for z0 in z[lo : lo + TRIAL_CHUNK]:
+                err = estimate(np.array([1.0 + 0.01 * z0])).x - 1.0
+                qs.append(float(err @ err))
+            moments = merge_moments(moments, chunk_moments(qs))
+        assert got[label] == (moments[1], montecarlo.std_error_of_mean(moments)), label
+    assert got["ls_theoretical"] == (0.01**2, 0.0)
+
+
+# table1 and the full draws are independent runs; their MSEs must agree
+# within this many combined standard errors
+TABLE1_Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_table1_agrees_in_law_with_full_draws(n):
+    """table1 draws z_0 and chi^2_{n-1} in place of y = e_0 + 0.01 z; each
+    MSE matches run_trials of the same estimator on full draws."""
+    trials = 50_000
     model = ProblemModel(np.eye(n), 0.01, 0.0, 1)  # sigma_x = 0.01 exactly
     signal = SparseSignal(np.eye(n)[0])
-    specs = {
-        "ls_empirical": EstimatorSpec.maximum_likelihood(1),
-        "noise_exploiting_empirical": EstimatorSpec.noise_exploiting(),
-    }
-    for trials in (300, TRIAL_CHUNK + 300):  # one chunk, then two
-        code = main(
-            [
-                "figure", "table1", "--n", str(n), "--trials", str(trials),
-                "--seed", str(seed), "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        with open(tmp_path / "table1.csv", newline="") as fh:
-            got = {
-                r["curve_id"]: (float(r["value"]), float(r["std_error"]))
-                for r in csv.DictReader(fh)
-            }
-        for label, spec in specs.items():
-            mse, std_error, _, _ = reference_trials(model, signal, spec, trials, seed)
-            assert got[label] == (mse, std_error), trials
-        assert got["ls_theoretical"] == (0.01**2, 0.0)
+    got = _table1(n, trials, seed=11)
+    for label, (spec, _) in _TABLE1_ESTIMATORS.items():
+        full = run_trials(model, signal, spec, trials, seed=12)
+        mse, std_error = got[label]
+        z = abs(mse - full.mse) / math.hypot(std_error, full.std_error_mse)
+        assert z <= TABLE1_Z_BOUND, (label, mse, full.mse, z)
