@@ -40,6 +40,7 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
+    checked_count,
     checked_matrix,
     checked_support,
     positive_sigma_x_squared,
@@ -67,7 +68,8 @@ __all__ = [
 RIP_ENUMERATION_LIMIT = 100_000
 RIP_DEFAULT_SAMPLES = 2000
 # Supports per batched eigensolve in rip_constants: its temporaries are
-# RIP_BLOCK * s * m floats plus one n x m copy of A^T, whatever the support count.
+# RIP_BLOCK * s * m floats plus one n x m copy of A^T, or one n x n A^T A
+# when that is no larger, whatever the support count.
 RIP_BLOCK = 64
 
 
@@ -104,16 +106,24 @@ class RipConstants:
 
 @dataclass(frozen=True)
 class NoiseLevels:
-    """Scalar noise levels c_e (matrix) and c_n (additive)."""
+    """Scalar noise levels c_e (matrix) and c_n (additive), each finite and
+    nonnegative."""
 
     c_e: float
     c_n: float
 
     def __post_init__(self):
-        if self.c_e < 0.0 or self.c_n < 0.0:
-            raise InvalidInputError("noise levels must be nonnegative")
+        _check_levels("noise levels", (self.c_e, self.c_n))
         object.__setattr__(self, "c_e", float(self.c_e))
         object.__setattr__(self, "c_n", float(self.c_n))
+
+
+def _check_levels(name: str, values) -> None:
+    """Raise InvalidInputError unless every value is finite and
+    nonnegative; NaN fails the test too."""
+    for v in values:
+        if not 0.0 <= v < math.inf:
+            raise InvalidInputError(f"{name} must be {'nonnegative' if v < 0.0 else 'finite'}")
 
 
 def _rank_one_report(
@@ -234,15 +244,22 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
 
 def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None):
     """`count` sorted size-s supports of range(n) as (B, s) blocks, B <= RIP_BLOCK: in
-    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row."""
+    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row.
+    Without a tie at a row's s-th smallest value its s smallest are the entries <= that
+    value, found in sorted order; a block with a tie takes argpartition's pick, sorted."""
     combos = itertools.combinations(range(n), s)
     for start in range(0, count, RIP_BLOCK):
         B = min(RIP_BLOCK, count - start)
         if rng is None:
             flat = itertools.chain.from_iterable(itertools.islice(combos, B))
             yield np.fromiter(flat, dtype=np.intp, count=B * s).reshape(B, s)
+            continue
+        U = rng.random((B, n))
+        smallest = U <= np.partition(U, s - 1, axis=1)[:, s - 1, None]
+        if np.count_nonzero(smallest) == B * s:  # no row holds more than s: no tie
+            yield (np.flatnonzero(smallest) % n).reshape(B, s)
         else:
-            yield np.sort(np.argpartition(rng.random((B, n)), s - 1, axis=1)[:, :s], axis=1)
+            yield np.sort(np.argpartition(U, s - 1, axis=1)[:, :s], axis=1)
 
 
 def rip_constants(
@@ -256,9 +273,12 @@ def rip_constants(
 
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
     uniform supports from rng (default_rng(0) if None), and "auto"
-    enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  Each block of
-    RIP_BLOCK supports is solved by one batched eigvalsh, unless every
-    Gram G of the block is finite and one batched Cholesky of G - lo I and
+    enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  A block of RIP_BLOCK
+    supports reads its Grams from one A^T A formed per call when n^2 <=
+    RIP_BLOCK s m, that is when A^T A is no larger than one block of
+    gathered columns; a wider A gathers each block's columns and multiplies
+    them.  The block is solved by one batched eigvalsh, unless every Gram G
+    of the block is finite and one batched Cholesky of G - lo I and
     hi I - G succeeds, lo and hi being the extremes found so far: then no
     support of the block moves either.  Cholesky is backward stable, so a
     skipped Gram lies within about s eps ||G|| of [lo, hi], the accuracy
@@ -266,19 +286,18 @@ def rip_constants(
     support is the sorted indices of the s smallest entries of a row of
     rng.random((B, n)), so a call draws samples * n doubles whatever
     RIP_BLOCK is.  Raises InvalidInputError unless A is finite, nonempty
-    and 2-d, 1 <= s <= n and samples is an integer >= 1 (in every mode);
-    then, naming the first visited support that fails,
-    OverflowingMatrixError when its Gram overflows double range and
-    AssumptionViolatedError when it has lambda_min <= 0.  The first block
+    and 2-d, s is an integer in [1, n] and samples an integer >= 1 (in
+    every mode; see checked_count); then, naming the first visited
+    support that fails, OverflowingMatrixError when its Gram overflows
+    double range and AssumptionViolatedError when it has lambda_min <= 0.  The first block
     is always solved, so lo > 0 after it and a support with lambda_min <= 0
     is never skipped.
     """
     A = checked_matrix(A)
-    n = A.shape[1]
-    if not 1 <= s <= n:
+    m, n = A.shape
+    s, samples = checked_count("s", s), checked_count("samples", samples)
+    if s > n:
         raise InvalidInputError(f"need 1 <= s <= n, got s={s}")
-    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
-        raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     total = math.comb(n, s)
@@ -287,13 +306,23 @@ def rip_constants(
                                 f"exceeds the limit {RIP_ENUMERATION_LIMIT}")
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= RIP_ENUMERATION_LIMIT)
     rng = None if exhaustive else np.random.default_rng(0) if rng is None else rng
-    columns = np.ascontiguousarray(A.T)  # row j is column j of A
+    if n * n <= RIP_BLOCK * s * m:  # A^T A takes no more memory than one block's columns
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            flat = (A.T @ A).ravel()
+
+        def grams(idx):
+            return flat.take(idx[:, :, None] * n + idx[:, None, :])
+    else:
+        columns = np.ascontiguousarray(A.T)  # row j is column j of A
+
+        def grams(idx):
+            cols = columns[idx]  # (B, s, m): the columns of each A_S
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                return cols @ cols.transpose(0, 2, 1)
     eye = np.eye(s)
     lo, hi = math.inf, -math.inf
     for idx in _support_blocks(n, s, total if exhaustive else samples, rng):
-        cols = columns[idx]  # (B, s, m): the columns of each A_S
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            gram = cols @ cols.transpose(0, 2, 1)
+        gram = grams(idx)  # (B, s, s): each A_S^T A_S
         finite = np.isfinite(gram).all(axis=(1, 2))
         if lo <= hi and finite.all():
             try:
@@ -339,11 +368,14 @@ def noise_levels(model: ProblemModel, signal: SparseSignal) -> NoiseLevels:
     """Scalar noise levels of an instance.
 
     c_e = m s sigma_e^2 / tr(A_S^T A_S) and c_n = m sigma_n^2 / ||x||^2.
+    Raises OverflowingMatrixError when either passes double range.
     """
     _check_signal(model, signal)
     energy, tr_gram = _support_energy(model.A, signal)
     c_e = model.m * model.s * model.sigma_e**2 / tr_gram
     c_n = model.m * model.sigma_n**2 / energy
+    if not (math.isfinite(c_e) and math.isfinite(c_n)):
+        raise OverflowingMatrixError("noise levels overflow double range")
     return NoiseLevels(c_e=c_e, c_n=c_n)
 
 
@@ -359,11 +391,10 @@ def sigmas_at_levels(
     A: np.ndarray, signal: SparseSignal, levels: list[tuple[float, float]], s: int
 ) -> list[tuple[float, float]]:
     """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass
-    over A_S.  Every level is checked before A is read.  A NaN or inf in
-    A_S raises InvalidInputError and an overflowing sum
-    OverflowingMatrixError (see _support_energy)."""
-    if any(c_e < 0.0 or c_n < 0.0 for c_e, c_n in levels):
-        raise InvalidInputError("noise levels must be nonnegative")
+    over A_S.  Every level is checked to be finite and nonnegative before
+    A is read.  A NaN or inf in A_S raises InvalidInputError and an
+    overflowing sum OverflowingMatrixError (see _support_energy)."""
+    _check_levels("noise levels", itertools.chain.from_iterable(levels))
     A = np.asarray(A, dtype=float)
     energy, tr_gram = _support_energy(A, signal)
     m = A.shape[0]
@@ -418,6 +449,5 @@ def transition_ce(c_n: float) -> float:
     The positive root of 2 c^2 - c - c_n = 0, i.e. (1 + sqrt(1 + 8 c_n))/4;
     equals 1/2 at c_n = 0 and 1 at c_n = 1.
     """
-    if c_n < 0.0:
-        raise InvalidInputError("c_n must be nonnegative")
+    _check_levels("c_n", (c_n,))
     return (1.0 + math.sqrt(1.0 + 8.0 * c_n)) / 4.0

@@ -26,6 +26,7 @@ from .errors import InvalidInputError, OverflowingMatrixError
 from .model import (
     ProblemModel,
     SparseSignal,
+    checked_count,
     model_measurement,
     positive_sigma_x_squared,
 )
@@ -83,12 +84,16 @@ def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
 def _scores(model: ProblemModel, x: np.ndarray, sx2: float, R: np.ndarray) -> np.ndarray:
     """The score at x for each residual row r of R (k, m):
     A^T r / sigma_x^2 + sigma_e^2 (||r||^2 - m sigma_x^2) x / sigma_x^4."""
-    se2 = model.sigma_e**2
-    S = R @ model.A / sx2
-    if se2 > 0.0:
-        rr = np.einsum("ij,ij->i", R, R)
-        S += ((se2 / sx2**2) * (rr - model.m * sx2))[:, None] * x[None, :]
-    return S
+    P, c = _score_parts(model, sx2, R)
+    return P / sx2 + c[:, None] * x[None, :]
+
+
+def _score_parts(model: ProblemModel, sx2: float, R: np.ndarray):
+    """(P, c) for the residual rows r of R (k, m): P = R A and
+    c = sigma_e^2 (||r||^2 - m sigma_x^2) / sigma_x^4, so the score at x of
+    row i is P[i] / sigma_x^2 + c[i] x."""
+    rr = np.einsum("ij,ij->i", R, R)
+    return R @ model.A, (model.sigma_e**2 / sx2**2) * (rr - model.m * sx2)
 
 
 def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
@@ -110,22 +115,28 @@ def fim_monte_carlo(
     """Estimate J(x) as the sample second moment of the score.
 
     Residuals are drawn in fixed-size chunks directly from the equivalent
-    law r ~ N(0, sigma_x^2 I) and the score is evaluated vectorized, so
-    the estimate is deterministic for a given generator state.
+    law r ~ N(0, sigma_x^2 I), so the estimate is deterministic for a given
+    generator state.  Each chunk adds to P^T P, P^T c and c^T c (see
+    _score_parts), whose sum of score outer products is P^T P / sigma_x^4 +
+    v x^T + x v^T + (c^T c) x x^T with v = P^T c / sigma_x^2; no score is
+    formed.  Raises InvalidInputError unless samples is an integer >= 1.
     """
-    if samples < 1:
-        raise InvalidInputError("samples must be positive")
+    samples = checked_count("samples", samples)
     sx2 = positive_sigma_x_squared(model, signal)
-    sx = math.sqrt(sx2)
-    acc = np.zeros((model.n, model.n))
+    sx, x = math.sqrt(sx2), signal.x
+    PP, Pc, cc = np.zeros((model.n, model.n)), np.zeros(model.n), 0.0
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _fisher
         while done < samples:
             k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
-            S = _scores(model, signal.x, sx2, sx * rng.standard_normal((k, model.m)))
-            acc += S.T @ S
+            P, c = _score_parts(model, sx2, sx * rng.standard_normal((k, model.m)))
+            PP += P.T @ P
+            Pc += P.T @ c
+            cc += float(c @ c)
             done += k
-        return _fisher(acc / samples, sx2)
+        v = Pc / sx2
+        J = PP / sx2**2 + np.outer(v, x) + np.outer(x, v) + cc * np.outer(x, x)
+        return _fisher(J / samples, sx2)
 
 
 def _fisher(J: np.ndarray, sx2: float) -> FisherMatrix:

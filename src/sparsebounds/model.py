@@ -58,6 +58,14 @@ def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     return float(sigma_e), float(sigma_n)
 
 
+def checked_count(name: str, value) -> int:
+    """value as an int, raising InvalidInputError unless it is an integer
+    >= 1.  A float, even an integral one, and a bool are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def checked_matrix(A) -> np.ndarray:
     """A as a float array, rejected unless it is nonempty, 2-d and finite.
     NaN fails too, and neither reduction makes an m x n temporary."""
@@ -96,7 +104,8 @@ class ProblemModel:
     sigma_n : float
         Standard deviation of the additive measurement noise.
     s : int
-        Sparsity budget; signals live in {x : ||x||_0 <= s}.
+        Sparsity budget, an integer in [1, n] (a float is rejected); signals
+        live in {x : ||x||_0 <= s}.
 
     The model keeps its own read-only copy of A, which no caller can
     write through, and decides once whether A is the identity, which the
@@ -115,11 +124,9 @@ class ProblemModel:
     def __post_init__(self):
         A = checked_matrix(_frozen(self.A))  # scans the model's own copy
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
-        s = int(self.s)
-        if s < 1 or s > A.shape[1]:
-            raise InvalidInputError(
-                f"sparsity budget s={self.s} must lie in [1, n={A.shape[1]}]"
-            )
+        s = checked_count("sparsity budget s", self.s)
+        if s > A.shape[1]:
+            raise InvalidInputError(f"sparsity budget s={s} must lie in [1, n={A.shape[1]}]")
         for name, value in zip(("A", "sigma_e", "sigma_n", "s", "_unit"),
                                (A, sigma_e, sigma_n, s, _is_identity(A))):
             object.__setattr__(self, name, value)

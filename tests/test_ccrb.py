@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -686,6 +687,88 @@ class TestRipConstants:
         p = s / n  # each column lies in a uniform s-subset with probability s/n
         assert np.abs(freq - p).max() <= 5.0 * math.sqrt(p * (1.0 - p) / count)
 
+    class QuantizedDraws:
+        """A generator stand-in whose uniforms take `levels` values, so rows tie."""
+
+        def __init__(self, seed, levels):
+            self.rng, self.levels = np.random.default_rng(seed), levels
+
+        def random(self, shape):
+            return np.floor(self.levels * self.rng.random(shape)) / self.levels
+
+    @pytest.mark.parametrize("levels", [None, 4, 1000], ids=["uniform", "ties", "some_ties"])
+    @pytest.mark.parametrize("n, s", [(40, 5), (9, 1), (9, 9)])
+    def test_sampled_supports_are_the_sorted_argpartition(self, n, s, levels):
+        count = 2 * RIP_BLOCK + 37
+
+        def draws():
+            rng = np.random.default_rng(4)
+            return rng if levels is None else self.QuantizedDraws(4, levels)
+
+        got = np.concatenate(list(ccrb_module._support_blocks(n, s, count, draws())))
+        U = draws().random((count, n))  # the blocks' draws, in one piece
+        want = np.sort(np.argpartition(U, s - 1, axis=1)[:, :s], axis=1)
+        np.testing.assert_array_equal(got, want)
+        if levels == 4 and s < n:  # rows tie at the s-th value: the fallback ran
+            kth = np.partition(U, s - 1, axis=1)[:, s - 1, None]
+            assert ((U <= kth).sum(axis=1) > s).any()
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "m, n, s, from_gram", [(6, 14, 4, True), (3, 100, 2, False)],
+        ids=["from_gram", "from_columns"],
+    )
+    def test_both_gram_sources_match_per_support_loop(self, m, n, s, from_gram, mode):
+        assert (n * n <= RIP_BLOCK * s * m) == from_gram  # whether A^T A is formed
+        A = generate_gaussian_matrix(m, n, np.random.default_rng(n))
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        rc = rip_constants(A, s, mode=mode, samples=2 * RIP_BLOCK + 37, rng=rng)
+        exhaustive = mode == "exhaustive"
+        lower, upper = reference_rip_constants(A, s, exhaustive, 2 * RIP_BLOCK + 37, ref_rng)
+        assert abs(rc.theta_lower - lower) <= 1e-12
+        assert abs(rc.theta_upper - upper) <= 1e-12
+        assert rc.exact == exhaustive
+
+    def test_wide_matrix_forms_no_gram(self):
+        # s = 1 over 3000 columns: A^T A would take 72 MB, the copy of A^T 48 KB
+        A = generate_gaussian_matrix(2, 3000, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            rc = rip_constants(A, 1, mode="exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        norms = np.einsum("ij,ij->j", A, A)  # the 1 x 1 Grams
+        assert rc.theta_upper == pytest.approx(norms.max() - 1.0, rel=1e-12)
+        assert rc.theta_lower == pytest.approx(1.0 - norms.min(), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", ["zero", "overflow"])
+    @pytest.mark.parametrize(
+        "m, n, s, column",
+        [(4, 12, 2, 3), (160, 100, 1, 70)],
+        ids=["first_block", "later_screened_block"],
+    )
+    def test_gram_source_names_the_first_failing_support(self, m, n, s, column, fault):
+        assert n * n <= RIP_BLOCK * s * m  # A^T A is formed
+        A = generate_gaussian_matrix(m, n, np.random.default_rng(2))
+        cols = [column, column + 6]
+        A[:, cols] = 0.0 if fault == "zero" else 1e200 * A[:, cols]
+        first = next(S for S in itertools.combinations(range(n), s) if column in S)
+        error = AssumptionViolatedError if fault == "zero" else OverflowingMatrixError
+        with pytest.raises(error, match=re.escape(f"support {first}")):
+            rip_constants(A, s, mode="exhaustive")
+
+    @pytest.mark.parametrize("s", [2.0, np.float64(2.0), True, "2", None])
+    def test_rejects_s_that_is_not_an_integer(self, s):
+        # 2.0 and True used to end in a bare TypeError from math.comb or np.eye
+        with pytest.raises(InvalidInputError, match="^s must be an integer >= 1"):
+            rip_constants(np.eye(4), s)
+
+    def test_accepts_a_numpy_integer_s(self):
+        assert rip_constants(np.eye(4), np.int64(2)) == rip_constants(np.eye(4), 2)
+
 
 class TestNoiseLevels:
     def test_hand_computed(self):
@@ -726,6 +809,29 @@ class TestNoiseLevels:
                 sigmas_at_levels(model.A, x, levels, 4)
         with pytest.raises(InvalidInputError, match="^noise levels must be nonnegative$"):
             sigmas_for_levels(model.A, x, -1.0, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "A, sigma_e, sigma_n, x0",
+        [(1e-100 * np.eye(3), 1e74, 0.1, 1.0), (np.eye(3), 0.1, 1e74, 1e-150)],
+        ids=["c_e", "c_n"],
+    )
+    def test_overflowing_level_is_a_math_error(self, A, sigma_e, sigma_n, x0):
+        # a finite instance whose level passes double range, not a bad input
+        model = ProblemModel(A=A, sigma_e=sigma_e, sigma_n=sigma_n, s=1)
+        with pytest.raises(OverflowingMatrixError, match="^noise levels overflow"):
+            noise_levels(model, SparseSignal(np.array([x0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_levels_rejected(self, bad):
+        # NaN passed the old c < 0 test, and both used to give sigma = nan or inf
+        model, x = gaussian_instance(11, m=10, n=16, s=4)
+        for c_e, c_n in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(InvalidInputError, match="^noise levels must be finite$"):
+                NoiseLevels(c_e, c_n)
+            with pytest.raises(InvalidInputError, match="^noise levels must be finite$"):
+                sigmas_for_levels(model.A, x, c_e, c_n, 4)
+            with pytest.raises(InvalidInputError, match="^noise levels must be finite$"):
+                sigmas_at_levels(model.A, x, [(0.5, 0.5), (c_e, c_n)], 4)
 
 
 class TestNonFiniteSupportEnergy:
@@ -820,6 +926,12 @@ class TestGammaApproxAndTransition:
         # c_n = 0 gives (1 + 1)/4
         assert transition_ce(0.0) == pytest.approx(0.5, rel=1e-14)
         assert transition_ce(1.0) == pytest.approx((1.0 + 3.0) / 4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("c_n, why", [(-1.0, "nonnegative"), (math.nan, "finite"),
+                                          (math.inf, "finite")])
+    def test_transition_rejects_a_bad_level(self, c_n, why):
+        with pytest.raises(InvalidInputError, match=f"^c_n must be {why}$"):
+            transition_ce(c_n)
 
     def test_transition_increases_with_measurement_noise(self):
         cs = [transition_ce(c) for c in (0.0, 0.5, 1.0, 5.0, 20.0)]

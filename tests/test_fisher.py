@@ -187,27 +187,53 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.J, b.J)
 
     def test_is_the_chunked_score_second_moment_bit_for_bit(self):
-        # the estimator spelled out: two chunks, the second one short
+        # the estimator spelled out: two chunks, the second one short, each
+        # adding to P^T P, P^T c and c^T c for the scores P / sx2 + c x^T
         model, x = small_instance()
         samples = DEFAULT_SAMPLE_CHUNK + 1000
         sx2 = sigma_x_squared(model, x)
         se2 = model.sigma_e**2
         rng = np.random.default_rng(9)
-        acc = np.zeros((model.n, model.n))
+        PP, Pc, cc = np.zeros((model.n, model.n)), np.zeros(model.n), 0.0
         for k in (DEFAULT_SAMPLE_CHUNK, 1000):
             r = np.sqrt(sx2) * rng.standard_normal((k, model.m))
-            S = r @ model.A / sx2
-            rr = np.einsum("ij,ij->i", r, r)
-            S += ((se2 / sx2**2) * (rr - model.m * sx2))[:, None] * x.x[None, :]
-            acc += S.T @ S
-        J = acc / samples
+            P = r @ model.A
+            c = (se2 / sx2**2) * (np.einsum("ij,ij->i", r, r) - model.m * sx2)
+            PP += P.T @ P
+            Pc += P.T @ c
+            cc += float(c @ c)
+        v = Pc / sx2
+        J = (PP / sx2**2 + np.outer(v, x.x) + np.outer(x.x, v) + cc * np.outer(x.x, x.x)) / samples
         est = fim_monte_carlo(model, x, samples, np.random.default_rng(9))
         np.testing.assert_array_equal(est.J, 0.5 * (J + J.T))
+
+    @pytest.mark.parametrize("sigma_e", [0.3, 0.0])
+    def test_is_the_per_sample_score_second_moment(self, sigma_e):
+        # the same draws as one block of scores, summed as outer products
+        model, x = small_instance(sigma_e=sigma_e)
+        samples = DEFAULT_SAMPLE_CHUNK + 1000
+        sx2 = sigma_x_squared(model, x)
+        R = math.sqrt(sx2) * np.random.default_rng(10).standard_normal((samples, model.m))
+        S = _scores(model, x.x, sx2, R)
+        want = S.T @ S / samples
+        est = fim_monte_carlo(model, x, samples, np.random.default_rng(10))
+        assert np.linalg.norm(est.J - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rejects_nonpositive_samples(self):
         model, x = small_instance()
         with pytest.raises(InvalidInputError):
             fim_monte_carlo(model, x, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("samples", [-3, 1000.0, 1e6, math.nan, True, "10", None])
+    def test_rejects_samples_that_are_not_a_positive_integer(self, samples):
+        # 1000.0 and 1e6 used to raise a bare TypeError, 1e6 after 30 chunks,
+        # and nan a false "J overflows double range"
+        model, x = small_instance()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="samples must be an integer >= 1"):
+            fim_monte_carlo(model, x, samples, rng)
+        assert rng.bit_generator.state == state  # rejected before any draw
 
 
 class TestOverflow:

@@ -108,6 +108,16 @@ class TestProblemModel:
         with pytest.raises(InvalidInputError):
             make_model(np.eye(3), 0.1, 0.1, 0)
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, np.float64(2.0), True, "2"])
+    def test_rejects_an_s_that_is_not_an_integer(self, s):
+        # 2.5 used to become s = 2 through int()
+        with pytest.raises(InvalidInputError, match="^sparsity budget s must be an integer"):
+            make_model(np.eye(3), 0.1, 0.1, s)
+
+    def test_accepts_a_numpy_integer_s(self):
+        model = make_model(np.eye(3), 0.1, 0.1, np.int64(2))
+        assert model.s == 2 and type(model.s) is int
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_noise_deviations(self, bad):
         with pytest.raises(InvalidInputError):
