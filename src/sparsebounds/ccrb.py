@@ -69,7 +69,7 @@ RIP_ENUMERATION_LIMIT = 100_000
 RIP_DEFAULT_SAMPLES = 2000
 # Supports per batched eigensolve in rip_constants: its temporaries are
 # RIP_BLOCK * s * m floats plus one n x m copy of A^T, or one n x n A^T A
-# when that is no larger, whatever the support count.
+# when that is no larger (see _forms_gram), whatever the support count.
 RIP_BLOCK = 64
 
 
@@ -244,22 +244,23 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
 
 def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None):
     """`count` sorted size-s supports of range(n) as (B, s) blocks, B <= RIP_BLOCK: in
-    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row.
-    Without a tie at a row's s-th smallest value its s smallest are the entries <= that
-    value, found in sorted order; a block with a tie takes argpartition's pick, sorted."""
+    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row."""
     combos = itertools.combinations(range(n), s)
     for start in range(0, count, RIP_BLOCK):
         B = min(RIP_BLOCK, count - start)
         if rng is None:
             flat = itertools.chain.from_iterable(itertools.islice(combos, B))
             yield np.fromiter(flat, dtype=np.intp, count=B * s).reshape(B, s)
-            continue
-        U = rng.random((B, n))
-        smallest = U <= np.partition(U, s - 1, axis=1)[:, s - 1, None]
-        if np.count_nonzero(smallest) == B * s:  # no row holds more than s: no tie
-            yield (np.flatnonzero(smallest) % n).reshape(B, s)
         else:
-            yield np.sort(np.argpartition(U, s - 1, axis=1)[:, :s], axis=1)
+            yield np.sort(np.argpartition(rng.random((B, n)), s - 1, axis=1)[:, :s], axis=1)
+
+
+def _forms_gram(m: int, n: int, s: int, count: int) -> bool:
+    """Whether rip_constants reads the Grams of `count` size-s supports from
+    one A^T A of the m x n A: only when A^T A takes no more memory than one
+    block of gathered columns and no more multiply-adds (n^2 m / 2) than
+    multiplying out each support's columns (count s^2 m)."""
+    return n * n <= min(RIP_BLOCK * s * m, 2 * count * s * s)
 
 
 def rip_constants(
@@ -275,9 +276,10 @@ def rip_constants(
     uniform supports from rng (default_rng(0) if None), and "auto"
     enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  A block of RIP_BLOCK
     supports reads its Grams from one A^T A formed per call when n^2 <=
-    RIP_BLOCK s m, that is when A^T A is no larger than one block of
-    gathered columns; a wider A gathers each block's columns and multiplies
-    them.  The block is solved by one batched eigvalsh, unless every Gram G
+    min(RIP_BLOCK s m, 2 count s^2) for `count` visited supports, that is
+    when A^T A is no larger than one block of gathered columns and no
+    costlier than multiplying out every support (see _forms_gram);
+    otherwise it gathers each block's columns and multiplies them.  The block is solved by one batched eigvalsh, unless every Gram G
     of the block is finite and one batched Cholesky of G - lo I and
     hi I - G succeeds, lo and hi being the extremes found so far: then no
     support of the block moves either.  Cholesky is backward stable, so a
@@ -305,8 +307,9 @@ def rip_constants(
         raise InvalidInputError(f"exhaustive enumeration of {total} supports "
                                 f"exceeds the limit {RIP_ENUMERATION_LIMIT}")
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= RIP_ENUMERATION_LIMIT)
+    count = total if exhaustive else samples
     rng = None if exhaustive else np.random.default_rng(0) if rng is None else rng
-    if n * n <= RIP_BLOCK * s * m:  # A^T A takes no more memory than one block's columns
+    if _forms_gram(m, n, s, count):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             flat = (A.T @ A).ravel()
 
@@ -321,7 +324,7 @@ def rip_constants(
                 return cols @ cols.transpose(0, 2, 1)
     eye = np.eye(s)
     lo, hi = math.inf, -math.inf
-    for idx in _support_blocks(n, s, total if exhaustive else samples, rng):
+    for idx in _support_blocks(n, s, count, rng):
         gram = grams(idx)  # (B, s, s): each A_S^T A_S
         finite = np.isfinite(gram).all(axis=(1, 2))
         if lo <= hi and finite.all():

@@ -91,9 +91,11 @@ def _scores(model: ProblemModel, x: np.ndarray, sx2: float, R: np.ndarray) -> np
 def _score_parts(model: ProblemModel, sx2: float, R: np.ndarray):
     """(P, c) for the residual rows r of R (k, m): P = R A and
     c = sigma_e^2 (||r||^2 - m sigma_x^2) / sigma_x^4, so the score at x of
-    row i is P[i] / sigma_x^2 + c[i] x."""
+    row i is P[i] / sigma_x^2 + c[i] x.  c is formed as (sigma_e^2 /
+    sigma_x^2) (||r||^2 / sigma_x^2 - m), never squaring sigma_x^2, which
+    may underflow where sigma_x^2 itself does not."""
     rr = np.einsum("ij,ij->i", R, R)
-    return R @ model.A, (model.sigma_e**2 / sx2**2) * (rr - model.m * sx2)
+    return R @ model.A, (model.sigma_e**2 / sx2) * (rr / sx2 - model.m)
 
 
 def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
@@ -135,7 +137,7 @@ def fim_monte_carlo(
             cc += float(c @ c)
             done += k
         v = Pc / sx2
-        J = PP / sx2**2 + np.outer(v, x) + np.outer(x, v) + cc * np.outer(x, x)
+        J = PP / sx2 / sx2 + np.outer(v, x) + np.outer(x, v) + cc * np.outer(x, x)
         return _fisher(J / samples, sx2)
 
 

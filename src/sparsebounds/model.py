@@ -104,8 +104,9 @@ class ProblemModel:
     sigma_n : float
         Standard deviation of the additive measurement noise.
     s : int
-        Sparsity budget, an integer in [1, n] (a float is rejected); signals
-        live in {x : ||x||_0 <= s}.
+        Sparsity budget, an integer in [1, n] (an integral float such as
+        2.0 is read as 2; 2.5 or a bool is rejected); signals live in
+        {x : ||x||_0 <= s}.
 
     The model keeps its own read-only copy of A, which no caller can
     write through, and decides once whether A is the identity, which the
@@ -124,7 +125,10 @@ class ProblemModel:
     def __post_init__(self):
         A = checked_matrix(_frozen(self.A))  # scans the model's own copy
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
-        s = checked_count("sparsity budget s", self.s)
+        s = self.s
+        if isinstance(s, (float, np.floating)) and float(s).is_integer():
+            s = int(s)  # 2.0 reads as s = 2; 2.5 fails the check below
+        s = checked_count("sparsity budget s", s)
         if s > A.shape[1]:
             raise InvalidInputError(f"sparsity budget s={s} must lie in [1, n={A.shape[1]}]")
         for name, value in zip(("A", "sigma_e", "sigma_n", "s", "_unit"),

@@ -687,44 +687,23 @@ class TestRipConstants:
         p = s / n  # each column lies in a uniform s-subset with probability s/n
         assert np.abs(freq - p).max() <= 5.0 * math.sqrt(p * (1.0 - p) / count)
 
-    class QuantizedDraws:
-        """A generator stand-in whose uniforms take `levels` values, so rows tie."""
-
-        def __init__(self, seed, levels):
-            self.rng, self.levels = np.random.default_rng(seed), levels
-
-        def random(self, shape):
-            return np.floor(self.levels * self.rng.random(shape)) / self.levels
-
-    @pytest.mark.parametrize("levels", [None, 4, 1000], ids=["uniform", "ties", "some_ties"])
-    @pytest.mark.parametrize("n, s", [(40, 5), (9, 1), (9, 9)])
-    def test_sampled_supports_are_the_sorted_argpartition(self, n, s, levels):
-        count = 2 * RIP_BLOCK + 37
-
-        def draws():
-            rng = np.random.default_rng(4)
-            return rng if levels is None else self.QuantizedDraws(4, levels)
-
-        got = np.concatenate(list(ccrb_module._support_blocks(n, s, count, draws())))
-        U = draws().random((count, n))  # the blocks' draws, in one piece
-        want = np.sort(np.argpartition(U, s - 1, axis=1)[:, :s], axis=1)
-        np.testing.assert_array_equal(got, want)
-        if levels == 4 and s < n:  # rows tie at the s-th value: the fallback ran
-            kth = np.partition(U, s - 1, axis=1)[:, s - 1, None]
-            assert ((U <= kth).sum(axis=1) > s).any()
-
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     @pytest.mark.parametrize(
-        "m, n, s, from_gram", [(6, 14, 4, True), (3, 100, 2, False)],
-        ids=["from_gram", "from_columns"],
+        "m, n, s, mode, from_gram",
+        [(6, 14, 4, "exhaustive", True), (6, 14, 4, "sampled", True),
+         (3, 100, 2, "exhaustive", False), (3, 100, 2, "sampled", False),
+         (40, 60, 2, "exhaustive", True), (40, 60, 2, "sampled", False)],
+        ids=["small-exhaustive", "small-sampled", "wide-exhaustive", "wide-sampled",
+             "many_supports", "few_supports"],
     )
-    def test_both_gram_sources_match_per_support_loop(self, m, n, s, from_gram, mode):
-        assert (n * n <= RIP_BLOCK * s * m) == from_gram  # whether A^T A is formed
+    def test_both_gram_sources_match_per_support_loop(self, m, n, s, mode, from_gram):
+        samples = 2 * RIP_BLOCK + 37
+        exhaustive = mode == "exhaustive"
+        count = math.comb(n, s) if exhaustive else samples
+        assert ccrb_module._forms_gram(m, n, s, count) == from_gram  # whether A^T A is formed
         A = generate_gaussian_matrix(m, n, np.random.default_rng(n))
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        rc = rip_constants(A, s, mode=mode, samples=2 * RIP_BLOCK + 37, rng=rng)
-        exhaustive = mode == "exhaustive"
-        lower, upper = reference_rip_constants(A, s, exhaustive, 2 * RIP_BLOCK + 37, ref_rng)
+        rc = rip_constants(A, s, mode=mode, samples=samples, rng=rng)
+        lower, upper = reference_rip_constants(A, s, exhaustive, samples, ref_rng)
         assert abs(rc.theta_lower - lower) <= 1e-12
         assert abs(rc.theta_upper - upper) <= 1e-12
         assert rc.exact == exhaustive
@@ -747,11 +726,11 @@ class TestRipConstants:
     @pytest.mark.parametrize("fault", ["zero", "overflow"])
     @pytest.mark.parametrize(
         "m, n, s, column",
-        [(4, 12, 2, 3), (160, 100, 1, 70)],
+        [(4, 12, 2, 3), (80, 100, 2, 70)],
         ids=["first_block", "later_screened_block"],
     )
     def test_gram_source_names_the_first_failing_support(self, m, n, s, column, fault):
-        assert n * n <= RIP_BLOCK * s * m  # A^T A is formed
+        assert ccrb_module._forms_gram(m, n, s, math.comb(n, s))  # A^T A is formed
         A = generate_gaussian_matrix(m, n, np.random.default_rng(2))
         cols = [column, column + 6]
         A[:, cols] = 0.0 if fault == "zero" else 1e200 * A[:, cols]

@@ -157,6 +157,16 @@ class TestScore:
         r = y.y - A @ x.x
         np.testing.assert_allclose(score(model, x, y), A.T @ r / 0.49, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_classical_score_where_sigma_x_squared_squared_underflows(self, rng):
+        # sigma_x^2 = 1e-164 squares to 0.0, which the score never forms
+        A = generate_gaussian_matrix(5, 3, rng)
+        model = ProblemModel(A=A, sigma_e=0.0, sigma_n=1e-82, s=2)
+        x = SparseSignal(1e-82 * np.array([1.0, 0.0, 2.0]))
+        y = Measurement(A @ x.x + 1e-82 * rng.standard_normal(5))
+        r = y.y - A @ x.x
+        np.testing.assert_allclose(score(model, x, y), A.T @ r / 1e-164, rtol=1e-12)
+
 
 class TestMonteCarlo:
     def test_matches_closed_form(self):
@@ -198,12 +208,12 @@ class TestMonteCarlo:
         for k in (DEFAULT_SAMPLE_CHUNK, 1000):
             r = np.sqrt(sx2) * rng.standard_normal((k, model.m))
             P = r @ model.A
-            c = (se2 / sx2**2) * (np.einsum("ij,ij->i", r, r) - model.m * sx2)
+            c = (se2 / sx2) * (np.einsum("ij,ij->i", r, r) / sx2 - model.m)
             PP += P.T @ P
             Pc += P.T @ c
             cc += float(c @ c)
         v = Pc / sx2
-        J = (PP / sx2**2 + np.outer(v, x.x) + np.outer(x.x, v) + cc * np.outer(x.x, x.x)) / samples
+        J = (PP / sx2 / sx2 + np.outer(v, x.x) + np.outer(x.x, v) + cc * np.outer(x.x, x.x)) / samples
         est = fim_monte_carlo(model, x, samples, np.random.default_rng(9))
         np.testing.assert_array_equal(est.J, 0.5 * (J + J.T))
 
@@ -218,6 +228,16 @@ class TestMonteCarlo:
         want = S.T @ S / samples
         est = fim_monte_carlo(model, x, samples, np.random.default_rng(10))
         assert np.linalg.norm(est.J - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_closed_form_where_sigma_x_squared_squared_underflows(self):
+        # sigma_x^2 = 1e-164 is normal but its square is not: the classical
+        # information A^T A / sigma_x^2 = 1e164 A^T A stays finite
+        model, x = small_instance(sigma_e=0.0, sigma_n=1e-82)
+        fim = fim_closed_form(model, x)
+        est = fim_monte_carlo(model, x, samples=100_000, rng=np.random.default_rng(2))
+        ref = 1e-164 * fim.J  # the norm of fim.J itself squares past double range
+        assert np.linalg.norm(1e-164 * est.J - ref) <= 0.05 * np.linalg.norm(ref)
 
     def test_rejects_nonpositive_samples(self):
         model, x = small_instance()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -108,14 +109,15 @@ class TestProblemModel:
         with pytest.raises(InvalidInputError):
             make_model(np.eye(3), 0.1, 0.1, 0)
 
-    @pytest.mark.parametrize("s", [2.5, 2.0, np.float64(2.0), True, "2"])
+    @pytest.mark.parametrize("s", [2.5, np.float64(2.5), math.nan, math.inf, True, "2"])
     def test_rejects_an_s_that_is_not_an_integer(self, s):
         # 2.5 used to become s = 2 through int()
         with pytest.raises(InvalidInputError, match="^sparsity budget s must be an integer"):
             make_model(np.eye(3), 0.1, 0.1, s)
 
-    def test_accepts_a_numpy_integer_s(self):
-        model = make_model(np.eye(3), 0.1, 0.1, np.int64(2))
+    @pytest.mark.parametrize("s", [np.int64(2), 2.0, np.float64(2.0)])
+    def test_accepts_an_integral_s(self, s):
+        model = make_model(np.eye(3), 0.1, 0.1, s)
         assert model.s == 2 and type(model.s) is int
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
