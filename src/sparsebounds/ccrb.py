@@ -348,8 +348,9 @@ def rip_constants(
 def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
     """(||x||^2, tr(A_S^T A_S)) for the signal's support S; both must be
     positive and finite for the noise levels to be defined.  A_S is
-    scanned for a NaN or inf entry only once one of the sums is not
-    finite, to tell InvalidInputError from OverflowingMatrixError."""
+    scanned for a NaN or inf entry only once a sum is not finite, and x
+    for a nonzero entry only once ||x||^2 is 0, to tell a bad input
+    (InvalidInputError) from an overflow or underflow."""
     S = list(signal.support)
     if not S:
         raise InvalidInputError("signal support is empty")
@@ -357,6 +358,8 @@ def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         energy, tr_gram = float(x @ x), float(np.einsum("ij,ij->", A_S, A_S))
     if energy == 0.0:
+        if x.any():
+            raise OverflowingMatrixError("||x||^2 underflows double range")
         raise InvalidInputError("noise levels are undefined for the zero signal")
     if not (math.isfinite(energy) and math.isfinite(tr_gram)):
         checked_matrix(A_S)  # "A must be finite"
@@ -423,8 +426,7 @@ def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float,
     t_a = theta_upper, t_b = -theta_lower and the lower bound swaps them.
     Both collapse to gamma_approx when the thetas vanish.  s must be rip.s.
     """
-    if s < 1:
-        raise InvalidInputError("s must be positive")
+    s = checked_count("s", s)
     if s != rip.s:
         raise InvalidInputError(f"s={s} does not match the RIP constants' s={rip.s}")
     if rip.theta_lower >= 1.0:
@@ -441,9 +443,7 @@ def gamma_approx(c_e: float, c_n: float, s: int) -> float:
 
     Vanishes as c_e -> 0 and saturates at 1/s as c_e -> infinity.
     """
-    if s < 1:
-        raise InvalidInputError("s must be positive")
-    return _gamma(1.0, 1.0, NoiseLevels(c_e, c_n), s)
+    return _gamma(1.0, 1.0, NoiseLevels(c_e, c_n), checked_count("s", s))
 
 
 def transition_ce(c_n: float) -> float:

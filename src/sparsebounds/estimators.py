@@ -22,6 +22,7 @@ from .errors import InvalidInputError, SparseBoundsError
 from .model import (
     ProblemModel,
     SparseSignal,
+    checked_count,
     checked_support,
     measurement_vector,
     model_measurement,
@@ -71,8 +72,7 @@ class EstimatorSpec:
                 self, "support", tuple(sorted(int(i) for i in self.support))
             )
         elif self.kind == "maximum_likelihood":
-            if self.s is None or self.s < 1:
-                raise InvalidInputError("maximum_likelihood estimator needs s >= 1")
+            object.__setattr__(self, "s", checked_count("s", self.s))
         elif self.kind == "locally_unbiased":
             if self.x0 is None or len(self.x0.support) != 1:
                 raise InvalidInputError(
@@ -85,7 +85,7 @@ class EstimatorSpec:
 
     @classmethod
     def maximum_likelihood(cls, s: int) -> "EstimatorSpec":
-        return cls(kind="maximum_likelihood", s=int(s))
+        return cls(kind="maximum_likelihood", s=s)
 
     @classmethod
     def locally_unbiased(cls, x0: SparseSignal) -> "EstimatorSpec":
@@ -194,8 +194,8 @@ def _ml_unit(Y: np.ndarray, s: int):
 def estimate_ml_unit(y, s: int) -> SparseSignal:
     """Maximum likelihood for a unit sensing matrix: keep the s largest
     magnitudes of y (ties broken toward the lowest index)."""
-    yv = measurement_vector(y)
-    if not 1 <= s <= yv.size:
+    yv, s = measurement_vector(y), checked_count("s", s)
+    if s > yv.size:
         raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
     X, errors, keep = _ml_unit(yv[None], s)
     if errors:

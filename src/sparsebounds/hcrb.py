@@ -39,7 +39,9 @@ from .errors import (
     OverflowingTestPointError,
     UnsupportedMatrixError,
 )
-from .model import ProblemModel, SparseSignal, _check_signal, positive_sigma_x_squared
+from .model import (
+    ProblemModel, SparseSignal, _check_signal, _deviations, checked_count, positive_sigma_x_squared
+)
 
 __all__ = [
     "TestPointSet",
@@ -230,12 +232,12 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
     Zero exactly at beta = 1/(2 sigma_e^2) and decaying like
     beta e^{-beta} for large beta.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise InvalidInputError("beta must be positive")
+    n = checked_count("n", n)
     if n < 2:
         raise InvalidInputError("g is defined for n >= 2")
-    if sigma_e < 0.0:
-        raise InvalidInputError("sigma_e must be nonnegative")
+    sigma_e, _ = _deviations(sigma_e, 0.0)
     if beta > _BETA_OVERFLOW:
         return 0.0
     num = beta * (1.0 - 2.0 * sigma_e**2 * beta) ** 2
@@ -303,6 +305,4 @@ def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbRepo
 
 def transition_sigma_e(s: int) -> float:
     """Perturbation level 1/sqrt(s) separating the two gap regimes."""
-    if s < 1:
-        raise InvalidInputError("s must be positive")
-    return 1.0 / math.sqrt(s)
+    return 1.0 / math.sqrt(checked_count("s", s))

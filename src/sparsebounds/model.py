@@ -318,14 +318,14 @@ def generate_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.nda
     Columns then have expected squared norm 1; no explicit normalization
     is applied.
     """
-    if m < 1 or n < 1:
-        raise InvalidInputError("matrix dimensions must be positive")
+    m, n = checked_count("m", m), checked_count("n", n)
     return rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, n))
 
 
 def generate_bernoulli_signal(n: int, s: int, rng: np.random.Generator) -> SparseSignal:
     """s-sparse signal with a uniform random support and +-1 entries."""
-    if not 1 <= s <= n:
+    n, s = checked_count("n", n), checked_count("s", s)
+    if s > n:
         raise InvalidInputError(f"need 1 <= s <= n, got s={s}, n={n}")
     support = np.sort(rng.choice(n, size=s, replace=False))
     x = np.zeros(n)
@@ -345,8 +345,7 @@ def spark_exceeds(A: np.ndarray, k: int) -> bool:
     """
     A = checked_matrix(A)
     m, n = A.shape
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    k = checked_count("k", k)
     if n > SPARK_ENUMERATION_LIMIT:
         raise UnsupportedSizeError(
             "exhaustive spark verification supports at most "

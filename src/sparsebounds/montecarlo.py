@@ -23,10 +23,10 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .ccrb import ccrb_bound
-from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
+from .errors import ExcessiveFailureError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
-from .model import ProblemModel, SparseSignal, _check_signal, sigma_x_squared
+from .model import ProblemModel, SparseSignal, _check_signal, checked_count, sigma_x_squared
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
 
@@ -259,10 +259,7 @@ def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummar
             c_qs.append(row_dot(err))
             # in trial order: cumsum adds one row at a time, where sum
             # would add pairwise
-            if len(err) == 1:  # cumsum's one add, without its copies
-                c_err += err[0]
-            else:
-                c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
+            c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
         moments = merge_moments(moments, chunk_moments(np.concatenate(c_qs)))
         sum_err += c_err
     if failures > FAILURE_BUDGET * trials:
@@ -294,8 +291,7 @@ def run_trials(
     trial_stream(seed, t, stream_key).  More than FAILURE_BUDGET failed
     trials abort the run with the first diagnostic.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be positive")
+    trials = checked_count("trials", trials)
     sx = math.sqrt(sigma_x_squared(model, signal))
     mean = model.A @ signal.x
     try:

@@ -926,3 +926,25 @@ class TestGammaApproxAndTransition:
     def test_monotone_in_ce(self):
         vals = [gamma_approx(c, 0.5, 6) for c in np.logspace(-3, 3, 25)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+class TestUnderflowingSupportEnergy:
+    """||x||^2 of a nonzero signal can underflow to 0; that is an overflow
+    of double range, not the zero signal."""
+
+    TINY = SparseSignal(np.array([1e-200, 0.0, 0.0]))
+
+    def test_noise_levels(self):
+        # used to raise "noise levels are undefined for the zero signal"
+        model = ProblemModel(A=np.eye(3), sigma_e=0.1, sigma_n=1e-3, s=1)
+        with pytest.raises(OverflowingMatrixError, match=r"^\|\|x\|\|\^2 underflows"):
+            noise_levels(model, self.TINY)
+
+    def test_sigmas_for_levels(self):
+        with pytest.raises(OverflowingMatrixError, match=r"^\|\|x\|\|\^2 underflows"):
+            sigmas_for_levels(np.eye(3), self.TINY, 0.5, 0.5, 1)
+
+    def test_zero_signal_on_a_declared_support_is_still_the_zero_signal(self):
+        zero = SparseSignal(np.zeros(3), (0,))
+        with pytest.raises(InvalidInputError, match="^noise levels are undefined for the zero signal$"):
+            sigmas_for_levels(np.eye(3), zero, 0.5, 0.5, 1)

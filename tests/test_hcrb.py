@@ -653,3 +653,21 @@ class TestClosedFormChecks:
         model = identity_model(6, 0.1, 0.2, 2)
         hcrb_unit_closed_form(model, SparseSignal(np.r_[1.0, 0.5, np.zeros(4)]))
         assert len(calls) == 1
+
+
+class TestGFunctionInputs:
+    """g reads sigma_e by the model's deviation rule and rejects a beta
+    that is not positive, NaN included; beta = inf is its limit 0."""
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(InvalidInputError, match="^beta must be positive$"):
+            g_function(math.nan, 5, 0.1)
+
+    @pytest.mark.parametrize("sigma_e", [math.nan, math.inf, 1e200], ids=repr)
+    def test_sigma_e_outside_the_deviation_rule_rejected(self, sigma_e):
+        # nan and inf used to return nan, 1e200 to end in a bare OverflowError
+        with pytest.raises(InvalidInputError, match="^noise deviations must be finite"):
+            g_function(0.5, 5, sigma_e)
+
+    def test_infinite_beta_is_the_limit(self):
+        assert g_function(math.inf, 5, 0.1) == 0.0
