@@ -14,6 +14,7 @@ files byte for byte.  Exit codes: 0 success, a package error's
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -35,6 +36,8 @@ from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
     SparseSignal,
+    _is_integer,
+    checked_count,
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
@@ -123,7 +126,7 @@ class ExperimentConfig:
     Each protocol reads only some knobs, and fills those left as None with
     its own default (the protocol table in README, and _FIGURES); it
     ignores the others.  The counts (trials, points, draws, n, m, s) must
-    be positive.
+    be positive integers, by checked_count's type rule.
     """
 
     experiment: str
@@ -140,8 +143,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("trials", "points", "draws", "n", "m", "s"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if _is_integer(value) and value < 1:
                 raise InvalidInputError(f"{name} must be positive")
+            checked_count(name, value)  # raises for a bool, a float or a string
 
 
 # additive noise levels used by the gamma figures, as (label, value)
@@ -560,7 +566,11 @@ def _add_instance(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call.  It holds no
+    per-call state: the handlers are looked up by main at each call, and
+    the environment and config values reach it only as preset flags."""
     parser = argparse.ArgumentParser(
         prog="sparsebounds",
         description="Estimation lower bounds for sparse signals under "
@@ -574,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--sigma-n", dest="sigma_n", type=float, required=True)
     pb.add_argument("--x", required=True, help="comma separated values or a file")
     _add_common(pb)
-    pb.set_defaults(func=cmd_bounds)
 
     pf = sub.add_parser("figure", help="write one experiment protocol as CSV")
     pf.add_argument("id", choices=sorted(_FIGURES))
@@ -584,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--x-q", dest="x_q", type=float)
     pf.add_argument("--workers", type=_positive, default=1, help=_WORKERS_HELP)
     _add_common(pf)
-    pf.set_defaults(func=cmd_figure)
 
     ps = sub.add_parser("simulate", help="estimator MSE against the bounds")
     _add_instance(ps)
@@ -603,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trials", type=_positive, default=10_000)
     ps.add_argument("--workers", type=_positive, default=1, help=_WORKERS_HELP)
     _add_common(ps)
-    ps.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -626,7 +633,10 @@ def main(argv=None) -> int:
             # argparse checks each one with its option's own type
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + preset + argv[at:])
-        args.func(args)
+        # looked up here, not stored on the cached parser, so that a cmd_*
+        # replaced after the first call is the one that runs
+        handlers = {"bounds": cmd_bounds, "figure": cmd_figure, "simulate": cmd_simulate}
+        handlers[args.command](args)
     except SystemExit as exc:
         # argparse exits itself on usage errors; keep main() returning
         return int(exc.code or 0)

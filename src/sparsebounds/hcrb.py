@@ -242,7 +242,12 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
         return 0.0
     num = beta * (1.0 - 2.0 * sigma_e**2 * beta) ** 2
     den = math.expm1(beta) * (1.0 + 2.0 * n * sigma_e**4 * beta)
-    return num / den
+    if math.isfinite(num) and math.isfinite(den):
+        return num / den
+    # a large sigma_e^2 beta overflows num or den, and then sigma_e > 0:
+    # divide both by sigma_e^4, and take beta / expm1(beta) apart
+    scaled = (1.0 / sigma_e**2 - 2.0 * beta) ** 2 / (1.0 / sigma_e**4 + 2.0 * n * beta)
+    return beta / math.expm1(beta) * scaled
 
 
 def _unit_maximal(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:

@@ -58,10 +58,16 @@ def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     return float(sigma_e), float(sigma_n)
 
 
+def _is_integer(value) -> bool:
+    """The count type rule: an int or a numpy integer.  A float, even an
+    integral one, and a bool are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def checked_count(name: str, value) -> int:
     """value as an int, raising InvalidInputError unless it is an integer
-    >= 1.  A float, even an integral one, and a bool are not integers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    (_is_integer) >= 1."""
+    if not _is_integer(value) or value < 1:
         raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 

@@ -922,3 +922,85 @@ class TestDefaultSeed:
         assert DEFAULT_SEED == 1729
         assert SEED_ENV_VAR == "SPARSEBOUNDS_SEED"
         assert os.environ.get(SEED_ENV_VAR) is None
+
+
+class TestExperimentConfigCounts:
+    """The counts follow checked_count's type rule; an integer below 1
+    keeps its own message."""
+
+    @pytest.mark.parametrize("name", ["trials", "points", "draws", "n", "m", "s"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (2.5, "must be an integer >= 1, got 2.5"),
+            (2.0, "must be an integer >= 1, got 2.0"),
+            (True, "must be an integer >= 1, got True"),
+            ("2", "must be an integer >= 1, got '2'"),
+            (0, "must be positive"),
+            (np.int64(-1), "must be positive"),
+        ],
+        ids=repr,
+    )
+    def test_bad_count_rejected(self, name, value, message):
+        with pytest.raises(InvalidInputError) as info:
+            ExperimentConfig("fig3", **{name: value})
+        assert str(info.value) == f"{name} {message}"
+
+    @pytest.mark.parametrize("name", ["trials", "points", "draws", "n", "m", "s"])
+    def test_numpy_integer_accepted(self, name):
+        assert getattr(ExperimentConfig("fig3", **{name: np.int64(3)}), name) == 3
+
+
+def _figure_bytes(argv, tmp_path, name):
+    """The CSV bytes of one in-process figure run."""
+    out = tmp_path / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out-dir", str(tmp_path), "--output", name]) == 0
+    return out.read_bytes()
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; nothing of one call reaches
+    the next."""
+
+    BOUNDS = [
+        "bounds", "ccrb",
+        "--n", "6", "--m", "6", "--s", "2",
+        "--sigma-e", "0", "--sigma-n", "0.5", "--x", "1,0,2,0,0,0",
+    ]
+
+    def test_handler_is_looked_up_at_each_call(self, monkeypatch, capsys):
+        assert run(self.BOUNDS) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bounds", seen.append)
+        assert run(self.BOUNDS) == 0
+        assert [args.which for args in seen] == ["ccrb"]
+        assert capsys.readouterr().out.count("\n") == 2  # the first call's two lines
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure", "fig3"], ["figure", "fig4", "--points", "2", "--draws", "1"]],
+        ids=["fig3", "fig4"],
+    )
+    def test_env_and_config_do_not_leak(self, argv, tmp_path, monkeypatch):
+        before = _figure_bytes(argv, tmp_path, "before.csv")
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("points = 3\n")
+        monkeypatch.setenv(SEED_ENV_VAR, "5")
+        preset = _figure_bytes(argv + ["--config", str(cfg)], tmp_path, "preset.csv")
+        monkeypatch.delenv(SEED_ENV_VAR)
+        assert preset != before
+        assert _figure_bytes(argv, tmp_path, "after.csv") == before
+
+    def test_table1_twice_gives_the_same_bytes(self, tmp_path):
+        argv = ["figure", "table1", "--trials", "5000"]
+        first = _figure_bytes(argv, tmp_path, "first.csv")
+        assert _figure_bytes(argv, tmp_path, "second.csv") == first
+
+    def test_load_config_builds_no_parser(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("points = 3\n")
+        misses = cli.build_parser.cache_info().misses
+        assert load_config(str(cfg)) == {"points": "3"}
+        assert cli.build_parser.cache_info().misses == misses

@@ -671,3 +671,19 @@ class TestGFunctionInputs:
 
     def test_infinite_beta_is_the_limit(self):
         assert g_function(math.inf, 5, 0.1) == 0.0
+
+
+class TestGFunctionOverflow:
+    """Where beta (1 - 2 sigma_e^2 beta)^2 or expm1(beta) (1 + 2 n sigma_e^4
+    beta) overflows, g is still the ratio, here against 60-digit Decimal
+    values."""
+
+    @pytest.mark.parametrize(
+        "beta, n, sigma_e, want",
+        [
+            (500.0, 5, 9e74, 7.1245764067412855e-213),  # both overflow: was nan
+            (300.0, 5, 1e70, 1.8533520800683250e-126),  # den overflows: was 0.0
+        ],
+    )
+    def test_matches_decimal(self, beta, n, sigma_e, want):
+        assert g_function(beta, n, sigma_e) == pytest.approx(want, rel=1e-12, abs=0.0)
