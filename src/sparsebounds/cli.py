@@ -591,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         pf.add_argument(flag, type=int)  # None: the protocol's own default
     pf.add_argument("--sigma-n", dest="sigma_n", type=float)
     pf.add_argument("--x-q", dest="x_q", type=float)
-    pf.add_argument("--workers", type=_positive, default=1, help=_WORKERS_HELP)
     _add_common(pf)
 
     ps = sub.add_parser("simulate", help="estimator MSE against the bounds")

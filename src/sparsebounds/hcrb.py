@@ -195,13 +195,10 @@ def hcrb_general(
     d_i = sqrt(H_ii): with offsets of mixed scales H spans many decades,
     and an eigenvalue cut relative to the largest would drop the
     small-offset directions.  This equals V H^-1 V^T when H is invertible
-    and is a valid bound otherwise.  Accepts raw offset vectors or an
-    already assembled TestPointSet.
+    and is a valid bound otherwise.  The offsets are raw vectors, which
+    test_points checks and turns into H.
     """
-    if isinstance(offsets, TestPointSet):
-        tps = offsets
-    else:
-        tps = test_points(model, signal, offsets)
+    tps = test_points(model, signal, offsets)
     h = np.diag(tps.H)
     d = np.sqrt(np.where(h > 0.0, h, 1.0))
     W = tps.V / d

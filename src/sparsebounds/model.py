@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "ProblemModel",
     "SparseSignal",
-    "Measurement",
     "sigma_x_squared",
     "sample_measurement",
     "generate_gaussian_matrix",
@@ -110,8 +109,8 @@ class ProblemModel:
     sigma_n : float
         Standard deviation of the additive measurement noise.
     s : int
-        Sparsity budget, an integer in [1, n] (an integral float such as
-        2.0 is read as 2; 2.5 or a bool is rejected); signals live in
+        Sparsity budget, an integer in [1, n] by checked_count's type rule
+        (a float, even 2.0, or a bool is rejected); signals live in
         {x : ||x||_0 <= s}.
 
     The model keeps its own read-only copy of A, which no caller can
@@ -131,10 +130,7 @@ class ProblemModel:
     def __post_init__(self):
         A = checked_matrix(_frozen(self.A))  # scans the model's own copy
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
-        s = self.s
-        if isinstance(s, (float, np.floating)) and float(s).is_integer():
-            s = int(s)  # 2.0 reads as s = 2; 2.5 fails the check below
-        s = checked_count("sparsity budget s", s)
+        s = checked_count("sparsity budget s", self.s)
         if s > A.shape[1]:
             raise InvalidInputError(f"sparsity budget s={s} must lie in [1, n={A.shape[1]}]")
         for name, value in zip(("A", "sigma_e", "sigma_n", "s", "_unit"),
@@ -201,25 +197,9 @@ class SparseSignal:
         return int(np.count_nonzero(self.x))
 
 
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """An observed measurement vector."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _frozen(measurement_vector(self.y)))
-
-    @property
-    def m(self) -> int:
-        return self.y.size
-
-
 def measurement_vector(y) -> np.ndarray:
-    """The array of a Measurement, or a plain array checked as Measurement
-    checks it: InvalidInputError unless it is a nonempty 1-d vector."""
-    if isinstance(y, Measurement):
-        return y.y
+    """y as a float array, raising InvalidInputError unless it is a
+    nonempty 1-d vector."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("measurement must be a nonempty 1-d vector")
@@ -306,8 +286,8 @@ def support_factor(model: ProblemModel, support: tuple[int, ...]):
 
 def sample_measurement(
     model: ProblemModel, signal: SparseSignal, rng: np.random.Generator
-) -> Measurement:
-    """Draw one measurement y = (A + E)x + n.
+) -> np.ndarray:
+    """Draw one measurement y = (A + E)x + n, a read-only array of length m.
 
     Uses the equivalent law y = Ax + sigma_x z with z standard normal,
     which matches the joint perturbation-plus-noise distribution exactly
@@ -315,7 +295,9 @@ def sample_measurement(
     """
     sx = math.sqrt(sigma_x_squared(model, signal))
     z = rng.standard_normal(model.m)
-    return Measurement(model.A @ signal.x + sx * z)
+    y = model.A @ signal.x + sx * z
+    y.setflags(write=False)
+    return y
 
 
 def generate_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

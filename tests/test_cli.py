@@ -900,14 +900,11 @@ class TestSimulateCommand:
 
     def test_zero_workers_exits_two(self, tmp_path, capsys):
         no_estimators = SIMULATE_TINY + ["--estimators", ""]
-        fig3 = ["figure", "fig3", "--points", "3"]
         cases = [
             SIMULATE_TINY + ["--workers", "0"],
-            ["figure", "fig-estimators", "--trials", "50", "--points", "2", "--workers", "0"],
             # no Monte Carlo trial runs, so the flags are checked when parsed
-            fig3 + ["--workers", "0"],
-            fig3 + ["--workers", "-5"],
             no_estimators + ["--workers", "0"],
+            no_estimators + ["--workers", "-5"],
             no_estimators + ["--trials", "-3"],
         ]
         for argv in cases:
@@ -915,6 +912,11 @@ class TestSimulateCommand:
             assert code == 2, argv
             flag = "workers" if "--workers" in argv else "trials"
             assert f"argument --{flag}" in capsys.readouterr().err
+
+    def test_figure_has_no_workers_option(self, tmp_path, capsys):
+        argv = ["figure", "fig3", "--points", "3", "--workers", "2"]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestDefaultSeed:

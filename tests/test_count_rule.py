@@ -39,6 +39,7 @@ def _rng():
 
 # site -> (argument name, call with the count, a valid count)
 SITES = {
+    "ProblemModel": ("sparsity budget s", lambda v: ProblemModel(np.eye(3), 0.1, 0.1, v), 2),
     "run_trials": ("trials", lambda v: run_trials(_MODEL, _SIGNAL, EstimatorSpec.oracle((0,)), v, 0), 3),
     "EstimatorSpec.maximum_likelihood": ("s", EstimatorSpec.maximum_likelihood, 2),
     "EstimatorSpec(maximum_likelihood)": ("s", lambda v: EstimatorSpec("maximum_likelihood", s=v), 2),

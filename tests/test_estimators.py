@@ -15,7 +15,6 @@ from sparsebounds.estimators import (
     row_dot,
 )
 from sparsebounds.model import (
-    Measurement,
     ProblemModel,
     SparseSignal,
     generate_gaussian_matrix,
@@ -27,7 +26,7 @@ from sparsebounds.model import (
 class TestOracle:
     def test_identity_support_projection(self):
         model = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.1, s=2)
-        y = Measurement(np.array([3.0, -1.0, 2.0, 0.5]))
+        y = np.array([3.0, -1.0, 2.0, 0.5])
         xhat = estimate_oracle(model, y, support=(0, 2))
         np.testing.assert_array_equal(xhat.x, [3.0, 0.0, 2.0, 0.0])
         assert xhat.support == (0, 2)
@@ -43,49 +42,49 @@ class TestOracle:
     def test_least_squares_on_support(self, rng):
         A = generate_gaussian_matrix(7, 5, rng)
         model = ProblemModel(A=A, sigma_e=0.2, sigma_n=0.3, s=2)
-        y = Measurement(rng.normal(size=7))
+        y = rng.normal(size=7)
         S = (1, 3)
         xhat = estimate_oracle(model, y, support=S)
-        ref, *_ = np.linalg.lstsq(A[:, S], y.y, rcond=None)
+        ref, *_ = np.linalg.lstsq(A[:, S], y, rcond=None)
         np.testing.assert_allclose(xhat.x[list(S)], ref, rtol=1e-10)
 
     def test_singular_support_rejected(self):
         A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=2)
         with pytest.raises(SingularMatrixError):
-            estimate_oracle(model, Measurement(np.array([1.0, 1.0])), support=(0, 1))
+            estimate_oracle(model, np.array([1.0, 1.0]), support=(0, 1))
 
 
 class TestMlUnit:
     def test_keeps_largest_magnitudes(self):
-        y = Measurement(np.array([3.0, 1.0, -2.0]))
+        y = np.array([3.0, 1.0, -2.0])
         one = estimate_ml_unit(y, s=1)
         np.testing.assert_array_equal(one.x, [3.0, 0.0, 0.0])
         two = estimate_ml_unit(y, s=2)
         np.testing.assert_array_equal(two.x, [3.0, 0.0, -2.0])
 
     def test_tie_prefers_lowest_index(self):
-        y = Measurement(np.array([1.0, -1.0]))
+        y = np.array([1.0, -1.0])
         xhat = estimate_ml_unit(y, s=1)
         np.testing.assert_array_equal(xhat.x, [1.0, 0.0])
 
     def test_scale_invariant_support(self, rng):
         for _ in range(20):
             yv = rng.normal(size=8)
-            a = estimate_ml_unit(Measurement(yv), s=3).support
-            b = estimate_ml_unit(Measurement(4.7 * yv), s=3).support
+            a = estimate_ml_unit(yv, s=3).support
+            b = estimate_ml_unit(4.7 * yv, s=3).support
             assert a == b
 
     def test_s_must_fit(self):
         with pytest.raises(InvalidInputError):
-            estimate_ml_unit(Measurement(np.array([1.0, 2.0])), s=3)
+            estimate_ml_unit(np.array([1.0, 2.0]), s=3)
 
 
 class TestLocallyUnbiased:
     def test_fixed_point_at_reference(self):
         x0 = SparseSignal(np.array([0.0, 2.0, 0.0]), support=(1,))
         model = ProblemModel(A=np.eye(3), sigma_e=0.5, sigma_n=0.5, s=1)
-        out = estimate_locally_unbiased(model, Measurement(x0.x.copy()), x0)
+        out = estimate_locally_unbiased(model, x0.x.copy(), x0)
         # at y = x0 the damping is exp(-3 x0q^2 / (2 sigma^2)) on off-support
         s0sq = sigma_x_squared(model, x0)
         damp = np.exp(-3.0 * 4.0 / (2.0 * s0sq))
@@ -96,14 +95,14 @@ class TestLocallyUnbiased:
         x0 = SparseSignal(np.array([0.0, 0.0, 0.0]), support=(2,))
         model = ProblemModel(A=np.eye(3), sigma_e=0.3, sigma_n=0.4, s=1)
         y = np.array([1.0, -2.0, 0.7])
-        out = estimate_locally_unbiased(model, Measurement(y), x0)
+        out = estimate_locally_unbiased(model, y, x0)
         np.testing.assert_array_equal(out, y)
 
     def test_reference_coordinate_passthrough(self, rng):
         x0 = SparseSignal(np.array([1.5, 0.0]), support=(0,))
         model = ProblemModel(A=np.eye(2), sigma_e=0.2, sigma_n=0.5, s=1)
         y = rng.normal(size=2)
-        out = estimate_locally_unbiased(model, Measurement(y), x0)
+        out = estimate_locally_unbiased(model, y, x0)
         assert out[0] == y[0]
 
     def test_unbiased_at_reference_point(self):
@@ -123,34 +122,34 @@ class TestLocallyUnbiased:
         se = est.std(axis=0, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(mean - x0.x) <= 3.0 * se)
         # and the library implementation agrees with the vectorized oracle
-        row = estimate_locally_unbiased(model, Measurement(Y[0]), x0)
+        row = estimate_locally_unbiased(model, Y[0], x0)
         np.testing.assert_allclose(row, est[0], rtol=1e-12)
 
     def test_requires_singleton_reference_support(self):
         x0 = SparseSignal(np.array([1.0, 2.0, 0.0]))
         model = ProblemModel(A=np.eye(3), sigma_e=0.1, sigma_n=0.1, s=2)
         with pytest.raises(InvalidInputError):
-            estimate_locally_unbiased(model, Measurement(np.zeros(3)), x0)
+            estimate_locally_unbiased(model, np.zeros(3), x0)
 
 
 class TestNoiseExploiting:
     def test_energy_rescaling(self):
-        out = estimate_noise_exploiting(Measurement(np.array([2.0, 0.0])))
+        out = estimate_noise_exploiting(np.array([2.0, 0.0]))
         np.testing.assert_allclose(out.x, [1.0, 0.0], rtol=1e-14)
 
     def test_single_spike(self):
-        out = estimate_noise_exploiting(Measurement(np.array([0.0, -3.0, 0.0])))
+        out = estimate_noise_exploiting(np.array([0.0, -3.0, 0.0]))
         # energy 9 over 2*(-3) lands on the peak coordinate
         np.testing.assert_allclose(out.x, [0.0, -1.5, 0.0], rtol=1e-14)
         assert out.support == (1,)
 
     def test_energy_spreads_into_peak(self):
-        out = estimate_noise_exploiting(Measurement(np.array([4.0, 2.0])))
+        out = estimate_noise_exploiting(np.array([4.0, 2.0]))
         np.testing.assert_allclose(out.x, [2.5, 0.0], rtol=1e-14)
 
     def test_zero_measurement_rejected(self):
         with pytest.raises(InvalidInputError):
-            estimate_noise_exploiting(Measurement(np.zeros(3)))
+            estimate_noise_exploiting(np.zeros(3))
 
 
 class TestDispatch:

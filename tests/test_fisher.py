@@ -21,7 +21,6 @@ from sparsebounds.fisher import (
     score,
 )
 from sparsebounds.model import (
-    Measurement,
     ProblemModel,
     SparseSignal,
     generate_gaussian_matrix,
@@ -97,7 +96,7 @@ class TestLogLikelihood:
     def test_at_mean(self):
         model, x = small_instance()
         sx2 = sigma_x_squared(model, x)
-        y = Measurement(model.A @ x.x)
+        y = model.A @ x.x
         ll = log_likelihood(model, x, y)
         assert ll == pytest.approx(-0.5 * model.m * np.log(2.0 * np.pi * sx2), rel=1e-14)
 
@@ -107,8 +106,8 @@ class TestLogLikelihood:
         sx2 = sigma_x_squared(model, x)
         r = rng.normal(size=model.m)
         mean = model.A @ x.x
-        l1 = log_likelihood(model, x, Measurement(mean + r))
-        l2 = log_likelihood(model, x, Measurement(mean + 2.0 * r))
+        l1 = log_likelihood(model, x, mean + r)
+        l2 = log_likelihood(model, x, mean + 2.0 * r)
         assert l2 - l1 == pytest.approx(-3.0 * (r @ r) / (2.0 * sx2), rel=1e-12)
 
     def test_density_normalization(self):
@@ -116,7 +115,7 @@ class TestLogLikelihood:
         model = ProblemModel(A=np.array([[2.0]]), sigma_e=0.5, sigma_n=0.3, s=1)
         x = SparseSignal(np.array([1.5]))
         grid = np.linspace(-15.0, 20.0, 20001)
-        vals = [np.exp(log_likelihood(model, x, Measurement(np.array([g])))) for g in grid]
+        vals = [np.exp(log_likelihood(model, x, np.array([g]))) for g in grid]
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -141,7 +140,7 @@ class TestScore:
         R = math.sqrt(sx2) * np.random.default_rng(99).standard_normal((draws, model.m))
         sc = _scores(model, x.x, sx2, R)
         for i in range(5):
-            y = Measurement(model.A @ x.x + R[i])
+            y = model.A @ x.x + R[i]
             np.testing.assert_allclose(score(model, x, y), sc[i], rtol=1e-10)
         acc = sc.sum(axis=0)
         acc2 = (sc * sc).sum(axis=0)
@@ -154,7 +153,7 @@ class TestScore:
         model = ProblemModel(A=A, sigma_e=0.0, sigma_n=0.7, s=2)
         x = SparseSignal(np.array([1.0, 0.0, 2.0]))
         y = sample_measurement(model, x, rng)
-        r = y.y - A @ x.x
+        r = y - A @ x.x
         np.testing.assert_allclose(score(model, x, y), A.T @ r / 0.49, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -163,8 +162,8 @@ class TestScore:
         A = generate_gaussian_matrix(5, 3, rng)
         model = ProblemModel(A=A, sigma_e=0.0, sigma_n=1e-82, s=2)
         x = SparseSignal(1e-82 * np.array([1.0, 0.0, 2.0]))
-        y = Measurement(A @ x.x + 1e-82 * rng.standard_normal(5))
-        r = y.y - A @ x.x
+        y = A @ x.x + 1e-82 * rng.standard_normal(5)
+        r = y - A @ x.x
         np.testing.assert_allclose(score(model, x, y), A.T @ r / 1e-164, rtol=1e-12)
 
 

@@ -187,8 +187,7 @@ class TestTestPoints:
     def test_zero_offset_gives_zero_bound(self):
         model = identity_model(3, 0.2, 0.5, 2)
         x = SparseSignal(np.array([1.0, 0.5, 0.0]))
-        tp = make_test_points(model, x, [np.zeros(3)])
-        C, tr = hcrb_general(model, x, tp)
+        C, tr = hcrb_general(model, x, [np.zeros(3)])
         assert tr == 0.0
         np.testing.assert_array_equal(C, np.zeros((3, 3)))
 
@@ -288,7 +287,7 @@ class TestGeneralBound:
                 offs.append(v)
             # one-sided offsets only: adding -v as well injects curvature
             # information and the small-t limit lands above the CCRB
-            _, tr = hcrb_general(model, x, make_test_points(model, x, offs))
+            _, tr = hcrb_general(model, x, offs)
             errs.append(abs(tr - ref) / ref)
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-3
@@ -304,7 +303,7 @@ class TestGeneralBound:
             v = np.zeros(8)
             v[i] = 1e-4
             offs.append(v)
-        _, tr = hcrb_general(model, x, make_test_points(model, x, offs))
+        _, tr = hcrb_general(model, x, offs)
         assert abs(tr - ref) / ref < 0.01
 
     @settings(max_examples=20)
@@ -350,8 +349,8 @@ class TestGeneralBound:
             (mixed_model, mixed_x, axis_offsets(4, (1e-3,)), axis_offsets(4, (1e-3, 0.1, 0.5))),
         ]
         for model, x, base, extra in cases:
-            _, t1 = hcrb_general(model, x, make_test_points(model, x, base))
-            _, t2 = hcrb_general(model, x, make_test_points(model, x, extra))
+            _, t1 = hcrb_general(model, x, base)
+            _, t2 = hcrb_general(model, x, extra)
             assert t2 >= t1 - 1e-12
 
 
