@@ -38,6 +38,7 @@ from .model import (
     SparseSignal,
     _is_integer,
     checked_count,
+    checked_seed,
     generate_bernoulli_signal,
     generate_gaussian_matrix,
 )
@@ -126,7 +127,8 @@ class ExperimentConfig:
     Each protocol reads only some knobs, and fills those left as None with
     its own default (the protocol table in README, and _FIGURES); it
     ignores the others.  The counts (trials, points, draws, n, m, s) must
-    be positive integers, by checked_count's type rule.
+    be positive integers, by checked_count's type rule, and the seed an
+    integer >= 0 (checked_seed).
     """
 
     experiment: str
@@ -141,6 +143,7 @@ class ExperimentConfig:
     x_q: float | None = None
 
     def __post_init__(self):
+        checked_seed("seed", self.seed)
         for name in ("trials", "points", "draws", "n", "m", "s"):
             value = getattr(self, name)
             if value is None:

@@ -103,19 +103,22 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     H does not depend on the block size.  Each entry is evaluated
     as expm1 of its logarithm, with ||A v_i / s_i^2 + A v_j / s_j^2||^2
     summed as written, which keeps the -1 cancellation exact for offsets
-    of any size.  Raises, for the first offending offset in index order,
-    InfeasibleOffsetError when x + v_i is not s-sparse and
-    DegenerateModelError when s_i^2 = 0; then, for the first pair (i, j)
-    with j >= i in row-major order, DivergentTestPointError when
-    vs_ij^2 <= 0 and OverflowingTestPointError (an OverflowError) when
-    H_ij overflows.
+    of any size.  Raises InvalidInputError for the first offset in index
+    order that is not a finite vector of length n; then, for the first
+    offending offset in index order, InfeasibleOffsetError when x + v_i
+    is not s-sparse and DegenerateModelError when s_i^2 = 0; then, for
+    the first pair (i, j) with j >= i in row-major order,
+    DivergentTestPointError when vs_ij^2 <= 0 and
+    OverflowingTestPointError (an OverflowError) when H_ij overflows.
     """
     sx2 = positive_sigma_x_squared(model, signal)
     vs = []
-    for v in offsets:
+    for i, v in enumerate(offsets):
         v = np.asarray(v, dtype=float)
         if v.shape != (model.n,):
             raise InvalidInputError("offset length does not match model n")
+        if not np.isfinite(v).all():
+            raise InvalidInputError(f"offset {i} must be finite")
         vs.append(v)
     if not vs:
         raise InvalidInputError("need at least one offset")

@@ -71,6 +71,14 @@ def checked_count(name: str, value) -> int:
     return int(value)
 
 
+def checked_seed(name: str, value) -> int:
+    """value as an int, raising InvalidInputError unless it is an integer
+    (_is_integer) >= 0, as a SeedSequence entropy or spawn key word."""
+    if not _is_integer(value) or value < 0:
+        raise InvalidInputError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def checked_matrix(A) -> np.ndarray:
     """A as a float array, rejected unless it is nonempty, 2-d and finite.
     NaN fails too, and neither reduction makes an m x n temporary."""

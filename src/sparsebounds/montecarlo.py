@@ -26,7 +26,9 @@ from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
-from .model import ProblemModel, SparseSignal, _check_signal, checked_count, sigma_x_squared
+from .model import (
+    ProblemModel, SparseSignal, _check_signal, checked_count, checked_seed, sigma_x_squared
+)
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
 
@@ -288,10 +290,13 @@ def run_trials(
     The cell is checked and set up once: the mean Ax, the deviation
     sigma_x and the estimator's block map, which run_maps then runs over
     trials drawn as y = Ax + sigma_x z with z from
-    trial_stream(seed, t, stream_key).  More than FAILURE_BUDGET failed
+    trial_stream(seed, t, stream_key).  The seed and each key element
+    must be integers >= 0 (checked_seed).  More than FAILURE_BUDGET failed
     trials abort the run with the first diagnostic.
     """
     trials = checked_count("trials", trials)
+    seed = checked_seed("seed", seed)
+    stream_key = tuple(checked_seed("stream key element", k) for k in stream_key)
     sx = math.sqrt(sigma_x_squared(model, signal))
     mean = model.A @ signal.x
     try:

@@ -953,6 +953,13 @@ class TestExperimentConfigCounts:
         assert getattr(ExperimentConfig("fig3", **{name: np.int64(3)}), name) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None], ids=repr)
+def test_experiment_config_rejects_a_bad_seed(seed):
+    # figure_rows used to end in SeedSequence's bare ValueError or TypeError
+    with pytest.raises(InvalidInputError, match=r"^seed must be an integer >= 0, got "):
+        figure_rows(ExperimentConfig("fig4", seed=seed, points=2, draws=1, s=1))
+
+
 def _figure_bytes(argv, tmp_path, name):
     """The CSV bytes of one in-process figure run."""
     out = tmp_path / name

@@ -184,6 +184,26 @@ class TestTestPoints:
                 bound(model, x, offsets)
             assert isinstance(info.value, OverflowError)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_is_an_input_error(self, bad):
+        # a NaN offset gave a nan trace with RuntimeWarnings, an infinite
+        # one a DivergentTestPointError (exit 3)
+        model = identity_model(3, 0.1, 0.1, 2)
+        x = SparseSignal(np.array([1.0, 0.0, 0.0]))
+        fine, bad_v = np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0])
+        infeasible = np.array([0.0, 0.3, 0.3])  # three nonzeros, s = 2
+        short = np.zeros(2)
+        cases = [
+            ([fine, bad_v], "^offset 1 must be finite$"),
+            ([infeasible, bad_v], "^offset 1 must be finite$"),  # before the sparsity check
+            ([bad_v, short], "^offset 0 must be finite$"),  # in index order
+            ([short, bad_v], "^offset length does not match model n$"),
+        ]
+        for bound in (make_test_points, hcrb_general):
+            for offsets, message in cases:
+                with pytest.raises(InvalidInputError, match=message):
+                    bound(model, x, offsets)
+
     def test_zero_offset_gives_zero_bound(self):
         model = identity_model(3, 0.2, 0.5, 2)
         x = SparseSignal(np.array([1.0, 0.5, 0.0]))

@@ -285,6 +285,46 @@ class TestSweep:
         assert float(row["ccrb"]) > 0
 
 
+class TestSeedRule:
+    """The seed and every stream key element are integers >= 0
+    (checked_seed), checked before any draw.  SeedSequence used to end in
+    a bare ValueError or TypeError, to take True as 1 and None as fresh
+    entropy."""
+
+    BAD = [-1, 1.5, "3", True, None]
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(montecarlo, "trial_stream", draw)
+
+    @pytest.mark.parametrize("seed", BAD, ids=repr)
+    def test_run_trials_rejects_a_bad_seed(self, seed, no_draws):
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer >= 0, got "):
+            run_trials(model, x, est, trials=10, seed=seed)
+
+    @pytest.mark.parametrize("key", [(-1,), (1.5,), ("3",), (True,), (2, -3)], ids=repr)
+    def test_run_trials_rejects_a_bad_key_element(self, key, no_draws):
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match=r"^stream key element must be an integer >= 0"):
+            run_trials(model, x, est, trials=10, seed=1, stream_key=key)
+
+    def test_sweep_rejects_a_negative_key(self, no_draws):
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match=r"^stream key element must be an integer >= 0, got -1$"):
+            sweep([({}, model, x)], [est], trials=10, seed=1, key=(-1,))
+
+    def test_numpy_integers_read_as_ints(self):
+        model, x, est = oracle_setup()
+        want = run_trials(model, x, est, trials=50, seed=5, stream_key=(2,))
+        got = run_trials(model, x, est, trials=50, seed=np.int64(5), stream_key=(np.uint32(2),))
+        assert type(got.seed) is int and got.seed == 5
+        assert (got.mse, got.bias.tobytes()) == (want.mse, want.bias.tobytes())
+
+
 def reference_trials(model, signal, spec, trials, seed, key=()):
     """run_trials spelled out with the public per-trial API: per chunk,
     trial_stream -> sample_measurement -> apply_estimator, then the chunk
