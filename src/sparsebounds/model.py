@@ -206,8 +206,7 @@ class SparseSignal:
 
 
 def measurement_vector(y) -> np.ndarray:
-    """y as a float array, raising InvalidInputError unless it is a
-    nonempty 1-d vector."""
+    """y as a float array, InvalidInputError unless a nonempty 1-d vector."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("measurement must be a nonempty 1-d vector")
