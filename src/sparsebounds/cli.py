@@ -36,7 +36,6 @@ from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
     ProblemModel,
     SparseSignal,
-    _is_integer,
     checked_count,
     checked_seed,
     generate_bernoulli_signal,
@@ -127,8 +126,8 @@ class ExperimentConfig:
     Each protocol reads only some knobs, and fills those left as None with
     its own default (the protocol table in README, and _FIGURES); it
     ignores the others.  The counts (trials, points, draws, n, m, s) must
-    be positive integers, by checked_count's type rule, and the seed an
-    integer >= 0 (checked_seed).
+    be integers >= 1 (checked_count), and the seed an integer >= 0
+    (checked_seed).
     """
 
     experiment: str
@@ -146,11 +145,8 @@ class ExperimentConfig:
         checked_seed("seed", self.seed)
         for name in ("trials", "points", "draws", "n", "m", "s"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if _is_integer(value) and value < 1:
-                raise InvalidInputError(f"{name} must be positive")
-            checked_count(name, value)  # raises for a bool, a float or a string
+            if value is not None:
+                checked_count(name, value)
 
 
 # additive noise levels used by the gamma figures, as (label, value)

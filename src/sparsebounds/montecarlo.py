@@ -23,7 +23,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .ccrb import ccrb_bound
-from .errors import ExcessiveFailureError, SparseBoundsError
+from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
 from .model import (
@@ -277,6 +277,13 @@ def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummar
     )
 
 
+def _checked_key(name: str, key) -> tuple[int, ...]:
+    """key, a tuple whose elements pass checked_seed, as a tuple of ints."""
+    if not isinstance(key, tuple):
+        raise InvalidInputError(f"{name} must be a tuple, got {key!r}")
+    return tuple(checked_seed("stream key element", k) for k in key)
+
+
 def run_trials(
     model: ProblemModel,
     signal: SparseSignal,
@@ -290,13 +297,13 @@ def run_trials(
     The cell is checked and set up once: the mean Ax, the deviation
     sigma_x and the estimator's block map, which run_maps then runs over
     trials drawn as y = Ax + sigma_x z with z from
-    trial_stream(seed, t, stream_key).  The seed and each key element
-    must be integers >= 0 (checked_seed).  More than FAILURE_BUDGET failed
-    trials abort the run with the first diagnostic.
+    trial_stream(seed, t, stream_key).  The seed and each element of the
+    stream_key tuple must be integers >= 0 (checked_seed).  More than
+    FAILURE_BUDGET failed trials abort the run with the first diagnostic.
     """
     trials = checked_count("trials", trials)
     seed = checked_seed("seed", seed)
-    stream_key = tuple(checked_seed("stream key element", k) for k in stream_key)
+    stream_key = _checked_key("stream_key", stream_key)
     sx = math.sqrt(sigma_x_squared(model, signal))
     mean = model.A @ signal.x
     try:
@@ -341,9 +348,10 @@ def sweep(
     the trial summary next to the analytic bound values, which are None
     where a bound does not apply; with no estimators, one bounds-only row
     per point.  Each cell uses the stream key (*key, point index,
-    estimator index) so the whole sweep is reproducible from the single
-    seed.
+    estimator index), with key a tuple as run_trials' stream_key, so the
+    whole sweep is reproducible from the single seed.
     """
+    key = _checked_key("key", key)
     rows: list[dict] = []
     for idx, (point, model, signal) in enumerate(instances):
         _check_signal(model, signal)  # _analytic_bounds would leave it empty

@@ -660,7 +660,7 @@ class TestMalformedInput:
     def test_nonpositive_n(self, fig, n, tmp_path, capsys):
         argv = ["figure", fig, "--n", n, "--points", "2", "--trials", "1"]
         assert run(argv + ["--out-dir", str(tmp_path)]) == 2
-        assert "n must be positive" in capsys.readouterr().err
+        assert f"n must be an integer >= 1, got {int(n)}" in capsys.readouterr().err
         argv = SIMULATE_TINY + ["--n", n, "--m", n, "--output", str(tmp_path / "s.csv")]
         assert run(argv) == 2
 
@@ -927,8 +927,8 @@ class TestDefaultSeed:
 
 
 class TestExperimentConfigCounts:
-    """The counts follow checked_count's type rule; an integer below 1
-    keeps its own message."""
+    """The counts follow checked_count's rule and message, an integer
+    below 1 included."""
 
     @pytest.mark.parametrize("name", ["trials", "points", "draws", "n", "m", "s"])
     @pytest.mark.parametrize(
@@ -938,8 +938,8 @@ class TestExperimentConfigCounts:
             (2.0, "must be an integer >= 1, got 2.0"),
             (True, "must be an integer >= 1, got True"),
             ("2", "must be an integer >= 1, got '2'"),
-            (0, "must be positive"),
-            (np.int64(-1), "must be positive"),
+            (0, "must be an integer >= 1, got 0"),
+            (np.int64(-1), "must be an integer >= 1, got np.int64(-1)"),
         ],
         ids=repr,
     )

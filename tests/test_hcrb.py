@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def axis_offsets(n, scales):
 
 
 def reference_test_points(model, signal, offsets):
-    """H and varsigma^2 of test_points, one offset and one pair at a time."""
+    """H of test_points by the pair form, one offset and one pair at a time."""
     sx2 = sigma_x_squared(model, signal)
     vs = [np.asarray(v, dtype=float) for v in offsets]
     k = len(vs)
@@ -61,7 +62,6 @@ def reference_test_points(model, signal, offsets):
             raise DegenerateModelError(f"offset {i} has zero equivalent variance")
         Av[i] = model.A @ v
     H = np.empty((k, k))
-    varsigma2 = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
             inv_vs = 1.0 / s2[i] + 1.0 / s2[j] - 1.0 / sx2
@@ -80,8 +80,39 @@ def reference_test_points(model, signal, offsets):
                 + 0.5 * vs2 * (w @ w)
             )
             H[i, j] = H[j, i] = math.expm1(L)
-            varsigma2[i, j] = varsigma2[j, i] = vs2
-    return H, varsigma2
+    return H
+
+
+def decimal_test_points(model, signal, offsets):
+    """H by the pair form in 80-digit decimal arithmetic, from the exact
+    values of the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        A = [[Decimal(a) for a in row] for row in model.A.tolist()]
+        x = [Decimal(t) for t in signal.x.tolist()]
+        se2, sn2 = Decimal(model.sigma_e) ** 2, Decimal(model.sigma_n) ** 2
+
+        def variance(z):
+            return se2 * sum(t * t for t in z) + sn2
+
+        sx2 = variance(x)
+        s2, b = [], []
+        for v in offsets:
+            v = [Decimal(t) for t in np.asarray(v, dtype=float).tolist()]
+            s2.append(variance([p + q for p, q in zip(x, v)]))
+            b.append([sum(r * t for r, t in zip(row, v)) for row in A])
+        H = np.empty((len(b), len(b)))
+        for i, j in np.ndindex(H.shape):
+            vs2 = 1 / (1 / s2[i] + 1 / s2[j] - 1 / sx2)
+            w = [p / s2[i] + q / s2[j] for p, q in zip(b[i], b[j])]
+            L = (
+                Decimal(model.m) / 2 * (sx2.ln() + vs2.ln() - s2[i].ln() - s2[j].ln())
+                - sum(p * p for p in b[i]) / (2 * s2[i])
+                - sum(q * q for q in b[j]) / (2 * s2[j])
+                + vs2 / 2 * sum(p * p for p in w)
+            )
+            H[i, j] = float(L.exp() - 1)
+        return H
 
 
 def _raised(fn, *args):
@@ -110,9 +141,8 @@ class TestTestPoints:
         ]
         for model, x, offs in cases:
             tp = make_test_points(model, x, offs)
-            H, varsigma2 = reference_test_points(model, x, offs)
+            H = reference_test_points(model, x, offs)
             assert np.max(np.abs(tp.H - H)) <= 1e-12 * np.max(np.abs(H))
-            np.testing.assert_allclose(tp.varsigma2, varsigma2, rtol=1e-14, atol=0.0)
             np.testing.assert_array_equal(tp.V, np.column_stack(offs))
 
     def test_error_precedence_matches_pair_loop(self):
@@ -126,15 +156,24 @@ class TestTestPoints:
         div_model = identity_model(2, 1.0, 0.0, 1)
         div_x = SparseSignal(np.array([10.0, 0.0]))
         div_offsets = [np.array([math.sqrt(q) - 10.0, 0.0]) for q in (100, 150, 250, 10000)]
-        # sigma_x^2 = 1e-4, so H_00 = expm1(0.25 / 1e-4) overflows
+        # s^2 = 100 then 150 + 10000 at 7: pair (1, 7) diverges after
+        # five pairs of row 1 that do not
+        div_late = [np.array([math.sqrt(q) - 10.0, 0.0])
+                    for q in (100, 150, 120, 130, 140, 110, 105, 10000)]
+        # sigma_x^2 = 1e-4, so H_11 = expm1(0.25 / 1e-4) overflows
         big_model = identity_model(2, 0.0, 0.01, 1)
+        big_x = SparseSignal(np.array([1.0, 0.0]))
         big_offsets = [np.array([1e-3, 0.0]), np.array([0.5, 0.0])]
+        # H_(12, 12) overflows after 12 rows and 3 columns that do not
+        big_late = [np.array([t, 0.0]) for t in np.linspace(1e-4, 1e-2, 12)]
+        big_late += [np.array([0.5, 0.0])] * 3
         cases = [
             (model, x, [fine, degenerate, infeasible], DegenerateModelError, "offset 1 "),
             (model, x, [fine, infeasible, degenerate], InfeasibleOffsetError, "offset 1 "),
             (div_model, div_x, div_offsets, DivergentTestPointError, "pair (1, 3)"),
-            (big_model, SparseSignal(np.array([1.0, 0.0])), big_offsets,
-             OverflowError, "pair (1, 1)"),
+            (div_model, div_x, div_late, DivergentTestPointError, "pair (1, 7)"),
+            (big_model, big_x, big_offsets, OverflowError, "pair (1, 1)"),
+            (big_model, big_x, big_late, OverflowError, "pair (12, 12)"),
         ]
         for model, x, offs, kind, where in cases:
             want = _raised(reference_test_points, model, x, offs)
@@ -147,32 +186,19 @@ class TestTestPoints:
             if kind is not OverflowError:  # math.expm1 says only "math range error"
                 assert str(got) == str(want)
 
-    @pytest.mark.parametrize("budget", [1, 20_000, 2**30])  # 1-row to one-block
-    def test_row_blocks_give_the_same_bits(self, monkeypatch, budget):
-        n = 40
-        model = identity_model(n, 0.05, 0.1, 3)
-        x = SparseSignal(np.r_[1.0, 0.5, np.zeros(n - 2)])
-        offsets = axis_offsets(n, (1e-3, 0.1, 0.5))
-        # s^2 = 100 then 150 + 10000 at 7: pair (1, 7) diverges, mid-block
-        div_model = identity_model(2, 1.0, 0.0, 1)
-        div_x = SparseSignal(np.array([10.0, 0.0]))
-        div = [np.array([math.sqrt(q) - 10.0, 0.0])
-               for q in (100, 150, 120, 130, 140, 110, 105, 10000)]
-        # sigma_x^2 = 1e-4, so H_(12, 12) overflows, mid-block
-        big_model = identity_model(2, 0.0, 0.01, 1)
-        big_x = SparseSignal(np.array([1.0, 0.0]))
-        big = [np.array([t, 0.0]) for t in np.linspace(1e-4, 1e-2, 12)] + [np.array([0.5, 0.0])] * 3
-        want = make_test_points(model, x, offsets)
-        want_div = _raised(make_test_points, div_model, div_x, div)
-        want_big = _raised(make_test_points, big_model, big_x, big)
-        monkeypatch.setattr(hcrb_module, "H_BLOCK_BYTES", budget)
-        got = make_test_points(model, x, offsets)
-        assert got.H.tobytes() == want.H.tobytes()
-        assert got.varsigma2.tobytes() == want.varsigma2.tobytes()
-        for case, err in (((div_model, div_x, div), want_div), ((big_model, big_x, big), want_big)):
-            raised = _raised(make_test_points, *case)
-            assert type(raised) is type(err) and str(raised) == str(err)
-        assert "pair (1, 7)" in str(want_div) and "pair (12, 12)" in str(want_big)
+    def test_matches_decimal_at_small_offsets(self):
+        # the pair form's exponent sums terms of order m that cancel down
+        # to order t_i t_j: at t = 1e-8 it was off by up to 220%, and
+        # D^-1 H D^-1 had lambda_min = -2.9e-4
+        rng = np.random.default_rng(5)
+        model = ProblemModel(generate_gaussian_matrix(9, 5, rng), 0.3, 0.1, 2)
+        x = SparseSignal(np.array([0.0, 1.0, 0.0, -0.6, 0.0]))
+        offsets = [t * np.eye(5)[(1, 3)[k % 2]] for k, t in enumerate(np.logspace(-8, -2, 8))]
+        H = make_test_points(model, x, offsets).H
+        want = decimal_test_points(model, x, offsets)
+        assert np.max(np.abs(H - want) / np.abs(want)) <= 1e-13
+        d = np.sqrt(np.diag(H))
+        assert np.linalg.eigvalsh(H / np.outer(d, d)).min() >= -1e-14
 
     def test_overflow_is_a_package_error(self):
         # sigma_x^2 = 1e-4 and an offset of 0.5: H_11 = expm1(2500) overflows
@@ -340,15 +366,17 @@ class TestGeneralBound:
         model = ProblemModel(A=A, sigma_e=se, sigma_n=sn, s=3)
         signal = SparseSignal(x)
         ref = ccrb_maximal(model, signal).bound
-        errs = []
-        for t in (1e-2, 1e-4):
+        errs, trs = [], {}
+        for t in (1e-2, 1e-4, 1e-6, 1e-8):
             one_sided = [t * np.eye(10)[i] for i in signal.support]
-            _, tr = hcrb_general(model, signal, one_sided)
-            errs.append(abs(tr - ref) / ref)
-        assert errs[1] < errs[0]
-        assert errs[1] < 1e-3
+            _, trs[t] = hcrb_general(model, signal, one_sided)
+            errs.append(abs(trs[t] - ref) / ref)
+        # the pair form of H lost every digit by t = 1e-8
+        assert all(b <= a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-3
         # the mirrored offsets -t e_i add curvature information: the
         # larger set (+-t e_i) gives no less, and its limit lies above
+        t, tr = 1e-4, trs[1e-4]
         both = [sign * t * np.eye(10)[i] for i in signal.support for sign in (1.0, -1.0)]
         _, tr_both = hcrb_general(model, signal, both)
         assert tr_both >= tr - 1e-6 * ref  # H is near singular at small t
@@ -372,6 +400,26 @@ class TestGeneralBound:
             _, t1 = hcrb_general(model, x, base)
             _, t2 = hcrb_general(model, x, extra)
             assert t2 >= t1 - 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        se=st.floats(0.0, 0.1),
+        sn=st.floats(0.2, 1.0),
+    )
+    def test_monotone_over_mixed_scales(self, seed, n, se, sn):
+        # with sigma_e <= sigma_n / 2 and ||v_i|| <= 1 every a_i < 0.65, so
+        # no pair diverges; the pair form of H fell by up to 85% when test
+        # points were added
+        rng = np.random.default_rng(seed)
+        model = ProblemModel(generate_gaussian_matrix(n, n, rng), se, sn, n)
+        x = SparseSignal(rng.normal(size=n))
+        k = int(rng.integers(1, n + 1))
+        directions = rng.normal(size=(k + int(rng.integers(1, n + 1)), n))
+        offsets = [10.0 ** rng.uniform(-8.0, 0.0) * u / np.linalg.norm(u) for u in directions]
+        _, sub = hcrb_general(model, x, offsets[:k])
+        _, sup = hcrb_general(model, x, offsets)
+        assert sup >= sub * (1.0 - 1e-5)
 
 
 class TestBetaAndG:

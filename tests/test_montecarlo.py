@@ -317,6 +317,21 @@ class TestSeedRule:
         with pytest.raises(InvalidInputError, match=r"^stream key element must be an integer >= 0, got -1$"):
             sweep([({}, model, x)], [est], trials=10, seed=1, key=(-1,))
 
+    @pytest.mark.parametrize("key", [3, None, [1, 2], "12"], ids=repr)
+    def test_run_trials_rejects_a_key_that_is_not_a_tuple(self, key, no_draws):
+        # 3 and None ended in a bare TypeError: 'int' object is not iterable
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match=r"^stream_key must be a tuple, got "):
+            run_trials(model, x, est, trials=10, seed=1, stream_key=key)
+
+    @pytest.mark.parametrize("key", [5, None, [1], "1"], ids=repr)
+    @pytest.mark.parametrize("estimators", [1, 0], ids=["one estimator", "bounds only"])
+    def test_sweep_rejects_a_key_that_is_not_a_tuple(self, key, estimators, no_draws):
+        # 5 ended in a bare TypeError: Value after * must be an iterable
+        model, x, est = oracle_setup()
+        with pytest.raises(InvalidInputError, match=r"^key must be a tuple, got "):
+            sweep([({}, model, x)], [est] * estimators, trials=10, seed=1, key=key)
+
     def test_numpy_integers_read_as_ints(self):
         model, x, est = oracle_setup()
         want = run_trials(model, x, est, trials=50, seed=5, stream_key=(2,))
