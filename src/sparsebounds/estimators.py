@@ -23,21 +23,14 @@ from .model import (
     ProblemModel,
     SparseSignal,
     checked_count,
+    checked_indices,
     checked_support,
-    measurement_vector,
     model_measurement,
     positive_sigma_x_squared,
     support_factor,
 )
 
-__all__ = [
-    "EstimatorSpec",
-    "estimate_oracle",
-    "estimate_ml_unit",
-    "estimate_locally_unbiased",
-    "estimate_noise_exploiting",
-    "apply_estimator",
-]
+__all__ = ["EstimatorSpec", "estimate_oracle", "apply_estimator"]
 
 
 # Each estimator kind and its short name; the command line accepts both.
@@ -69,7 +62,7 @@ class EstimatorSpec:
             if not self.support:
                 raise InvalidInputError("oracle estimator needs a support")
             object.__setattr__(
-                self, "support", tuple(sorted(int(i) for i in self.support))
+                self, "support", tuple(sorted(checked_indices(self.support)))
             )
         elif self.kind == "maximum_likelihood":
             object.__setattr__(self, "s", checked_count("s", self.s))
@@ -119,8 +112,8 @@ class EstimatorSpec:
 # Every kernel maps a block Y of k measurements, one per row, to the dense
 # estimates Xhat (k, n) and the failures {row: error}, in row order; the
 # rows of Xhat that failed hold no estimate.  The kernels reject a
-# non-finite estimate as SparseSignal would, so a Monte Carlo trial counts
-# it as failed.
+# non-finite estimate with InvalidInputError(_NOT_FINITE), so a Monte
+# Carlo trial counts it as failed.
 _NOT_FINITE = "x must be finite"
 _ZERO_MEASUREMENT = "zero measurement has no identifiable support"
 
@@ -142,21 +135,25 @@ def _not_finite(values: np.ndarray) -> dict:
     return {int(i): InvalidInputError(_NOT_FINITE) for i in bad}
 
 
-def estimate_oracle(model: ProblemModel, y, support) -> SparseSignal:
-    """Least squares restricted to a known support.
+def estimate_oracle(model: ProblemModel, y, support) -> np.ndarray:
+    """Least squares restricted to a known support, as a dense estimate of
+    length n.
 
     Computes G A_S^T y with G = (A_S^T A_S)^{-1} the inverse the bounds use
     (model.support_factor), computed once per matrix and support.  Raises
     SingularMatrixError when A_S^T A_S is numerically singular, by the
-    same test as the bounds.
+    same test as the bounds, and InvalidInputError when the estimate is
+    not finite.
     """
     S = checked_support(model, support)
     yv = model_measurement(model, y)
     A_S, G = support_factor(model, S)
     coeffs = G @ (A_S.T @ yv)
+    if not np.isfinite(coeffs).all():
+        raise InvalidInputError(_NOT_FINITE)
     x = np.zeros(model.n)
     x[list(S)] = coeffs
-    return SparseSignal(x, S)
+    return x
 
 
 def _oracle(model: ProblemModel, support: tuple[int, ...]):
@@ -168,7 +165,7 @@ def _oracle(model: ProblemModel, support: tuple[int, ...]):
         errors = {}
         for i, y in enumerate(Y):
             try:
-                X[i] = estimate_oracle(model, y, support).x
+                X[i] = estimate_oracle(model, y, support)
             except SparseBoundsError as exc:
                 errors[i] = exc
         return X, errors
@@ -177,8 +174,9 @@ def _oracle(model: ProblemModel, support: tuple[int, ...]):
 
 
 def _ml_unit(Y: np.ndarray, s: int):
-    """Dense ML estimates for a unit sensing matrix, the failures, and the
-    kept indices of each row (k, s), in increasing order."""
+    """Dense ML estimates for a unit sensing matrix, the s largest
+    magnitudes of each row (ties toward the lowest index), and the
+    failures."""
     if s == 1:
         # argmax keeps the lowest index on ties, like the stable sort below
         keep = np.abs(Y).argmax(axis=1, keepdims=True)
@@ -188,23 +186,16 @@ def _ml_unit(Y: np.ndarray, s: int):
     kept = Y[rows, keep]
     X = np.zeros(Y.shape)
     X[rows, keep] = kept
-    return X, _not_finite(kept), keep
-
-
-def estimate_ml_unit(y, s: int) -> SparseSignal:
-    """Maximum likelihood for a unit sensing matrix: keep the s largest
-    magnitudes of y (ties broken toward the lowest index)."""
-    yv, s = measurement_vector(y), checked_count("s", s)
-    if s > yv.size:
-        raise InvalidInputError(f"need 1 <= s <= len(y), got s={s}")
-    X, errors, keep = _ml_unit(yv[None], s)
-    if errors:
-        raise errors[0]
-    return SparseSignal(X[0], tuple(keep[0].tolist()))
+    return X, _not_finite(kept)
 
 
 def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
-    """The block map of the estimator anchored at a 1-sparse x0."""
+    """The block map of the unbiased estimator anchored at a 1-sparse x0.
+
+    The reference coordinate q passes y_q through; every other coordinate
+    is damped by exp(-(2 y_q x0q + x0q^2) / (2 sigma_x0^2)), the
+    likelihood ratio between -x0q and 0 at coordinate q.
+    """
     s0sq = positive_sigma_x_squared(model, x0)
     q = x0.support[0]
     x0q = float(x0.x[q])
@@ -219,20 +210,9 @@ def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
     return kernel
 
 
-def estimate_locally_unbiased(model: ProblemModel, y, x0: SparseSignal) -> np.ndarray:
-    """Unbiased estimator anchored at a 1-sparse reference point x0.
-
-    The reference coordinate q passes y_q through; every other coordinate
-    is damped by exp(-(2 y_q x0q + x0q^2) / (2 sigma_x0^2)), the
-    likelihood ratio between -x0q and 0 at coordinate q.  The output is
-    dense: it is not projected onto a sparse support.
-    """
-    return apply_estimator(model, y, EstimatorSpec.locally_unbiased(x0))
-
-
 def _noise_exploiting(Y: np.ndarray):
-    """Dense noise-exploiting estimates, the failures, and the peak
-    coordinate of each row."""
+    """Dense noise-exploiting estimates, sum(y^2) / (2 y_k) on the
+    largest-magnitude coordinate k of each row, and the failures."""
     rows = np.arange(len(Y))
     peak_at = np.abs(Y).argmax(axis=1)
     den = 2.0 * Y[rows, peak_at]
@@ -246,19 +226,7 @@ def _noise_exploiting(Y: np.ndarray):
     for i in errors:
         if not Y[i].any():
             errors[i] = InvalidInputError(_ZERO_MEASUREMENT)
-    return X, errors, peak_at
-
-
-def estimate_noise_exploiting(y) -> SparseSignal:
-    """Biased s = 1 estimator that folds perturbation energy into the peak.
-
-    Places sum(y^2) / (2 y_k) on the largest-magnitude coordinate k.
-    Raises InvalidInputError when y is identically zero.
-    """
-    X, errors, peak_at = _noise_exploiting(measurement_vector(y)[None])
-    if errors:
-        raise errors[0]
-    return SparseSignal(X[0], (int(peak_at[0]),))
+    return X, errors
 
 
 def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
@@ -272,7 +240,7 @@ def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
     does not fit the model.
     """
     if spec.kind == "oracle":
-        return _oracle(model, spec.support)
+        return _oracle(model, checked_support(model, spec.support))
     if model.m != model.n:
         raise InvalidInputError("estimate length does not match model n")
     if spec.kind == "locally_unbiased":
@@ -280,8 +248,8 @@ def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
     if spec.kind == "maximum_likelihood":
         if spec.s > model.m:
             raise InvalidInputError(f"need 1 <= s <= len(y), got s={spec.s}")
-        return lambda Y: _ml_unit(Y, spec.s)[:2]
-    return lambda Y: _noise_exploiting(Y)[:2]
+        return lambda Y: _ml_unit(Y, spec.s)
+    return _noise_exploiting
 
 
 def apply_estimator(model: ProblemModel, y, spec: EstimatorSpec) -> np.ndarray:

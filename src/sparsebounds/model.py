@@ -186,7 +186,7 @@ class SparseSignal:
         if self.support is None:
             support = tuple(nonzero)
         else:
-            support = tuple(map(int, self.support))
+            support = checked_indices(self.support)
             if support != tuple(sorted(set(support))):
                 raise InvalidInputError("support must be sorted and duplicate free")
             if support and not (0 <= support[0] and support[-1] < x.size):
@@ -205,26 +205,31 @@ class SparseSignal:
         return int(np.count_nonzero(self.x))
 
 
-def measurement_vector(y) -> np.ndarray:
-    """y as a float array, InvalidInputError unless a nonempty 1-d vector."""
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("measurement must be a nonempty 1-d vector")
-    return arr
-
-
 def model_measurement(model: ProblemModel, y) -> np.ndarray:
-    """measurement_vector(y), raising InvalidInputError unless its length is m."""
-    yv = measurement_vector(y)
+    """y as a float array, raising InvalidInputError unless it is a
+    nonempty 1-d vector of length m."""
+    yv = np.asarray(y, dtype=float)
+    if yv.ndim != 1 or yv.size == 0:
+        raise InvalidInputError("measurement must be a nonempty 1-d vector")
     if yv.size != model.m:
         raise InvalidInputError("measurement length does not match model m")
     return yv
 
 
+def checked_indices(support) -> tuple[int, ...]:
+    """support as a tuple of ints, raising InvalidInputError unless every
+    index is an integer (_is_integer): a float or a bool index is not."""
+    S = tuple(support)
+    if not all(map(_is_integer, S)):
+        raise InvalidInputError(f"support indices must be integers, got {S!r}")
+    return tuple(map(int, S))
+
+
 def checked_support(model: ProblemModel, support) -> tuple[int, ...]:
-    """A support as a sorted tuple, raising InvalidInputError unless it is
-    nonempty, duplicate free and within [0, n)."""
-    S = tuple(sorted(map(int, support)))
+    """A support as a sorted tuple, raising InvalidInputError unless its
+    indices are integers (checked_indices) and it is nonempty, duplicate
+    free and within [0, n)."""
+    S = tuple(sorted(checked_indices(support)))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
         raise InvalidInputError("support must be nonempty, duplicate free and within [0, n)")
     return S

@@ -16,7 +16,7 @@ from sparsebounds import (
     ProblemModel,
     RipConstants,
     SparseSignal,
-    estimate_ml_unit,
+    apply_estimator,
     gamma_approx,
     gamma_bounds,
     generate_bernoulli_signal,
@@ -43,7 +43,6 @@ SITES = {
     "run_trials": ("trials", lambda v: run_trials(_MODEL, _SIGNAL, EstimatorSpec.oracle((0,)), v, 0), 3),
     "EstimatorSpec.maximum_likelihood": ("s", EstimatorSpec.maximum_likelihood, 2),
     "EstimatorSpec(maximum_likelihood)": ("s", lambda v: EstimatorSpec("maximum_likelihood", s=v), 2),
-    "estimate_ml_unit": ("s", lambda v: estimate_ml_unit(np.arange(4.0), v), 2),
     "gamma_bounds": ("s", lambda v: gamma_bounds(_RIP, NoiseLevels(0.5, 0.1), v), 2),
     "gamma_approx": ("s", lambda v: gamma_approx(0.5, 0.1, v), 2),
     "transition_sigma_e": ("s", transition_sigma_e, 4),
@@ -98,7 +97,10 @@ def test_generators_reject_a_bad_count_before_drawing(draw, bad):
     "call, message",
     [
         (lambda: generate_bernoulli_signal(3, 4, _rng()), r"^need 1 <= s <= n, got s=4, n=3$"),
-        (lambda: estimate_ml_unit(np.ones(2), 3), r"^need 1 <= s <= len\(y\), got s=3$"),
+        (
+            lambda: apply_estimator(_MODEL, np.ones(4), EstimatorSpec.maximum_likelihood(5)),
+            r"^need 1 <= s <= len\(y\), got s=5$",
+        ),
         (lambda: gamma_bounds(_RIP, NoiseLevels(0.5, 0.1), 3), r"^s=3 does not match"),
         (lambda: g_function(0.5, 1, 0.1), r"^g is defined for n >= 2$"),
     ],

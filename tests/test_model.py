@@ -22,9 +22,6 @@ from sparsebounds.errors import (
 from sparsebounds.estimators import (
     EstimatorSpec,
     apply_estimator,
-    estimate_locally_unbiased,
-    estimate_ml_unit,
-    estimate_noise_exploiting,
     estimate_oracle,
 )
 from sparsebounds.fisher import fim_closed_form, fim_monte_carlo, log_likelihood, score
@@ -40,7 +37,7 @@ from sparsebounds.model import (
     SparseSignal,
     generate_bernoulli_signal,
     generate_gaussian_matrix,
-    measurement_vector,
+    model_measurement,
     positive_sigma_x_squared,
     sample_measurement,
     sigma_x_squared,
@@ -346,15 +343,18 @@ class TestSampling:
         np.testing.assert_allclose(emp, sx2 * np.eye(3), atol=0.03 * sx2)
         assert np.all(np.abs(R.mean(axis=0)) < 3.0 * np.sqrt(sx2 / draws) * 1.5)
 
-    def test_measurement_vector_coercion(self):
-        np.testing.assert_array_equal(measurement_vector([1.0, 2.0]), [1.0, 2.0])
+    def test_model_measurement_coercion(self):
+        model = make_model(np.eye(2), sigma_e=0.1, sigma_n=0.1, s=1)
+        np.testing.assert_array_equal(model_measurement(model, [1.0, 2.0]), [1.0, 2.0])
         with pytest.raises(InvalidInputError):
-            measurement_vector(np.ones((2, 2)))
+            model_measurement(model, np.ones((2, 2)))
 
     @pytest.mark.parametrize("y", [np.ones((2, 2)), np.zeros(0), 1.0])
-    def test_measurement_vector_rejects_a_non_vector(self, y):
+    def test_model_measurement_rejects_a_non_vector(self, y):
+        # the shape is checked before the length, on a model where m = 2
+        model = make_model(np.eye(2), sigma_e=0.1, sigma_n=0.1, s=1)
         with pytest.raises(InvalidInputError, match="^measurement must be a nonempty 1-d vector$"):
-            measurement_vector(y)
+            model_measurement(model, y)
 
 
 class TestGenerators:
@@ -483,7 +483,6 @@ _MEASUREMENT_FUNCTIONS = {
     "log_likelihood": lambda m, y: log_likelihood(m, _E0, y),
     "score": lambda m, y: score(m, _E0, y),
     "estimate_oracle": lambda m, y: estimate_oracle(m, y, (0,)),
-    "estimate_locally_unbiased": lambda m, y: estimate_locally_unbiased(m, y, _E0),
     **{
         f"apply_estimator[{spec.name}]": (
             lambda m, y, spec=spec: apply_estimator(m, y, spec)
@@ -506,16 +505,36 @@ def test_measurement_length_mismatch_is_an_input_error(name, length):
         _MEASUREMENT_FUNCTIONS[name](model, np.full(length, 0.5))
 
 
-# with the model-free estimators, every public function of a measurement
-_ANY_MEASUREMENT_FUNCTIONS = {
-    **_MEASUREMENT_FUNCTIONS,
-    "estimate_ml_unit": lambda m, y: estimate_ml_unit(y, 1),
-    "estimate_noise_exploiting": lambda m, y: estimate_noise_exploiting(y),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_ANY_MEASUREMENT_FUNCTIONS))
+@pytest.mark.parametrize("name", sorted(_MEASUREMENT_FUNCTIONS))
 def test_empty_measurement_is_an_input_error(name):
     model = make_model(np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
     with pytest.raises(InvalidInputError, match="^measurement must be a nonempty 1-d vector$"):
-        _ANY_MEASUREMENT_FUNCTIONS[name](model, np.array([]))
+        _MEASUREMENT_FUNCTIONS[name](model, np.array([]))
+
+
+_UNIT3 = make_model(np.eye(3), sigma_e=0.1, sigma_n=0.1, s=1)
+
+# every site that reads support indices, returning what it made of them
+_INDEX_SITES = {
+    "SparseSignal": lambda S: SparseSignal(np.zeros(3), S).support,
+    "estimate_oracle": lambda S: estimate_oracle(_UNIT3, np.arange(3.0), S).tolist(),
+    "oracle_mse_theoretical": lambda S: oracle_mse_theoretical(_UNIT3, S, SparseSignal(np.zeros(3))),
+    "EstimatorSpec.oracle": lambda S: EstimatorSpec.oracle(S).support,
+}
+
+
+@pytest.mark.parametrize("index", [0.7, 1.9, 2.0, True, np.float64(1.0), np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("site", sorted(_INDEX_SITES))
+def test_a_support_index_that_is_not_an_integer_is_rejected(site, index):
+    # int() would truncate each of these to a valid index
+    with pytest.raises(InvalidInputError, match="^support indices must be integers, got "):
+        _INDEX_SITES[site]((index,))
+
+
+@pytest.mark.parametrize("index", [np.int64(1), np.int32(1), np.uint8(1)], ids=repr)
+@pytest.mark.parametrize("site", sorted(_INDEX_SITES))
+def test_a_numpy_integer_support_index_is_the_int(site, index):
+    got = _INDEX_SITES[site]((index,))
+    assert got == _INDEX_SITES[site]((1,))
+    if isinstance(got, tuple):
+        assert type(got[0]) is int
