@@ -10,7 +10,10 @@ a_i = sigma_e^2 (2 x^T v_i + ||v_i||^2) / sigma_x^2, and b_i = A v_i,
                  / (2 sigma_x^2 (1 - a_i a_j))) - 1.
 
 1 - a_i a_j has the sign of 1/vs_ij^2 = 1/s_i^2 + 1/s_j^2 - 1/sigma_x^2,
-which must stay positive.
+which must stay positive.  hcrb_general takes the bound in one ridged
+solve, W (K + RIDGE I)^-1 W^T with K = D^-1 H D^-1, W = V D^-1 and
+d_i = sqrt(H_ii): never above V H^+ V^T, never lower when a test point
+is added, and a point with H_ii = 0 (no information) adds nothing.
 
 For a unit sensing matrix and a fully supported signal the supremum over
 offsets has a closed form: the support part is the maximal-support
@@ -58,8 +61,8 @@ __all__ = [
     "transition_sigma_e",
 ]
 
-# Relative eigenvalue cutoff for the pseudo-inverse of H.
-PINV_RTOL = 1e-12
+# Ridge added to the unit diagonal of D^-1 H D^-1 before hcrb_general's solve.
+RIDGE = 1e-12
 
 # Beyond this beta every exp(-beta)-weighted term underflows double
 # precision outright.
@@ -154,32 +157,25 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     return TestPointSet(offsets=tuple(vs), V=V, H=H)
 
 
-def _pinv_psd(H: np.ndarray) -> np.ndarray:
-    # numpy's eigh is LAPACK's divide and conquer syevd, several times
-    # faster than the QR-based syev on the unit-diagonal H hcrb_general passes in
-    w, Q = np.linalg.eigh(H)
-    cut = PINV_RTOL * max(w[-1], 0.0)
-    recip = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return (Q * recip) @ Q.T
-
-
 def hcrb_general(
     model: ProblemModel, signal: SparseSignal, offsets
 ) -> tuple[np.ndarray, float]:
-    """Covariance lower bound V H^+ V^T and its trace.
+    """Covariance lower bound W (K + RIDGE I)^-1 W^T and its trace.
 
-    It is evaluated as (V D^-1) (D^-1 H D^-1)^+ (V D^-1)^T with
-    d_i = sqrt(H_ii): with offsets of mixed scales H spans many decades,
-    and an eigenvalue cut relative to the largest would drop the
-    small-offset directions.  This equals V H^-1 V^T when H is invertible
-    and is a valid bound otherwise.  The offsets are raw vectors, which
+    K = D^-1 H D^-1 and W = V D^-1 with d_i = sqrt(H_ii), so offsets of
+    mixed scales, whose H spans many decades, weigh alike.  Since
+    a^T C a = sup_c (2 c^T W^T a - c^T (K + RIDGE I) c) and D scales each
+    point on its own, the bound never exceeds V H^+ V^T and never falls
+    when a point is added.  A point with H_ii = 0 carries no information:
+    its column of W is zero.  The offsets are raw vectors, which
     test_points checks and turns into H.
     """
     tps = test_points(model, signal, offsets)
     h = np.diag(tps.H)
     d = np.sqrt(np.where(h > 0.0, h, 1.0))
-    W = tps.V / d
-    C = W @ _pinv_psd(tps.H / np.outer(d, d)) @ W.T
+    W = np.where(h > 0.0, tps.V / d, 0.0)
+    K = tps.H / np.outer(d, d) + RIDGE * np.eye(len(h))
+    C = W @ np.linalg.solve(K, W.T)
     C = 0.5 * (C + C.T)
     return C, float(np.trace(C))
 

@@ -62,6 +62,14 @@ class TestOracle:
         assert list(errors) == [1] and str(errors[1]) == "x must be finite"
         assert X[0].tolist() == [2.0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_block_map_reports_an_overflow_without_a_warning(self):
+        model = ProblemModel(A=np.array([[1.0], [1.0]]), sigma_e=0.1, sigma_n=0.1, s=1)
+        Y = np.array([[1e308, 1e308], [1.0, 1.0]])
+        X, errors = estimator_kernel(model, EstimatorSpec.oracle((0,)))(Y)
+        assert list(errors) == [0] and str(errors[0]) == "x must be finite"
+        assert X[1].tolist() == [1.0]
+
     def test_same_bits_as_apply_estimator(self, rng):
         model = ProblemModel(A=generate_gaussian_matrix(7, 9, rng), sigma_e=0.2, sigma_n=0.3, s=3)
         S = (1, 4, 8)

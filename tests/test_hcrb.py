@@ -43,6 +43,20 @@ def axis_offsets(n, scales):
     return [sign * t * np.eye(n)[i] for t in scales for i in range(n) for sign in (1.0, -1.0)]
 
 
+def mixed_scale_instance(seed, n, se, sn):
+    """A model, a signal, offsets of norms 1e-8 to 1 and the size k of the
+    subset offsets[:k].  With sigma_e <= sigma_n / 2 and ||v_i|| <= 1 every
+    a_i < 0.65, so no pair diverges; the pair form of H fell by up to 85%
+    when test points were added."""
+    rng = np.random.default_rng(seed)
+    model = ProblemModel(generate_gaussian_matrix(n, n, rng), se, sn, n)
+    x = SparseSignal(rng.normal(size=n))
+    k = int(rng.integers(1, n + 1))
+    directions = rng.normal(size=(k + int(rng.integers(1, n + 1)), n))
+    offsets = [10.0 ** rng.uniform(-8.0, 0.0) * u / np.linalg.norm(u) for u in directions]
+    return model, x, offsets, k
+
+
 def reference_test_points(model, signal, offsets):
     """H of test_points by the pair form, one offset and one pair at a time."""
     sx2 = sigma_x_squared(model, signal)
@@ -408,18 +422,51 @@ class TestGeneralBound:
         sn=st.floats(0.2, 1.0),
     )
     def test_monotone_over_mixed_scales(self, seed, n, se, sn):
-        # with sigma_e <= sigma_n / 2 and ||v_i|| <= 1 every a_i < 0.65, so
-        # no pair diverges; the pair form of H fell by up to 85% when test
-        # points were added
-        rng = np.random.default_rng(seed)
-        model = ProblemModel(generate_gaussian_matrix(n, n, rng), se, sn, n)
-        x = SparseSignal(rng.normal(size=n))
-        k = int(rng.integers(1, n + 1))
-        directions = rng.normal(size=(k + int(rng.integers(1, n + 1)), n))
-        offsets = [10.0 ** rng.uniform(-8.0, 0.0) * u / np.linalg.norm(u) for u in directions]
+        model, x, offsets, k = mixed_scale_instance(seed, n, se, sn)
         _, sub = hcrb_general(model, x, offsets[:k])
         _, sup = hcrb_general(model, x, offsets)
         assert sup >= sub * (1.0 - 1e-5)
+
+    @settings(max_examples=500)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        se=st.floats(0.0, 0.1),
+        sn=st.floats(0.2, 1.0),
+    )
+    # the eigenvalue cut of the pseudo-inverse lowered this trace by 2.8e-6
+    @example(seed=2470500795, n=3, se=0.09479466824796515, sn=0.5836957339718235)
+    def test_monotone_and_psd_over_many_mixed_scales(self, seed, n, se, sn):
+        model, x, offsets, k = mixed_scale_instance(seed, n, se, sn)
+        C_sub, sub = hcrb_general(model, x, offsets[:k])
+        C_sup, sup = hcrb_general(model, x, offsets)
+        assert sup >= sub * (1.0 - 1e-12)
+        for C, tr in ((C_sub, sub), (C_sup, sup)):
+            assert np.linalg.eigvalsh(C)[0] >= -1e-12 * tr
+
+    @pytest.mark.parametrize("seed", [50, 123, 214])
+    def test_monotone_at_offsets_below_the_old_cut(self, seed):
+        # the superset's D^-1 H D^-1 has an eigenvalue just under the old
+        # cut of 1e-12 lambda_max; that cut lowered the trace by 3e-4 to 6e-4
+        rng = np.random.default_rng([seed, 7])
+        model = ProblemModel(generate_gaussian_matrix(3, 3, rng), 0.071, 0.60, 3)
+        x = SparseSignal(rng.normal(size=3))
+        directions = rng.normal(size=(4, 3))
+        offsets = [10.0 ** rng.uniform(-7.0, -5.0) * u / np.linalg.norm(u) for u in directions]
+        _, sub = hcrb_general(model, x, offsets[:3])
+        _, sup = hcrb_general(model, x, offsets)
+        assert sup >= sub * (1.0 - 1e-12)
+
+    def test_a_point_without_information_adds_nothing(self):
+        # A v = 0 and sigma_e = 0 give H_ii = 0; a bare ridge would weigh
+        # that point by 1 / RIDGE
+        model = ProblemModel(np.array([[1.0, 0.0]]), 0.0, 0.5, 2)
+        x = SparseSignal(np.array([1.0, 0.0]))
+        blind, seen = np.array([0.0, 1.0]), np.array([0.1, 0.0])
+        assert hcrb_general(model, x, [blind])[1] == 0.0
+        _, alone = hcrb_general(model, x, [seen])
+        _, both = hcrb_general(model, x, [seen, blind])
+        assert alone == both == pytest.approx(0.01 / math.expm1(0.04), rel=1e-11)
 
 
 class TestBetaAndG:

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from sparsebounds.ccrb import ccrb_nonmaximal
 from sparsebounds.fisher import fim_closed_form
-from sparsebounds.hcrb import PINV_RTOL, _pinv_psd
+from sparsebounds.hcrb import RIDGE, hcrb_general, test_points as make_test_points
 from sparsebounds.model import (
     ProblemModel,
     SparseSignal,
@@ -102,16 +102,21 @@ def test_gram_inverse_matches_cho_solve(s):
     assert rel_err(gram_inverse(A_S), want) <= 1e-12
 
 
-@pytest.mark.parametrize("rank", [6, 4])
-def test_pinv_psd_matches_scipy_evd(rank):
-    rng = np.random.default_rng(rank)
-    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    w = np.concatenate([rng.uniform(0.2, 5.0, rank), np.zeros(6 - rank)])
-    H = (Q * w) @ Q.T
-    w_ref, Q_ref = scipy.linalg.eigh(H, driver="evd")
-    keep = w_ref > PINV_RTOL * w_ref[-1]
-    want = (Q_ref[:, keep] / w_ref[keep]) @ Q_ref[:, keep].T
-    assert rel_err(_pinv_psd(H), want) <= 1e-12
+@pytest.mark.parametrize("copies", [1, 2])
+def test_hcrb_general_matches_scipy_positive_solve(copies):
+    # copies = 2 repeats every offset: K is singular, and K + RIDGE I has a
+    # condition number of about 4e12
+    rng = np.random.default_rng(copies)
+    model = ProblemModel(A=generate_gaussian_matrix(6, 4, rng), sigma_e=0.2, sigma_n=0.5, s=4)
+    x = SparseSignal(rng.normal(size=4))
+    offsets = list(0.3 * rng.normal(size=(4, 4))) * copies
+    tps = make_test_points(model, x, offsets)
+    d = np.sqrt(np.diag(tps.H))
+    W, K = tps.V / d, tps.H / np.outer(d, d)
+    want = W @ scipy.linalg.solve(K + RIDGE * np.eye(len(d)), W.T, assume_a="pos")
+    C, trace = hcrb_general(model, x, offsets)
+    assert rel_err(C, want) <= 1e-12
+    assert trace == np.trace(C)
 
 
 def test_nonmaximal_fallback_matches_positive_solve():
