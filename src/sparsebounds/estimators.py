@@ -14,6 +14,7 @@ Four estimators appear in the experiments:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,11 +149,13 @@ def estimate_oracle(model: ProblemModel, y, support) -> np.ndarray:
     S = checked_support(model, support)
     yv = model_measurement(model, y)
     A_S, G = support_factor(model, S)
-    coeffs = G @ (A_S.T @ yv)
-    if not np.isfinite(coeffs).all():
+    # called once per Monte Carlo trial: `@` makes the same BLAS call with
+    # the same bits, but as a gufunc costs about 1 us more on operands this small
+    coeffs = G.dot(A_S.T.dot(yv))
+    if not all(map(math.isfinite, coeffs.tolist())):
         raise InvalidInputError(_NOT_FINITE)
     x = np.zeros(model.n)
-    x[list(S)] = coeffs
+    x.put(S, coeffs)
     return x
 
 

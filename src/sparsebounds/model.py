@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +51,15 @@ SINGULARITY_RTOL = 1e-12
 
 
 def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
-    if not all(0.0 <= v < MAX_DEVIATION for v in (sigma_e, sigma_n)):
+    """Both deviations as floats, raising InvalidInputError unless each is
+    a real number (numbers.Real, not a bool) in [0, MAX_DEVIATION).  A
+    numpy scalar is tested as its Python value, so a float32 deviation
+    cannot overflow the comparison."""
+    devs = [v.item() if isinstance(v, np.generic) else v for v in (sigma_e, sigma_n)]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 0.0 <= v < MAX_DEVIATION for v in devs):
         raise InvalidInputError(
-            f"noise deviations must be finite, nonnegative and below {MAX_DEVIATION:g}"
+            f"noise deviations must be finite, nonnegative real numbers below {MAX_DEVIATION:g}"
         )
     return float(sigma_e), float(sigma_n)
 
@@ -79,10 +86,27 @@ def checked_seed(name: str, value) -> int:
     return int(value)
 
 
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float array, raising InvalidInputError naming it unless
+    its entries are real: a complex or text array, or an object array
+    holding anything but numbers.Real, is rejected.  A float64 array passes
+    with one dtype test and no copy."""
+    arr = np.asarray(value)
+    if arr.dtype != np.float64:
+        kind = arr.dtype.kind
+        if kind not in "biuf" and not (
+            kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)
+        ):
+            raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+        return arr.astype(float)
+    return arr
+
+
 def checked_matrix(A) -> np.ndarray:
-    """A as a float array, rejected unless it is nonempty, 2-d and finite.
-    NaN fails too, and neither reduction makes an m x n temporary."""
-    A = np.asarray(A, dtype=float)
+    """A as a float array (real_array), rejected unless it is nonempty, 2-d
+    and finite.  NaN fails too, and neither reduction makes an m x n
+    temporary."""
+    A = real_array("A", A)
     if A.ndim != 2 or A.size == 0:
         raise InvalidInputError("A must be a nonempty 2-d array")
     if not (np.isfinite(A.min()) and np.isfinite(A.max())):
@@ -97,9 +121,10 @@ def _is_identity(A: np.ndarray) -> bool:
     return m == n and bool((A.diagonal() == 1.0).all()) and np.count_nonzero(A) == n
 
 
-def _frozen(arr) -> np.ndarray:
-    """A read-only float copy of arr, which no caller can write through."""
-    out = np.array(arr, dtype=float)
+def _frozen(name: str, arr) -> np.ndarray:
+    """A read-only float copy of arr (real_array), which no caller can
+    write through."""
+    out = np.array(real_array(name, arr))
     out.setflags(write=False)
     return out
 
@@ -136,7 +161,7 @@ class ProblemModel:
     _unit: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        A = checked_matrix(_frozen(self.A))  # scans the model's own copy
+        A = checked_matrix(_frozen("A", self.A))  # scans the model's own copy
         sigma_e, sigma_n = _deviations(self.sigma_e, self.sigma_n)
         s = checked_count("sparsity budget s", self.s)
         if s > A.shape[1]:
@@ -177,7 +202,7 @@ class SparseSignal:
     support: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        x = _frozen(self.x)
+        x = _frozen("x", self.x)
         if x.ndim != 1 or x.size == 0:
             raise InvalidInputError("x must be a nonempty 1-d array")
         if np.count_nonzero(np.isfinite(x)) < x.size:
@@ -206,9 +231,9 @@ class SparseSignal:
 
 
 def model_measurement(model: ProblemModel, y) -> np.ndarray:
-    """y as a float array, raising InvalidInputError unless it is a
-    nonempty 1-d vector of length m."""
-    yv = np.asarray(y, dtype=float)
+    """y as a float array (real_array), raising InvalidInputError unless it
+    is a nonempty 1-d vector of length m."""
+    yv = real_array("y", y)
     if yv.ndim != 1 or yv.size == 0:
         raise InvalidInputError("measurement must be a nonempty 1-d vector")
     if yv.size != model.m:
@@ -220,6 +245,8 @@ def checked_indices(support) -> tuple[int, ...]:
     """support as a tuple of ints, raising InvalidInputError unless every
     index is an integer (_is_integer): a float or a bool index is not."""
     S = tuple(support)
+    if set(map(type, S)) <= {int}:  # plain ints, as every oracle row passes
+        return S
     if not all(map(_is_integer, S)):
         raise InvalidInputError(f"support indices must be integers, got {S!r}")
     return tuple(map(int, S))

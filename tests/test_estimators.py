@@ -17,6 +17,7 @@ from sparsebounds.model import (
     generate_gaussian_matrix,
     sample_measurement,
     sigma_x_squared,
+    support_factor,
 )
 
 
@@ -51,7 +52,7 @@ class TestOracle:
         with pytest.raises(SingularMatrixError):
             estimate_oracle(model, np.array([1.0, 1.0]), support=(0, 1))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     def test_overflowing_estimate_is_rejected_and_fails_only_its_row(self):
         # A_S^T y = 2e308 overflows, so the estimate is not finite
         model = ProblemModel(A=np.array([[1.0], [1.0]]), sigma_e=0.1, sigma_n=0.1, s=1)
@@ -76,6 +77,54 @@ class TestOracle:
         for y in rng.normal(size=(5, 7)):
             got = estimate_oracle(model, y, S)
             assert got.tobytes() == apply_estimator(model, y, EstimatorSpec.oracle(S)).tobytes()
+
+
+# the shapes the oracle row is checked on against the spelled-out products
+_ORACLE_M = [1, 2, 3, 5, 8, 16, 33, 64, 100, 257, 1000]
+_ORACLE_S = [1, 2, 3, 4, 7, 10, 16, 33]
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
+def test_oracle_row_is_the_spelled_out_product_bit_for_bit(m):
+    # the row takes G.dot(A_S.T.dot(y)); `@` must give the same bits, for a
+    # support of the columns and for the full support (A_S = A), on C- and
+    # Fortran-order matrices, with a contiguous and a strided y
+    rng = np.random.default_rng(m)
+    for s in (s for s in _ORACLE_S if s <= m):
+        wide = rng.normal(size=(m, s + 3))
+        cases = [(wide, tuple(sorted(rng.choice(s + 3, size=s, replace=False).tolist()))),
+                 (rng.normal(size=(m, s)), tuple(range(s)))]
+        for A, S in cases:
+            for order in ("C", "F"):
+                model = ProblemModel(np.asarray(A, order=order), 0.1, 0.1, s)
+                A_S, G = support_factor(model, S)
+                for y in (rng.normal(size=m), rng.normal(size=(m, 3))[:, 1]):
+                    want = np.zeros(model.n)
+                    want[list(S)] = G @ (A_S.T @ y)
+                    assert estimate_oracle(model, y, S).tobytes() == want.tobytes(), (s, S, order)
+
+
+_UNIT3 = ProblemModel(np.eye(3), 0.1, 0.1, 1)
+_Y3 = np.array([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "support, expected",
+    [((np.int64(2),), [0, 0, 3]), ([0], [1, 0, 0]), (range(1), [1, 0, 0]),
+     (np.array([0]), [1, 0, 0]), ((2, 0), [1, 0, 3])],
+    ids=repr,
+)
+def test_oracle_accepts_every_integer_support(support, expected):
+    assert estimate_oracle(_UNIT3, _Y3, support).tolist() == expected
+
+
+@pytest.mark.parametrize("support", [(0, 0), (-1,), ()], ids=repr)
+def test_oracle_range_checks_a_support_of_plain_ints(support):
+    # plain ints skip the per-index type test, not the range rule
+    with pytest.raises(InvalidInputError, match=(
+        r"^support must be nonempty, duplicate free and within \[0, n\)$"
+    )):
+        estimate_oracle(_UNIT3, _Y3, support)
 
 
 def _on_unit_model(y, spec):

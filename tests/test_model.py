@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -523,7 +524,9 @@ _INDEX_SITES = {
 }
 
 
-@pytest.mark.parametrize("index", [0.7, 1.9, 2.0, True, np.float64(1.0), np.bool_(True)], ids=repr)
+@pytest.mark.parametrize(
+    "index", [0.7, 1.9, 2.0, 0.0, True, np.float64(1.0), np.bool_(True)], ids=repr
+)
 @pytest.mark.parametrize("site", sorted(_INDEX_SITES))
 def test_a_support_index_that_is_not_an_integer_is_rejected(site, index):
     # int() would truncate each of these to a valid index
@@ -538,3 +541,107 @@ def test_a_numpy_integer_support_index_is_the_int(site, index):
     assert got == _INDEX_SITES[site]((1,))
     if isinstance(got, tuple):
         assert type(got[0]) is int
+
+
+class TestDeviationType:
+    """One rule for sigma_e and sigma_n, in the constructor and in
+    with_noise: a real number other than a bool, a numpy scalar tested as
+    its Python value."""
+
+    MESSAGE = r"^noise deviations must be finite, nonnegative real numbers below 1e\+75$"
+
+    @staticmethod
+    def _both_ways(sigma):
+        yield make_model(np.eye(2), sigma, sigma, 1)
+        yield make_model(np.eye(2), 0.1, 0.1, 1).with_noise(sigma, sigma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma", [np.float32(0.1), np.float16(0.5), np.float32(3e38), np.int64(2), 2, Fraction(1, 4)],
+        ids=repr,
+    )
+    def test_a_real_deviation_is_its_float_without_a_warning(self, sigma):
+        # a float32 sigma was compared with MAX_DEVIATION in float32, where
+        # 1e75 overflows the cast
+        for model in self._both_ways(sigma):
+            assert (model.sigma_e, model.sigma_n) == (float(sigma), float(sigma))
+            assert type(model.sigma_e) is float and type(model.sigma_n) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma",
+        ["0.1", 1j, np.complex128(0.1), True, np.bool_(True), None, np.float32(np.inf), 10**400],
+        ids=repr,
+    )
+    def test_a_deviation_that_is_not_a_finite_real_number_is_an_input_error(self, sigma):
+        # a str or complex sigma ended in a bare TypeError, a bool was read as 1.0
+        with pytest.raises(InvalidInputError, match=self.MESSAGE):
+            make_model(np.eye(2), sigma, 0.1, 1)
+        with pytest.raises(InvalidInputError, match=self.MESSAGE):
+            make_model(np.eye(2), 0.1, 0.1, 1).with_noise(0.1, sigma)
+
+
+# the sites that read A, x or y, with the name their error gives; each
+# builds its input from one length-3 row v
+_ARRAY_SITES = {
+    "ProblemModel": ("A", lambda v: ProblemModel([v, v, v], 0.1, 0.1, 1).A),
+    "spark_exceeds": ("A", lambda v: spark_exceeds([v, v, v], 1)),
+    "SparseSignal": ("x", lambda v: SparseSignal(v).x),
+    "model_measurement": ("y", lambda v: model_measurement(_UNIT3, v)),
+    "estimate_oracle": ("y", lambda v: estimate_oracle(_UNIT3, v, (0, 2))),
+    "apply_estimator[noise]": ("y", lambda v: apply_estimator(_UNIT3, v, EstimatorSpec.noise_exploiting())),
+    "score": ("y", lambda v: score(_UNIT3, _E0, v)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1j, 2.0, 3.0],
+        np.array([1.0, 2.0, 3.0], dtype=complex),
+        ["1", "2", "3"],
+        np.array([b"1", b"2", b"3"]),
+        np.array([1.0, "2", 3.0], dtype=object),
+        np.array([1.0, 2j, 3.0], dtype=object),
+        np.array([1.0, None, 3.0], dtype=object),
+    ],
+    ids=lambda v: f"{np.asarray(v).dtype}:{list(v)!r}",
+)
+@pytest.mark.parametrize("site", sorted(_ARRAY_SITES))
+def test_a_complex_or_text_array_input_is_an_input_error(site, v):
+    # a complex array ended in a bare TypeError (or a ComplexWarning), and
+    # text entries were parsed as numbers
+    name, call = _ARRAY_SITES[site]
+    with pytest.raises(InvalidInputError, match=f"^{name} must hold real numbers, got dtype "):
+        call(v)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v",
+    [
+        [1, 2, 3],
+        [True, False, True],
+        np.array([1, 2, 3], dtype=np.uint8),
+        np.array([1.0, 2.0, 3.0], dtype=np.float32),
+        np.array([1.0, 2.0, 3.0], dtype=">f8"),
+        np.array([Fraction(1, 2), 2, np.float64(3.0)], dtype=object),
+        [2**70, 2, 3],
+    ],
+    ids=lambda v: f"{np.asarray(v).dtype}:{list(v)!r}",
+)
+@pytest.mark.parametrize("site", sorted(_ARRAY_SITES))
+def test_a_real_array_input_converts_as_the_float_array(site, v):
+    _, call = _ARRAY_SITES[site]
+    got, want = call(v), call(np.asarray(v, dtype=float))
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+def test_a_float64_measurement_passes_without_a_copy():
+    Y = np.arange(12.0).reshape(4, 3)
+    for y in (Y[1], Y[:, 1][:3], Y.ravel()[::4]):
+        assert model_measurement(_UNIT3, y) is y
