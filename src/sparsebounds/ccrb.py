@@ -44,6 +44,7 @@ from .model import (
     checked_matrix,
     checked_support,
     positive_sigma_x_squared,
+    real_array,
     support_factor,
 )
 
@@ -172,14 +173,7 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     """
     _check_signal(model, signal)
     S = maximal_support(model, signal)
-    return maximal_report(model, signal, S, positive_sigma_x_squared(model, signal))
-
-
-def maximal_report(
-    model: ProblemModel, signal: SparseSignal, S: tuple[int, ...], sx2: float
-) -> CcrbReport:
-    """ccrb_maximal past its checks, from the maximal support S and
-    sigma_x^2 > 0."""
+    sx2 = positive_sigma_x_squared(model, signal)
     G = support_factor(model, S)[1]
     return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
 
@@ -398,10 +392,14 @@ def sigmas_at_levels(
 ) -> list[tuple[float, float]]:
     """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass
     over A_S.  Every level is checked to be finite and nonnegative before
-    A is read.  A NaN or inf in A_S raises InvalidInputError and an
-    overflowing sum OverflowingMatrixError (see _support_energy)."""
+    A is read.  An A that is not a real 2-d array (real_array) with the
+    signal's n columns raises InvalidInputError, as does a NaN or inf in
+    A_S; an overflowing sum raises OverflowingMatrixError (see
+    _support_energy)."""
     _check_levels("noise levels", itertools.chain.from_iterable(levels))
-    A = np.asarray(A, dtype=float)
+    A = real_array("A", A)
+    if A.ndim != 2 or A.shape[1] != signal.n:
+        raise InvalidInputError(f"A must be a 2-d array with n={signal.n} columns")
     energy, tr_gram = _support_energy(A, signal)
     m = A.shape[0]
     return [

@@ -46,6 +46,7 @@ from .montecarlo import (
     chunk_moments,
     key_stream,
     merge_moments,
+    run_trials,
     std_error_of_mean,
     sweep,
 )
@@ -255,9 +256,9 @@ def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
 def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
     """Empirical MSE of the ML and locally unbiased estimators vs the bounds.
 
-    sweep leaves a bound it cannot compute empty, so each point's HCRB
-    (whose support part is the CCRB) is computed first, and its error
-    ends the run before any trial.
+    Every point's closed-form HCRB, whose support part is the CCRB, comes
+    before any trial, so a bound's error ends the run first; cell (sigma_e
+    index, sigma_n index, estimator index) runs on that stream key.
     """
     grid = _logspace(1e-3, 10.0, cfg.points)
     base = ProblemModel(np.eye(cfg.n), 0.0, 0.0, 1)
@@ -265,19 +266,17 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
     x[0] = 1.0
     signal = SparseSignal(x, (0,))
     specs = [EstimatorSpec.maximum_likelihood(1), EstimatorSpec.locally_unbiased(signal)]
+    points = [(ei, pi, base.with_noise(sigma_e, sn))
+              for ei, sigma_e in enumerate((0.1, 1.0)) for pi, sn in enumerate(grid)]
+    bounds = [hcrb_unit_closed_form(model, signal) for _, _, model in points]
     rows = []
-    for ei, sigma_e in enumerate((0.1, 1.0)):
-        points = [({"sigma_n": sn}, base.with_noise(sigma_e, sn), signal) for sn in grid]
-        for _, model, _ in points:
-            hcrb_unit_closed_form(model, signal)
-        cells = sweep(points, specs, cfg.trials, cfg.seed, key=(ei,))
-        # one sweep row per (point, estimator), each with the point's bounds
-        for pair in zip(cells[::2], cells[1::2]):
-            for r in pair:
-                curve = f"mse_{r['estimator']}_sigma_e={sigma_e:g}"
-                rows.append((r["sigma_n"], curve, r["mse"], r["std_error"]))
-            for name in ("hcrb", "ccrb"):
-                rows.append((r["sigma_n"], f"{name}_sigma_e={sigma_e:g}", r[name], 0.0))
+    for (ei, pi, model), hcrb in zip(points, bounds):
+        sn, label = grid[pi], f"sigma_e={model.sigma_e:g}"
+        for j, spec in enumerate(specs):
+            out = run_trials(model, signal, spec, cfg.trials, cfg.seed, (ei, pi, j))
+            rows.append((sn, f"mse_{spec.name}_{label}", out.mse, out.std_error_mse))
+        rows.append((sn, f"hcrb_{label}", hcrb.bound, 0.0))
+        rows.append((sn, f"ccrb_{label}", hcrb.support_part, 0.0))
     return rows
 
 

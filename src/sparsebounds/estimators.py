@@ -129,10 +129,7 @@ def row_dot(E: np.ndarray) -> np.ndarray:
 def _not_finite(values: np.ndarray) -> dict:
     """{row: InvalidInputError} for each row of a (k, s) array that holds
     a value that is not finite."""
-    finite = np.isfinite(values)
-    if finite.all():  # the common case, at half the cost of the row test
-        return {}
-    bad = np.flatnonzero(~finite.all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     return {int(i): InvalidInputError(_NOT_FINITE) for i in bad}
 
 
@@ -182,17 +179,13 @@ def _oracle(model: ProblemModel, support: tuple[int, ...]):
 def _ml_unit(Y: np.ndarray, s: int):
     """Dense ML estimates for a unit sensing matrix, the s largest
     magnitudes of each row (ties toward the lowest index), and the
-    failures."""
-    if s == 1:
-        # argmax keeps the lowest index on ties, like the stable sort below
-        keep = np.abs(Y).argmax(axis=1, keepdims=True)
-    else:
-        keep = np.sort(np.argsort(-np.abs(Y), axis=1, kind="stable")[:, :s], axis=1)
+    failures: a row that holds a value that is not finite fails, whatever
+    the entries it would keep."""
+    keep = np.sort(np.argsort(-np.abs(Y), axis=1, kind="stable")[:, :s], axis=1)
     rows = np.arange(len(Y))[:, None]
-    kept = Y[rows, keep]
     X = np.zeros(Y.shape)
-    X[rows, keep] = kept
-    return X, _not_finite(kept)
+    X[rows, keep] = Y[rows, keep]
+    return X, _not_finite(Y)
 
 
 def _locally_unbiased(model: ProblemModel, x0: SparseSignal):

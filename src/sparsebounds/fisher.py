@@ -29,6 +29,7 @@ from .model import (
     checked_count,
     model_measurement,
     positive_sigma_x_squared,
+    real_array,
 )
 
 __all__ = [
@@ -52,7 +53,7 @@ class FisherMatrix:
     sigma_x2: float
 
     def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
+        J = real_array("J", self.J)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise InvalidInputError("J must be square")
         if not np.all(np.isfinite(J)):

@@ -17,8 +17,7 @@ is added, and a point with H_ii = 0 (no information) adds nothing.
 
 For a unit sensing matrix and a fully supported signal the supremum over
 offsets has a closed form: the support part is the maximal-support
-CCRB, computed by ccrb_maximal's own code, and the off-support part is
-sigma_x^2 d with
+CCRB (ccrb_maximal) and the off-support part is sigma_x^2 d with
 
     d = (n-s) beta e^{-beta} / (e^beta - 1)
         * (1 - 1/(n - s + e^beta (1 - g(beta))^{-1})),
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccrb import maximal_report, maximal_support
+from .ccrb import ccrb_maximal, maximal_support
 from .errors import (
     DegenerateModelError,
     DivergentTestPointError,
@@ -46,7 +45,8 @@ from .errors import (
     UnsupportedMatrixError,
 )
 from .model import (
-    ProblemModel, SparseSignal, _check_signal, _deviations, checked_count, positive_sigma_x_squared
+    ProblemModel, SparseSignal, _check_signal, _deviations, checked_count, positive_sigma_x_squared,
+    real_array,
 )
 
 __all__ = [
@@ -102,17 +102,17 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
     no term of L cancels, and at offsets of 1e-8 H keeps its relative
     accuracy (1e-13 against 80-digit arithmetic).  Raises
     InvalidInputError for the first offset in index order that is not a
-    finite vector of length n; then, for the first offending offset in
-    index order, InfeasibleOffsetError when x + v_i is not s-sparse and
-    DegenerateModelError when s_i^2 = 0; then, for the first pair (i, j)
-    with j >= i in row-major order, DivergentTestPointError when
-    1 - a_i a_j <= 0 (vs_ij^2 <= 0) and OverflowingTestPointError (an
-    OverflowError) when H_ij overflows.
+    finite real (real_array) vector of length n; then, for the first
+    offending offset in index order, InfeasibleOffsetError when x + v_i
+    is not s-sparse and DegenerateModelError when s_i^2 = 0; then, for
+    the first pair (i, j) with j >= i in row-major order,
+    DivergentTestPointError when 1 - a_i a_j <= 0 (vs_ij^2 <= 0) and
+    OverflowingTestPointError (an OverflowError) when H_ij overflows.
     """
     sx2 = positive_sigma_x_squared(model, signal)
     vs = []
     for i, v in enumerate(offsets):
-        v = np.asarray(v, dtype=float)
+        v = real_array(f"offset {i}", v)
         if v.shape != (model.n,):
             raise InvalidInputError("offset length does not match model n")
         if not np.isfinite(v).all():
@@ -260,14 +260,13 @@ def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbRepo
 
     The support part is ccrb_maximal(model, signal).bound, so CCRB <= HCRB
     holds bit for bit; the off-support part sigma_x^2 d closes the gap
-    toward the unconstrained bound as the smallest entry shrinks.  One
-    pass checks the instance and gives the support and sigma_x^2 to both
-    parts; the off-support part's own errors come before the support
-    part's.
+    toward the unconstrained bound as the smallest entry shrinks.  The
+    instance is checked as _unit_maximal orders it, and the off-support
+    part's own errors come before the support part's.
     """
     S, sx2 = _unit_maximal(model, signal)
     beta, g, d = _off_support(model, signal, S, sx2)
-    support_part = maximal_report(model, signal, S, sx2).bound
+    support_part = ccrb_maximal(model, signal).bound
     nonsupport_part = sx2 * d
     return HcrbReport(
         bound=support_part + nonsupport_part,

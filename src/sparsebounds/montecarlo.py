@@ -27,7 +27,8 @@ from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .hcrb import hcrb_unit_closed_form
 from .model import (
-    ProblemModel, SparseSignal, _check_signal, checked_count, checked_seed, sigma_x_squared
+    ProblemModel, SparseSignal, _check_signal, checked_count, checked_seed, real_array,
+    sigma_x_squared,
 )
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
@@ -39,9 +40,8 @@ FAILURE_BUDGET = 0.01
 
 
 # SeedSequence's hashing (numpy.random.bit_generator), on uint32 arrays.
-# A trial index below 2**32 is the last entropy word, so numpy mixes the
-# words before it once per (seed, key) and the index is mixed in for a
-# whole block of trials at once.
+# A trial index below 2**32 is the last entropy word, so the index is
+# mixed in for a whole block of trials at once.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -62,33 +62,24 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-@functools.lru_cache(maxsize=256)
-def _mixed_prefix(seed: int, key: tuple[int, ...]):
-    """SeedSequence(entropy=seed, spawn_key=(*key, i)) up to, not
-    including, the word i: numpy's pool for (seed, key) and the hash
-    constant after it.  mix_entropy hashes four times per entropy word,
-    a seed shorter than the pool counting as padded with zeros.  None
-    when an input is not a nonnegative int, which SeedSequence handles."""
+@functools.lru_cache(maxsize=4)
+def _stream_block(seed: int, key: tuple[int, ...], block: int):
+    """Read-only (B, 4) uint64 table: row r is generate_state(4, uint64)
+    of the SeedSequence of trial index (block << STREAM_BLOCK_BITS) + r.
+    The pool of SeedSequence(entropy=seed, spawn_key=key) is that state
+    before the index word is mixed in, and the hash constant there follows
+    from the word count: mix_entropy hashes four times per entropy word, a
+    seed shorter than the pool counting as padded with zeros.  None when
+    an input is not a nonnegative int, which SeedSequence handles."""
     if seed < 0 or not all(type(k) is int and k >= 0 for k in key):
         return None
     words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
     words += sum(max(1, -(-k.bit_length() // 32)) for k in key)
-    pool = tuple(SeedSequence(entropy=seed, spawn_key=key).pool.tolist())
-    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
-
-
-@functools.lru_cache(maxsize=4)
-def _stream_block(seed: int, key: tuple[int, ...], block: int):
-    """Read-only (B, 4) uint64 table: row r is generate_state(4, uint64)
-    of the SeedSequence of trial index (block << STREAM_BLOCK_BITS) + r."""
-    prefix = _mixed_prefix(seed, key)
-    if prefix is None:
-        return None
-    prefix_pool, hash_const = prefix
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
     index = np.arange(1 << STREAM_BLOCK_BITS, dtype=np.uint32) + np.uint32(block << STREAM_BLOCK_BITS)
     # mix_entropy's last word, the index, into every pool word
     pool = []
-    for x in prefix_pool:
+    for x in SeedSequence(entropy=seed, spawn_key=key).pool.tolist():
         v, hash_const = _hashmix(index, hash_const)
         pool.append(_mix(x, v))
     # generate_state: eight uint32 words, cycling through the pool
@@ -173,7 +164,7 @@ class TrialSummary:
     failures: int = 0
 
     def __post_init__(self):
-        b = np.array(self.bias, dtype=float)
+        b = np.array(real_array("bias", self.bias))
         b.flags.writeable = False
         object.__setattr__(self, "bias", b)
 
@@ -204,8 +195,9 @@ def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFai
 
 def chunk_moments(qs) -> tuple[int, float, float]:
     """(count, mean, M2) of one chunk's squared errors, a sequence or a 1-d
-    array, M2 being the sum of squared deviations from the chunk mean."""
-    q = np.asarray(qs, dtype=float)
+    array of real numbers (real_array), M2 being the sum of squared
+    deviations from the chunk mean."""
+    q = real_array("qs", qs)
     if q.size == 0:
         return 0, 0.0, 0.0
     mean = float(q.mean())

@@ -844,6 +844,14 @@ class TestNonFiniteSupportEnergy:
         model, x = gaussian_instance(11, m=10, n=16, s=4)
         sigmas_at_levels(model.A, x, [(0.5, 0.5)], 4)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 3, 1), (3, 2), (3, 4)], ids=str)
+    def test_rejects_a_matrix_that_is_not_2d_with_n_columns(self, shape):
+        # a 1-d A has no columns to take, and a wrong column count would
+        # pass wherever the support fits
+        x = SparseSignal(np.eye(3)[0])
+        with pytest.raises(InvalidInputError, match="^A must be a 2-d array with n=3 columns$"):
+            sigmas_for_levels(np.ones(shape), x, 0.5, 0.5, 1)
+
 
 class TestGammaSandwich:
     def test_tight_rip_collapses_to_approximation(self):

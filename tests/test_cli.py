@@ -647,13 +647,28 @@ class TestMalformedInput:
         assert "identity" in err and "gaussian" in err and repr(kind) in err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_fig_estimators_fails_without_its_bounds(self, tmp_path, capsys):
+    def test_fig_estimators_fails_without_its_bounds(self, tmp_path, capsys, monkeypatch):
         # simulate leaves a bound it cannot compute empty; fig-estimators
-        # plots the bounds, so it must fail instead
+        # plots the bounds, so it must fail instead, before any trial
+        monkeypatch.setattr(sparsebounds.montecarlo, "trial_stream", _no_trial)
         argv = ["figure", "fig-estimators", "--n", "1", "--points", "2", "--trials", "10"]
         assert run(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "closed-form HCRB requires n >= 2" in capsys.readouterr().err
         assert not (tmp_path / "fig-estimators.csv").exists()
+
+    def test_fig_estimators_takes_every_bound_before_any_trial(self, monkeypatch):
+        # the last point's bound fails, and still no trial is drawn
+        real = cli.hcrb_unit_closed_form
+
+        def last_fails(model, signal):
+            if (model.sigma_e, model.sigma_n) == (1.0, 10.0):
+                raise InvalidInputError("last bound")
+            return real(model, signal)
+
+        monkeypatch.setattr(cli, "hcrb_unit_closed_form", last_fails)
+        monkeypatch.setattr(sparsebounds.montecarlo, "trial_stream", _no_trial)
+        with pytest.raises(InvalidInputError, match="^last bound$"):
+            figure_rows(ExperimentConfig("fig-estimators", points=3, trials=10))
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("fig", ["fig7", "fig-estimators", "table1"])
@@ -663,6 +678,10 @@ class TestMalformedInput:
         assert f"n must be an integer >= 1, got {int(n)}" in capsys.readouterr().err
         argv = SIMULATE_TINY + ["--n", n, "--m", n, "--output", str(tmp_path / "s.csv")]
         assert run(argv) == 2
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial was drawn")
 
 
 def _outcome(argv, config: bytes | None):

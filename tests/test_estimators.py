@@ -311,6 +311,8 @@ def _per_row(spec, y):
         out[0] = y[0]
         return out, None
     if spec.kind == "maximum_likelihood":
+        if not np.isfinite(y).all():  # at every s, whatever the kept entries
+            return None, "x must be finite"
         if spec.s == 1:
             keep = np.abs(y).argmax(keepdims=True)
         else:
@@ -369,6 +371,21 @@ class TestBlockKernels:
             apply_estimator(self.MODEL, np.zeros(4), EstimatorSpec.noise_exploiting())
         with pytest.raises(InvalidInputError, match="x must be finite"):
             _noise(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ml_fails_a_measurement_that_is_not_finite_at_every_s(s, at, bad):
+    # the sort puts a NaN last, where s >= 2 would not keep it
+    model = ProblemModel(np.eye(3), 0.1, 0.1, 3)
+    y = np.array([3.0, 1.0, 2.0])
+    y[at] = bad
+    with pytest.raises(InvalidInputError, match="^x must be finite$"):
+        apply_estimator(model, y, EstimatorSpec.maximum_likelihood(s))
+    # in a block, the row fails alone
+    _, errors = estimator_kernel(model, EstimatorSpec.maximum_likelihood(s))(np.stack([y, np.ones(3)]))
+    assert list(errors) == [0]
 
 
 @pytest.mark.parametrize("n", [5, 10_000])

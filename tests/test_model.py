@@ -15,6 +15,7 @@ from sparsebounds.ccrb import (
     ccrb_nonmaximal,
     noise_levels,
     oracle_mse_theoretical,
+    sigmas_at_levels,
 )
 from sparsebounds.errors import (
     InvalidInputError,
@@ -25,7 +26,7 @@ from sparsebounds.estimators import (
     apply_estimator,
     estimate_oracle,
 )
-from sparsebounds.fisher import fim_closed_form, fim_monte_carlo, log_likelihood, score
+from sparsebounds.fisher import FisherMatrix, fim_closed_form, fim_monte_carlo, log_likelihood, score
 from sparsebounds.hcrb import (
     beta_of,
     d_hcrb,
@@ -44,7 +45,7 @@ from sparsebounds.model import (
     sigma_x_squared,
     spark_exceeds,
 )
-from sparsebounds.montecarlo import run_trials
+from sparsebounds.montecarlo import TrialSummary, chunk_moments, run_trials
 
 
 def make_model(A, sigma_e, sigma_n, s, **kw):
@@ -581,8 +582,8 @@ class TestDeviationType:
             make_model(np.eye(2), 0.1, 0.1, 1).with_noise(0.1, sigma)
 
 
-# the sites that read A, x or y, with the name their error gives; each
-# builds its input from one length-3 row v
+# the sites that read an array input, with the name their error gives;
+# each builds its input from one length-3 row v
 _ARRAY_SITES = {
     "ProblemModel": ("A", lambda v: ProblemModel([v, v, v], 0.1, 0.1, 1).A),
     "spark_exceeds": ("A", lambda v: spark_exceeds([v, v, v], 1)),
@@ -591,6 +592,13 @@ _ARRAY_SITES = {
     "estimate_oracle": ("y", lambda v: estimate_oracle(_UNIT3, v, (0, 2))),
     "apply_estimator[noise]": ("y", lambda v: apply_estimator(_UNIT3, v, EstimatorSpec.noise_exploiting())),
     "score": ("y", lambda v: score(_UNIT3, _E0, v)),
+    # sigma_e = 0 and a wide sigma_n keep H finite for every offset below
+    "test_points": ("offset 1", lambda v: make_test_points(
+        make_model(np.eye(3), sigma_e=0.0, sigma_n=1e30, s=3), _E0, [_E0.x, v]).H),
+    "sigmas_at_levels": ("A", lambda v: sigmas_at_levels([v, v, v], _E0, [(1.0, 2.0)], 1)),
+    "FisherMatrix": ("J", lambda v: FisherMatrix([v, v, v], 1.0).J),
+    "TrialSummary": ("bias", lambda v: TrialSummary(0.0, v, 1, 0, 0.0).bias),
+    "chunk_moments": ("qs", chunk_moments),
 }
 
 

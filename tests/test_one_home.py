@@ -1,6 +1,6 @@
 """Each shared construction has one home module in the package source:
-keyed random streams in montecarlo, the support-Gram inverse in model and
-the estimator names in estimators.  The rank-deficient CCRB inverts no
+keyed random streams in montecarlo, the support-Gram inverse and array
+conversion in model, and the estimator names in estimators.  The rank-deficient CCRB inverts no
 matrix: its bound is a closed form in the eigenpairs of A^T A.  The
 package imports no scipy: its linear algebra is numpy.linalg.  The
 public names are declared once, in each layer's __all__, and the package
@@ -20,6 +20,7 @@ HOMES = {
     "SeedSequence": "montecarlo.py",
     "inv": "model.py",
     "_KIND_NAMES": "estimators.py",
+    "asarray": "model.py",
 }
 
 
