@@ -14,6 +14,7 @@ files byte for byte.  Exit codes: 0 success, a package error's
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -48,7 +49,6 @@ from .montecarlo import (
     merge_moments,
     run_trials,
     std_error_of_mean,
-    sweep,
 )
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
@@ -499,7 +499,21 @@ def _biased_regime(mse: float, std_error: float, hcrb: float | None) -> bool:
     return hcrb is not None and mse < hcrb - 3.0 * std_error
 
 
+def _point_bounds(model: ProblemModel, signal: SparseSignal) -> tuple:
+    """(ccrb, hcrb, oracle_theory) of one simulate point, each None where
+    its call raises; oracle_theory is the maximal-regime CCRB's first term."""
+    ccrb = hcrb = theory = None
+    with contextlib.suppress(SparseBoundsError):
+        rep = ccrb_bound(model, signal)
+        ccrb, theory = rep.bound, (rep.first_term if rep.regime == "maximal" else None)
+    with contextlib.suppress(SparseBoundsError):
+        hcrb = hcrb_unit_closed_form(model, signal).bound
+    return ccrb, hcrb, theory
+
+
 def cmd_simulate(args) -> None:
+    """Rows point-major: a point's bounds come first, then cell (i, j) of
+    sigma_n point i and estimator j runs on stream key (i, j)."""
     A = _build_matrix(args.matrix, args.m, args.n, args.seed)
     if args.x is not None:
         signal = SparseSignal(_parse_vector(args.x, args.n))
@@ -507,20 +521,20 @@ def cmd_simulate(args) -> None:
         signal = generate_bernoulli_signal(args.n, args.s, key_stream(args.seed, (1,)))
     grid = _parse_grid(args.sigma_n)
     base = ProblemModel(A, args.sigma_e, grid[0], args.s)
-    points = [({"sigma_n": sn}, base.with_noise(args.sigma_e, sn), signal) for sn in grid]
+    models = [base.with_noise(args.sigma_e, sn) for sn in grid]
     names = [tok.strip() for tok in args.estimators.split(",")]
     specs = [EstimatorSpec.named(name, base, signal) for name in names if name]
-    raw = sweep(points, specs, args.trials, args.seed)
     rows = []
-    for r in raw:
-        rel_gap = None
-        if r["estimator"] == "oracle" and r["oracle_theory"]:
-            rel_gap = abs(r["mse"] - r["oracle_theory"]) / r["oracle_theory"]
-        biased = None
-        if r["estimator"]:
-            biased = _biased_regime(r["mse"], r["std_error"], r["hcrb"])
-        # the sweep row carries every column before rel_gap under its name
-        rows.append((*(r[col] for col in SIMULATE_HEADER[:-2]), rel_gap, biased))
+    for i, (sn, model) in enumerate(zip(grid, models)):
+        _, hcrb, theory = bounds = _point_bounds(model, signal)
+        if not specs:  # one bounds-only row
+            rows.append((sn, "", None, None, None, 0, 0, *bounds, None, None))
+        for j, spec in enumerate(specs):
+            out = run_trials(model, signal, spec, args.trials, args.seed, (i, j))
+            mse, se = out.mse, out.std_error_mse
+            rel_gap = abs(mse - theory) / theory if spec.name == "oracle" and theory else None
+            rows.append((sn, spec.name, mse, se, float(np.linalg.norm(out.bias)), out.trials,
+                         out.failures, *bounds, rel_gap, _biased_regime(mse, se, hcrb)))
     _emit(_out_path(args), SIMULATE_HEADER, rows)
 
 

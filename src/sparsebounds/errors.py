@@ -39,7 +39,8 @@ class SingularMatrixError(MathDomainError):
 
 
 class OverflowingMatrixError(OverflowError, MathDomainError):
-    """A required matrix or its spectrum exceeds double precision."""
+    """A required matrix, its spectrum or the equivalent noise variance
+    exceeds double precision."""
 
 
 class NoUnbiasedEstimatorError(MathDomainError):

@@ -193,7 +193,9 @@ def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
 
 
 def _beta(nonzeros: np.ndarray, sx2: float) -> float:
-    return float(np.min(np.abs(nonzeros)) ** 2 / sx2)
+    # in Python floats, which overflow to inf and underflow to 0 silently
+    x_q = float(np.min(np.abs(nonzeros)))
+    return x_q * x_q / sx2
 
 
 def g_function(beta: float, n: int, sigma_e: float) -> float:
@@ -236,9 +238,12 @@ def _off_support(
     model: ProblemModel, signal: SparseSignal, S: tuple[int, ...], sx2: float
 ) -> tuple[float, float, float]:
     """(beta, g(beta), d) of the unit-matrix bound, from the support and
-    sigma_x^2 that _unit_maximal returns."""
+    sigma_x^2 that _unit_maximal returns.  Where x_q^2 underflows, beta = 0
+    takes the limit beta -> 0: g = 1 and d = n - s."""
     n, s = model.n, model.s
     beta = _beta(signal.x[list(S)], sx2)
+    if beta == 0.0:
+        return beta, 1.0, float(n - s)
     g = g_function(beta, n, model.sigma_e)
     if n == s or beta > _BETA_OVERFLOW:
         return beta, g, 0.0

@@ -270,10 +270,15 @@ def _check_signal(model: ProblemModel, signal: SparseSignal) -> None:
 
 
 def sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:
-    """Equivalent noise variance sigma_e^2 ||x||^2 + sigma_n^2."""
+    """Equivalent noise variance sigma_e^2 ||x||^2 + sigma_n^2, raising
+    OverflowingMatrixError where its double is not finite."""
     _check_signal(model, signal)
     x = signal.x
-    return float(model.sigma_e**2 * (x @ x) + model.sigma_n**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sx2 = float(model.sigma_e**2 * (x @ x) + model.sigma_n**2)
+    if not math.isfinite(sx2):
+        raise OverflowingMatrixError("sigma_e^2 ||x||^2 + sigma_n^2 overflows double range")
+    return sx2
 
 
 def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:

@@ -1,6 +1,8 @@
 """Monte Carlo harness validating the bounds against reference estimators.
 
-One engine, run_maps, serves every Monte Carlo cell of run_trials (the
+run_trials is the one entry point: it runs one estimator on one (model,
+signal) cell under a stream key.  Setting the trials beside the bounds is
+left to the command line.  One engine, run_maps, serves every cell (the
 table1 protocol draws only the two numbers its estimators read, and
 reduces them with the same chunk moments).  Every trial draws from its
 own random stream derived from the master seed and the trial index, into
@@ -22,16 +24,13 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from .ccrb import ccrb_bound
 from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
-from .hcrb import hcrb_unit_closed_form
 from .model import (
-    ProblemModel, SparseSignal, _check_signal, checked_count, checked_seed, real_array,
-    sigma_x_squared,
+    ProblemModel, SparseSignal, checked_count, checked_seed, real_array, sigma_x_squared,
 )
 
-__all__ = ["TrialSummary", "trial_stream", "run_trials", "sweep"]
+__all__ = ["TrialSummary", "trial_stream", "run_trials"]
 
 TRIAL_CHUNK = 4096
 # A block of draws of length m holds max(1, BLOCK_BYTES // (8 m)) trials.
@@ -269,10 +268,10 @@ def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummar
     )
 
 
-def _checked_key(name: str, key) -> tuple[int, ...]:
+def _checked_key(key) -> tuple[int, ...]:
     """key, a tuple whose elements pass checked_seed, as a tuple of ints."""
     if not isinstance(key, tuple):
-        raise InvalidInputError(f"{name} must be a tuple, got {key!r}")
+        raise InvalidInputError(f"stream_key must be a tuple, got {key!r}")
     return tuple(checked_seed("stream key element", k) for k in key)
 
 
@@ -295,7 +294,7 @@ def run_trials(
     """
     trials = checked_count("trials", trials)
     seed = checked_seed("seed", seed)
-    stream_key = _checked_key("stream_key", stream_key)
+    stream_key = _checked_key(stream_key)
     sx = math.sqrt(sigma_x_squared(model, signal))
     mean = model.A @ signal.x
     try:
@@ -304,55 +303,3 @@ def run_trials(
         # the estimator does not fit the model, so every trial would fail
         raise _excessive_failures(trials, trials, f"trial 0: {exc}") from exc
     return run_maps(mean, sx, signal.x, kernel, trials, seed, stream_key)
-
-
-def _analytic_bounds(model: ProblemModel, signal: SparseSignal) -> dict:
-    out = {"ccrb": None, "hcrb": None, "oracle_theory": None}
-    try:
-        rep = ccrb_bound(model, signal)
-        if rep.regime == "maximal":
-            out["oracle_theory"] = rep.first_term
-        out["ccrb"] = rep.bound
-    except SparseBoundsError:
-        pass
-    try:
-        out["hcrb"] = hcrb_unit_closed_form(model, signal).bound
-    except SparseBoundsError:
-        pass
-    return out
-
-
-# the sweep columns that come from a cell's trial summary
-_CELL_KEYS = ("estimator", "mse", "std_error", "bias_l2", "trials", "failures")
-
-
-def sweep(
-    instances,
-    estimators: list[EstimatorSpec],
-    trials: int,
-    seed: int,
-    key: tuple[int, ...] = (),
-) -> list[dict]:
-    """Run every estimator on every instance of a parameter grid.
-
-    `instances` yields (point, model, signal) where point is a dict of
-    grid coordinates.  Returns one row per (point, estimator) carrying
-    the trial summary next to the analytic bound values, which are None
-    where a bound does not apply; with no estimators, one bounds-only row
-    per point.  Each cell uses the stream key (*key, point index,
-    estimator index), with key a tuple as run_trials' stream_key, so the
-    whole sweep is reproducible from the single seed.
-    """
-    key = _checked_key("key", key)
-    rows: list[dict] = []
-    for idx, (point, model, signal) in enumerate(instances):
-        _check_signal(model, signal)  # _analytic_bounds would leave it empty
-        bounds = _analytic_bounds(model, signal)
-        cells = []
-        for j, est in enumerate(estimators):
-            s = run_trials(model, signal, est, trials, seed, stream_key=(*key, idx, j))
-            bias_l2 = float(np.linalg.norm(s.bias))
-            cells.append((est.name, s.mse, s.std_error_mse, bias_l2, s.trials, s.failures))
-        for cell in cells or [("", None, None, None, 0, 0)]:  # a bounds-only row
-            rows.append({**point, **dict(zip(_CELL_KEYS, cell)), **bounds})
-    return rows

@@ -181,6 +181,22 @@ class TestBoundsCommand:
         assert code == 3
         assert capsys.readouterr().err == "error: A_S^T A_S overflows double range\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_e", ["1e70", "1e-170"])
+    def test_overflowing_sigma_x_is_a_math_error(self, sigma_e, capsys):
+        # ||x||^2 overflows; the rows were nan,inf,nan,nan and all nan
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "2", "--m", "2", "--s", "1",
+                "--sigma-e", sigma_e, "--sigma-n", "1",
+                "--x", "1e200,0",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: sigma_e^2 ||x||^2 + sigma_n^2 overflows double range\n"
+
     def test_nonmaximal_bound_at_strong_matrix_noise(self, capsys):
         # at sigma_e = 1e6 the Fisher information's condition number passes
         # 1e12, yet A = I makes it regular: the bound exists
@@ -839,7 +855,103 @@ class TestFig5Instance:
         assert set(asked) == shapes
 
 
+# simulate on A = I_6, s = 2, x = (1, 0, -1, 0, 0, 0)
+SIMULATE_SUPPORT_2 = [
+    "simulate", "--n", "6", "--m", "6", "--s", "2", "--sigma-e", "0.1",
+    "--x", "1,0,-1,0,0,0",
+]
+
+
 class TestSimulateCommand:
+    def simulate(self, tmp_path, *flags):
+        out = tmp_path / "sim.csv"
+        assert run(SIMULATE_SUPPORT_2 + [*flags, "--output", str(out)]) == 0
+        return read_csv(out)
+
+    def test_bounds_only_row(self, tmp_path):
+        (row,) = self.simulate(tmp_path, "--sigma-n", "1", "--estimators", "")
+        assert row["estimator"] == "" and row["sigma_n"] == "1"
+        for col in ("mse", "std_error", "bias_l2", "rel_gap", "biased_regime"):
+            assert row[col] == ""
+        assert (row["trials"], row["failures"]) == ("0", "0")
+        assert float(row["ccrb"]) > 0
+        assert float(row["hcrb"]) >= float(row["ccrb"])
+
+    def test_one_row_per_point_and_estimator_point_major(self, tmp_path):
+        rows = self.simulate(
+            tmp_path, "--sigma-n", "1,2", "--estimators", "oracle,ml", "--trials", "300",
+            "--seed", "1",
+        )
+        cells = [(r["sigma_n"], r["estimator"]) for r in rows]
+        assert cells == [("1", "oracle"), ("1", "ml"), ("2", "oracle"), ("2", "ml")]
+        for r in rows:
+            assert r["trials"] == "300"
+            assert float(r["mse"]) > 0
+
+    def test_estimators_draw_independent_streams(self, tmp_path):
+        rows = self.simulate(
+            tmp_path, "--sigma-n", "1", "--estimators", "oracle,oracle", "--trials", "400",
+            "--seed", "7",
+        )
+        # same estimator twice: distinct streams, so distinct empirical MSE
+        assert rows[0]["mse"] != rows[1]["mse"]
+
+    def test_no_hcrb_for_a_gaussian_matrix(self, tmp_path):
+        (row,) = self.simulate(
+            tmp_path, "--sigma-n", "0.5", "--matrix", "gaussian", "--estimators", ""
+        )
+        assert row["hcrb"] == ""
+        assert float(row["ccrb"]) > 0
+
+    def test_cell_i_j_runs_on_stream_key_i_j(self, tmp_path):
+        grid, names = (0.5, 2.0), ("oracle", "ml")
+        rows = self.simulate(
+            tmp_path, "--sigma-n", "0.5,2", "--estimators", ",".join(names), "--trials", "200",
+            "--seed", "4",
+        )
+        signal = SparseSignal(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]))
+        base = ProblemModel(np.eye(6), 0.1, grid[0], 2)
+        want = []
+        for i, sn in enumerate(grid):
+            for j, name in enumerate(names):
+                spec = EstimatorSpec.named(name, base, signal)
+                out = run_trials(base.with_noise(0.1, sn), signal, spec, 200, 4, (i, j))
+                want.append([format(v, ".17g") for v in (
+                    out.mse, out.std_error_mse, float(np.linalg.norm(out.bias)))])
+        assert [[r["mse"], r["std_error"], r["bias_l2"]] for r in rows] == want
+
+    def test_a_points_bounds_come_before_its_trials(self, tmp_path, monkeypatch):
+        calls = []
+        point_bounds, trials = cli._point_bounds, cli.run_trials
+
+        def bounds_spy(model, signal):
+            calls.append(("bounds", model.sigma_n))
+            return point_bounds(model, signal)
+
+        def trials_spy(model, signal, spec, *args):
+            calls.append((spec.name, model.sigma_n))
+            return trials(model, signal, spec, *args)
+
+        monkeypatch.setattr(cli, "_point_bounds", bounds_spy)
+        monkeypatch.setattr(cli, "run_trials", trials_spy)
+        self.simulate(tmp_path, "--sigma-n", "1,2", "--estimators", "oracle,ml", "--trials", "10")
+        assert calls == [
+            ("bounds", 1.0), ("oracle", 1.0), ("ml", 1.0),
+            ("bounds", 2.0), ("oracle", 2.0), ("ml", 2.0),
+        ]
+
+    def test_bound_that_does_not_apply_stays_empty(self, tmp_path):
+        # the closed-form HCRB needs n >= 2, so simulate --n 1 has no hcrb
+        out = tmp_path / "n1.csv"
+        argv = [
+            "simulate", "--n", "1", "--m", "1", "--s", "1", "--sigma-e", "0.1",
+            "--sigma-n", "0.5", "--x", "1", "--estimators", "", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        (row,) = read_csv(out)
+        assert row["hcrb"] == ""
+        assert float(row["ccrb"]) > 0
+
     def test_small_sweep_schema(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = run(

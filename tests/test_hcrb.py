@@ -521,6 +521,23 @@ class TestBetaAndG:
     def test_g_overflow_guard(self):
         assert g_function(800.0, 10, 0.0) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_q", [1e-160, 1e-200])
+    def test_closed_form_at_vanishing_beta(self, x_q):
+        # at 1e-200 x_q^2 underflows to beta = 0, which g_function rejects;
+        # the bound takes the limit beta -> 0 that 1e-160 already reaches
+        model = identity_model(3, 1e-3, 1.0, 1)
+        rep = hcrb_unit_closed_form(model, SparseSignal(np.array([x_q, 0.0, 0.0])))
+        assert (rep.bound, rep.support_part, rep.nonsupport_part, rep.g_beta) == (3.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_at_overflowing_beta(self):
+        # x_q^2 / sigma_x^2 = 1 / 9.9e-324 overflows: beta is inf, silently
+        model = identity_model(2, 0.0, 3e-162, 1)
+        rep = hcrb_unit_closed_form(model, SparseSignal(np.array([1.0, 0.0])))
+        assert (rep.beta, rep.g_beta, rep.nonsupport_part) == (math.inf, 0.0, 0.0)
+        assert rep.bound == rep.support_part == 1e-323
+
     def test_g_rejects_bad_arguments(self):
         with pytest.raises(InvalidInputError):
             g_function(-1.0, 10, 0.1)

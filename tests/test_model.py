@@ -19,6 +19,7 @@ from sparsebounds.ccrb import (
 )
 from sparsebounds.errors import (
     InvalidInputError,
+    OverflowingMatrixError,
     UnsupportedSizeError,
 )
 from sparsebounds.estimators import (
@@ -67,6 +68,15 @@ class TestSigmaX:
         m = make_model(np.eye(3), sigma_e=1.0, sigma_n=1.0, s=2)
         x = SparseSignal(np.array([1.0, -1.0, 0.0]))
         assert sigma_x_squared(m, x) == 3.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("se", [1e70, 1e-170])
+    def test_a_value_beyond_double_range_is_a_math_error(self, se):
+        # ||x||^2 overflows; at 1e-170 sigma_e^2 also underflows to 0, and
+        # 0 * inf used to be a NaN variance
+        m = make_model(np.eye(2), sigma_e=se, sigma_n=1.0, s=1)
+        with pytest.raises(OverflowingMatrixError, match=r"^sigma_e\^2 \|\|x\|\|\^2 \+ sigma_n\^2 overflows"):
+            sigma_x_squared(m, SparseSignal(np.array([1e200, 0.0])))
 
     @given(
         se=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),

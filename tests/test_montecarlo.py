@@ -1,4 +1,3 @@
-import csv
 import gc
 import math
 import pickle
@@ -16,7 +15,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from sparsebounds import montecarlo
 from sparsebounds.ccrb import oracle_mse_theoretical
-from sparsebounds.cli import ExperimentConfig, figure_rows, main
+from sparsebounds.cli import ExperimentConfig, figure_rows
 from sparsebounds.errors import (
     ExcessiveFailureError,
     InvalidInputError,
@@ -42,7 +41,6 @@ from sparsebounds.montecarlo import (
     chunk_moments,
     merge_moments,
     run_trials,
-    sweep,
     trial_stream,
 )
 
@@ -228,61 +226,6 @@ class TestRunTrials:
         assert chunk_moments(np.array([])) == chunk_moments([]) == (0, 0.0, 0.0)
 
 
-class TestSweep:
-    def test_bounds_only_rows(self):
-        model, x, _ = oracle_setup(sigma_e=0.1)
-        rows = sweep([({"k": 0.0}, model, x)], [], trials=100, seed=0)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["estimator"] == ""
-        assert row["k"] == 0.0
-        assert row["mse"] is None
-        assert row["ccrb"] > 0
-        assert row["hcrb"] >= row["ccrb"] - 1e-15
-
-    def test_rows_per_instance_and_estimator(self):
-        model, x, est = oracle_setup(sigma_e=0.1)
-        ml = EstimatorSpec.maximum_likelihood(2)
-        rows = sweep([({"k": 0.0}, model, x), ({"k": 1.0}, model, x)], [est, ml], trials=300, seed=1)
-        assert len(rows) == 4
-        assert [r["estimator"] for r in rows] == ["oracle", "ml", "oracle", "ml"]
-        for r in rows:
-            assert r["trials"] == 300
-            assert r["mse"] > 0
-
-    def test_estimators_draw_independent_streams(self):
-        model, x, est = oracle_setup(sigma_e=0.1)
-        rows = sweep([({}, model, x)], [est, est], trials=400, seed=7)
-        # same estimator twice: distinct streams, so distinct empirical MSE
-        assert rows[0]["mse"] != rows[1]["mse"]
-
-    def test_no_hcrb_for_general_matrix(self, rng):
-        A = generate_gaussian_matrix(6, 6, rng)
-        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.5, s=2)
-        x = SparseSignal(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]))
-        rows = sweep([({}, model, x)], [], trials=100, seed=0)
-        assert rows[0]["hcrb"] is None
-        assert rows[0]["ccrb"] > 0
-
-    def test_signal_length_mismatch_is_raised(self):
-        model = ProblemModel(A=np.eye(4), sigma_e=0.1, sigma_n=0.5, s=1)
-        signal = SparseSignal(np.eye(5)[0])
-        with pytest.raises(InvalidInputError, match="signal length 5 does not match model n=4"):
-            sweep([({}, model, signal)], [], 10, 0)
-
-    def test_bound_that_does_not_apply_stays_empty(self, tmp_path):
-        # the closed-form HCRB needs n >= 2, so simulate --n 1 has no hcrb
-        out = tmp_path / "n1.csv"
-        argv = [
-            "simulate", "--n", "1", "--m", "1", "--s", "1", "--sigma-e", "0.1",
-            "--sigma-n", "0.5", "--x", "1", "--estimators", "", "--output", str(out),
-        ]
-        assert main(argv) == 0
-        (row,) = csv.DictReader(out.open())
-        assert row["hcrb"] == ""
-        assert float(row["ccrb"]) > 0
-
-
 class TestSeedRule:
     """The seed and every stream key element are integers >= 0
     (checked_seed), checked before any draw.  SeedSequence used to end in
@@ -310,25 +253,12 @@ class TestSeedRule:
         with pytest.raises(InvalidInputError, match=r"^stream key element must be an integer >= 0"):
             run_trials(model, x, est, trials=10, seed=1, stream_key=key)
 
-    def test_sweep_rejects_a_negative_key(self, no_draws):
-        model, x, est = oracle_setup()
-        with pytest.raises(InvalidInputError, match=r"^stream key element must be an integer >= 0, got -1$"):
-            sweep([({}, model, x)], [est], trials=10, seed=1, key=(-1,))
-
     @pytest.mark.parametrize("key", [3, None, [1, 2], "12"], ids=repr)
     def test_run_trials_rejects_a_key_that_is_not_a_tuple(self, key, no_draws):
         # 3 and None ended in a bare TypeError: 'int' object is not iterable
         model, x, est = oracle_setup()
         with pytest.raises(InvalidInputError, match=r"^stream_key must be a tuple, got "):
             run_trials(model, x, est, trials=10, seed=1, stream_key=key)
-
-    @pytest.mark.parametrize("key", [5, None, [1], "1"], ids=repr)
-    @pytest.mark.parametrize("estimators", [1, 0], ids=["one estimator", "bounds only"])
-    def test_sweep_rejects_a_key_that_is_not_a_tuple(self, key, estimators, no_draws):
-        # 5 ended in a bare TypeError: Value after * must be an iterable
-        model, x, est = oracle_setup()
-        with pytest.raises(InvalidInputError, match=r"^key must be a tuple, got "):
-            sweep([({}, model, x)], [est] * estimators, trials=10, seed=1, key=key)
 
     def test_numpy_integers_read_as_ints(self):
         model, x, est = oracle_setup()
