@@ -940,6 +940,22 @@ class TestSimulateCommand:
             ("bounds", 2.0), ("oracle", 2.0), ("ml", 2.0),
         ]
 
+    def test_signal_length_mismatch_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = run(SIMULATE_SUPPORT_2 + ["--x", "1,0,-1,0,0", "--output", str(out)])
+        assert code == 2
+        assert "signal has 5 entries, expected n=6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s", [2, 3], ids=["maximal", "nonmaximal"])
+    def test_oracle_theory_is_the_maximal_ccrb_first_term(self, tmp_path, s):
+        (row,) = self.simulate(tmp_path, "--s", str(s), "--sigma-n", "0.5", "--estimators", "")
+        model = ProblemModel(np.eye(6), 0.1, 0.5, s)
+        rep = ccrb_module.ccrb_bound(model, SparseSignal(np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])))
+        assert row["ccrb"] == format(rep.bound, ".17g")
+        want = format(rep.first_term, ".17g") if rep.regime == "maximal" else ""
+        assert row["oracle_theory"] == want
+
     def test_bound_that_does_not_apply_stays_empty(self, tmp_path):
         # the closed-form HCRB needs n >= 2, so simulate --n 1 has no hcrb
         out = tmp_path / "n1.csv"
