@@ -152,17 +152,24 @@ def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     return ccrb_nonmaximal(model, signal)
 
 
-def maximal_support(model: ProblemModel, signal: SparseSignal) -> tuple[int, ...]:
-    """The indices of the signal's nonzero entries when ||x||_0 = s, the
-    maximal regime; a wider declared support plays no part.  Raises
-    WrongRegimeError otherwise.  The caller has checked the signal's
-    length."""
+def maximal_support(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:
+    """(S, sigma_x^2) when ||x||_0 = s, the maximal regime: S holds the
+    indices of the signal's nonzero entries, and a wider declared support
+    plays no part.  The one check of a maximal instance, in this order:
+    the signal's length, the regime (WrongRegimeError), sigma_x^2 > 0."""
+    _check_signal(model, signal)
     S = tuple(np.flatnonzero(signal.x).tolist())
     if len(S) != model.s:
         raise WrongRegimeError(
             f"maximal-support bound needs ||x||_0 = s = {model.s}, got {len(S)}"
         )
-    return S
+    return S, positive_sigma_x_squared(model, signal)
+
+
+def maximal_report(model: ProblemModel, signal: SparseSignal, S, sx2: float) -> CcrbReport:
+    """The maximal CCRB from the (S, sigma_x^2) that maximal_support returns."""
+    G = support_factor(model, S)[1]
+    return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
 
 
 def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -171,11 +178,7 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
     A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0.
     """
-    _check_signal(model, signal)
-    S = maximal_support(model, signal)
-    sx2 = positive_sigma_x_squared(model, signal)
-    G = support_factor(model, S)[1]
-    return _rank_one_report(model, sx2, G, signal.x[list(S)], "maximal")
+    return maximal_report(model, signal, *maximal_support(model, signal))
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:

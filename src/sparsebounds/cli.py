@@ -14,7 +14,6 @@ files byte for byte.  Exit codes: 0 success, a package error's
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -31,7 +30,8 @@ from .ccrb import (
     sigmas_at_levels,
     transition_ce,
 )
-from .errors import InvalidInputError, SparseBoundsError
+from .errors import (DegenerateModelError, InvalidInputError, NoUnbiasedEstimatorError,
+                     SingularMatrixError, SparseBoundsError)
 from .estimators import EstimatorSpec
 from .hcrb import d_hcrb, hcrb_unit_closed_form
 from .model import (
@@ -463,6 +463,7 @@ def cmd_bounds(args) -> None:
     A = _build_matrix(args.matrix, args.m, args.n, args.seed)
     signal = SparseSignal(_parse_vector(args.x, args.n))
     model = ProblemModel(A, args.sigma_e, args.sigma_n, args.s)
+    del A  # the model holds its own read-only copy
     if args.which == "ccrb":
         rep = ccrb_bound(model, signal)
         header = BOUNDS_HEADER
@@ -500,15 +501,20 @@ def _biased_regime(mse: float, std_error: float, hcrb: float | None) -> bool:
 
 
 def _point_bounds(model: ProblemModel, signal: SparseSignal) -> tuple:
-    """(ccrb, hcrb, oracle_theory) of one simulate point, each None where
-    its call raises; oracle_theory is the maximal-regime CCRB's first term."""
-    ccrb = hcrb = theory = None
-    with contextlib.suppress(SparseBoundsError):
-        rep = ccrb_bound(model, signal)
-        ccrb, theory = rep.bound, (rep.first_term if rep.regime == "maximal" else None)
-    with contextlib.suppress(SparseBoundsError):
-        hcrb = hcrb_unit_closed_form(model, signal).bound
-    return ccrb, hcrb, theory
+    """(ccrb, hcrb, oracle_theory) of one simulate point; oracle_theory is
+    the maximal-regime CCRB's first term.  A cell is None only where its
+    bound has no value: wrong regime, A != I or n < 2 (input errors), no
+    unbiased estimator, singular or degenerate; an overflow ends the run."""
+    reps = []
+    for bound in (ccrb_bound, hcrb_unit_closed_form):
+        try:
+            reps.append(bound(model, signal))
+        except (InvalidInputError, NoUnbiasedEstimatorError, SingularMatrixError,
+                DegenerateModelError):
+            reps.append(None)
+    ccrb, hcrb = reps
+    theory = ccrb.first_term if ccrb and ccrb.regime == "maximal" else None
+    return ccrb and ccrb.bound, hcrb and hcrb.bound, theory
 
 
 def cmd_simulate(args) -> None:
@@ -521,6 +527,7 @@ def cmd_simulate(args) -> None:
         signal = generate_bernoulli_signal(args.n, args.s, key_stream(args.seed, (1,)))
     grid = _parse_grid(args.sigma_n)
     base = ProblemModel(A, args.sigma_e, grid[0], args.s)
+    del A  # the model holds its own read-only copy
     models = [base.with_noise(args.sigma_e, sn) for sn in grid]
     names = [tok.strip() for tok in args.estimators.split(",")]
     specs = [EstimatorSpec.named(name, base, signal) for name in names if name]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SparseBoundsError
+from .errors import InvalidInputError, SparseBoundsError, UnsupportedMatrixError
 from .model import (
     ProblemModel,
     SparseSignal,
@@ -240,8 +240,8 @@ def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
     """
     if spec.kind == "oracle":
         return _oracle(model, checked_support(model, spec.support))
-    if model.m != model.n:
-        raise InvalidInputError("estimate length does not match model n")
+    if not model._unit:  # the flag the closed-form HCRB reads
+        raise UnsupportedMatrixError(f"estimator {spec.name!r} requires identity matrix")
     if spec.kind == "locally_unbiased":
         return _locally_unbiased(model, spec.x0)
     if spec.kind == "maximum_likelihood":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccrb import ccrb_maximal, maximal_support
+from .ccrb import maximal_report, maximal_support
 from .errors import (
     DegenerateModelError,
     DivergentTestPointError,
@@ -224,14 +224,14 @@ def g_function(beta: float, n: int, sigma_e: float) -> float:
 
 def _unit_maximal(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:
     """(S, sigma_x^2) of a unit-matrix instance with ||x||_0 = s, checked in
-    this order: the signal's length, A = I, n >= 2, the regime and
-    sigma_x^2 > 0.  Whether A = I was decided when the model was built."""
+    this order: the signal's length, A = I, n >= 2, then maximal_support's
+    regime and sigma_x^2 > 0.  A = I was decided when the model was built."""
     _check_signal(model, signal)
     if not model._unit:
         raise UnsupportedMatrixError("closed-form HCRB requires identity matrix")
     if model.n < 2:
         raise InvalidInputError("closed-form HCRB requires n >= 2")
-    return maximal_support(model, signal), positive_sigma_x_squared(model, signal)
+    return maximal_support(model, signal)
 
 
 def _off_support(
@@ -263,15 +263,15 @@ def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
 def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbReport:
     """Closed-form HCRB for a unit sensing matrix and ||x||_0 = s.
 
-    The support part is ccrb_maximal(model, signal).bound, so CCRB <= HCRB
-    holds bit for bit; the off-support part sigma_x^2 d closes the gap
-    toward the unconstrained bound as the smallest entry shrinks.  The
-    instance is checked as _unit_maximal orders it, and the off-support
-    part's own errors come before the support part's.
+    The support part is maximal_report of the same S and sigma_x^2, so
+    CCRB <= HCRB holds bit for bit; the off-support part sigma_x^2 d closes
+    the gap toward the unconstrained bound as the smallest entry shrinks.
+    The instance is checked once, as _unit_maximal orders it, and the
+    off-support part's own errors come before the support part's.
     """
     S, sx2 = _unit_maximal(model, signal)
     beta, g, d = _off_support(model, signal, S, sx2)
-    support_part = ccrb_maximal(model, signal).bound
+    support_part = maximal_report(model, signal, S, sx2).bound
     nonsupport_part = sx2 * d
     return HcrbReport(
         bound=support_part + nonsupport_part,

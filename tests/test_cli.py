@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from sparsebounds.cli import (
     load_config,
     main,
 )
-from sparsebounds.errors import InvalidInputError
+from sparsebounds.errors import (
+    AssumptionViolatedError,
+    DegenerateModelError,
+    InvalidInputError,
+    NoUnbiasedEstimatorError,
+    OverflowingMatrixError,
+    SingularMatrixError,
+    UnsupportedMatrixError,
+    WrongRegimeError,
+)
 from sparsebounds.estimators import EstimatorSpec
 from sparsebounds.hcrb import d_hcrb, hcrb_unit_closed_form
 from sparsebounds.model import ProblemModel, SparseSignal
@@ -968,6 +978,70 @@ class TestSimulateCommand:
         assert row["hcrb"] == ""
         assert float(row["ccrb"]) > 0
 
+    def test_unit_estimators_on_a_square_gaussian_matrix_exit_three(self, tmp_path, capsys):
+        # ml and noise assume A = I; on this square A they used to write two
+        # meaningless MSE rows and exit 0
+        out = tmp_path / "sim.csv"
+        argv = SIMULATE_SUPPORT_2 + [
+            "--matrix", "gaussian", "--estimators", "ml,noise", "--trials", "200",
+            "--sigma-n", "0.5", "--output", str(out),
+        ]
+        assert run(argv) == 3
+        assert "estimator 'ml' requires identity matrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_runs_on_the_same_square_gaussian_matrix(self, tmp_path):
+        (row,) = self.simulate(
+            tmp_path, "--matrix", "gaussian", "--estimators", "oracle", "--trials", "200",
+            "--sigma-n", "0.5",
+        )
+        assert (row["trials"], row["failures"]) == ("200", "0")
+        assert float(row["mse"]) > 0
+
+    def test_an_overflowing_bound_exits_three(self, tmp_path, capsys):
+        # sigma_x^2 overflows: every bound cell used to be left empty, exit 0
+        out = tmp_path / "sim.csv"
+        argv = [
+            "simulate", "--n", "2", "--m", "2", "--s", "1", "--sigma-e", "1e70",
+            "--sigma-n", "1,2", "--x", "1e200,0", "--estimators", "", "--output", str(out),
+        ]
+        assert run(argv) == 3
+        assert "sigma_e^2 ||x||^2 + sigma_n^2 overflows double range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, empty",
+        [
+            (WrongRegimeError, True),
+            (UnsupportedMatrixError, True),
+            (InvalidInputError, True),
+            (NoUnbiasedEstimatorError, True),
+            (SingularMatrixError, True),
+            (DegenerateModelError, True),
+            (OverflowingMatrixError, False),
+            (AssumptionViolatedError, False),
+        ],
+    )
+    @pytest.mark.parametrize("bound", ["ccrb_bound", "hcrb_unit_closed_form"])
+    def test_a_cell_is_empty_only_where_its_bound_has_no_value(
+        self, monkeypatch, bound, error, empty
+    ):
+        def raising(model, signal):
+            raise error("no bound")
+
+        monkeypatch.setattr(cli, bound, raising)
+        model = ProblemModel(np.eye(3), 0.1, 0.5, 1)
+        signal = SparseSignal(np.eye(3)[0])
+        if not empty:
+            with pytest.raises(error):
+                cli._point_bounds(model, signal)
+            return
+        ccrb, hcrb, theory = cli._point_bounds(model, signal)
+        if bound == "ccrb_bound":
+            assert ccrb is theory is None and hcrb > 0
+        else:
+            assert hcrb is None and ccrb > 0 and theory > 0
+
     def test_small_sweep_schema(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = run(
@@ -1064,6 +1138,41 @@ class TestSimulateCommand:
         argv = ["figure", "fig3", "--points", "3", "--workers", "2"]
         assert run(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+class TestMatrixHeldOnce:
+    """A command drops the matrix it built once the model, which keeps its
+    own read-only copy, exists: A is not held twice for the run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "ccrb", "--n", "6", "--m", "4", "--s", "2", "--sigma-e", "0.1",
+             "--sigma-n", "0.5", "--x", "1,0,-1,0,0,0", "--matrix", "gaussian"],
+            SIMULATE_SUPPORT_2 + ["--m", "4", "--matrix", "gaussian", "--sigma-n", "0.5",
+                                  "--trials", "10"],
+        ],
+        ids=["bounds", "simulate"],
+    )
+    def test_built_matrix_is_unreachable_once_the_model_exists(
+        self, monkeypatch, tmp_path, argv
+    ):
+        built, alive = [], []
+        build, bound = cli._build_matrix, cli.ccrb_bound
+
+        def build_spy(*args):
+            A = build(*args)
+            built.append(weakref.ref(A))
+            return A
+
+        def bound_spy(model, signal):
+            alive.append(built[0]() is not None)
+            return bound(model, signal)
+
+        monkeypatch.setattr(cli, "_build_matrix", build_spy)
+        monkeypatch.setattr(cli, "ccrb_bound", bound_spy)
+        assert run(argv + ["--out-dir", str(tmp_path), "--output", "out.csv"]) == 0
+        assert alive == [False]
 
 
 class TestDefaultSeed:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsebounds.errors import InvalidInputError, SingularMatrixError
+from sparsebounds.errors import InvalidInputError, SingularMatrixError, UnsupportedMatrixError
 from sparsebounds.estimators import (
     EstimatorSpec,
     apply_estimator,
@@ -393,3 +393,17 @@ def test_row_dot_is_the_one_row_dot_bit_for_bit(n):
     rng = np.random.default_rng(n)
     E = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-8, 8, size=(9, 1))
     assert row_dot(E).tolist() == [float(e @ e) for e in E]
+
+
+@pytest.mark.parametrize("name", ["ml", "unbiased", "noise"])
+@pytest.mark.parametrize("A", [np.diag([1.0, 2.0, 1.0]), np.eye(3)[::-1], np.eye(3, 4)],
+                         ids=["diagonal", "permutation", "wide"])
+def test_unit_estimators_require_the_identity_matrix(A, name):
+    # they read y as an estimate of x; a square A other than I used to pass
+    # the old m = n test and give a meaningless estimate
+    model = ProblemModel(A, 0.1, 0.1, 1)
+    spec = EstimatorSpec.named(name, model, SparseSignal(np.eye(A.shape[1])[0]))
+    with pytest.raises(UnsupportedMatrixError, match=f"^estimator '{name}' requires identity matrix$"):
+        estimator_kernel(model, spec)
+    with pytest.raises(UnsupportedMatrixError):
+        apply_estimator(model, np.ones(A.shape[0]), spec)

@@ -16,6 +16,7 @@ from sparsebounds.errors import (
     UnsupportedMatrixError,
     WrongRegimeError,
 )
+import sparsebounds.ccrb as ccrb_module
 import sparsebounds.hcrb as hcrb_module
 from sparsebounds.hcrb import (
     beta_of,
@@ -773,6 +774,8 @@ class TestClosedFormChecks:
         assert len(scans) == 1
 
     def test_sigma_x_squared_is_computed_once(self, monkeypatch):
+        # counted in both modules: the check runs in ccrb.maximal_support,
+        # which the support part shares with the off-support part
         calls = []
         sx2 = hcrb_module.positive_sigma_x_squared
 
@@ -780,10 +783,23 @@ class TestClosedFormChecks:
             calls.append(args)
             return sx2(*args)
 
-        monkeypatch.setattr(hcrb_module, "positive_sigma_x_squared", counted)
+        for module in (ccrb_module, hcrb_module):
+            monkeypatch.setattr(module, "positive_sigma_x_squared", counted)
         model = identity_model(6, 0.1, 0.2, 2)
         hcrb_unit_closed_form(model, SparseSignal(np.r_[1.0, 0.5, np.zeros(4)]))
         assert len(calls) == 1
+
+    def test_support_part_does_not_call_ccrb_maximal(self, monkeypatch):
+        # ccrb_maximal would check the instance a second time
+        def refused(*args):
+            raise AssertionError("ccrb_maximal called")
+
+        for module in (ccrb_module, hcrb_module):
+            monkeypatch.setattr(module, "ccrb_maximal", refused, raising=False)
+        model = identity_model(6, 0.1, 0.2, 2)
+        signal = SparseSignal(np.r_[1.0, 0.5, np.zeros(4)])
+        rep = hcrb_unit_closed_form(model, signal)
+        assert rep.support_part == ccrb_maximal(model, signal).bound
 
 
 class TestGFunctionInputs:

@@ -334,7 +334,7 @@ class TestLeanPath:
         with pytest.raises(ExcessiveFailureError) as exc:
             run_trials(model, x, EstimatorSpec.maximum_likelihood(1), trials=40, seed=3)
         assert "40/40 trials failed" in str(exc.value)
-        assert "trial 0: estimate length does not match model n" in str(exc.value)
+        assert "trial 0: estimator 'ml' requires identity matrix" in str(exc.value)
 
     def test_signal_length_mismatch_is_an_input_error(self):
         model, _, est = oracle_setup()
