@@ -241,15 +241,24 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
 
 def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None):
     """`count` sorted size-s supports of range(n) as (B, s) blocks, B <= RIP_BLOCK: in
-    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row."""
+    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row.
+    A row's support is the indices of its entries at or below its s-th smallest, found
+    in index order; a block where a tie leaves some row more than s such entries takes
+    them by np.sort(np.argpartition(...)) instead."""
     combos = itertools.combinations(range(n), s)
     for start in range(0, count, RIP_BLOCK):
         B = min(RIP_BLOCK, count - start)
         if rng is None:
             flat = itertools.chain.from_iterable(itertools.islice(combos, B))
             yield np.fromiter(flat, dtype=np.intp, count=B * s).reshape(B, s)
+            continue
+        draws = rng.random((B, n))
+        # flat indices mod n are the columns; np.nonzero's 2-d form costs 4x more
+        cols = np.flatnonzero(draws <= np.partition(draws, s - 1, axis=1)[:, s - 1 : s]) % n
+        if cols.size == B * s:  # every row holds at least s, so exactly s
+            yield cols.reshape(B, s)
         else:
-            yield np.sort(np.argpartition(rng.random((B, n)), s - 1, axis=1)[:, :s], axis=1)
+            yield np.sort(np.argpartition(draws, s - 1, axis=1)[:, :s], axis=1)
 
 
 def _forms_gram(m: int, n: int, s: int, count: int) -> bool:
@@ -276,21 +285,27 @@ def rip_constants(
     min(RIP_BLOCK s m, 2 count s^2) for `count` visited supports, that is
     when A^T A is no larger than one block of gathered columns and no
     costlier than multiplying out every support (see _forms_gram);
-    otherwise it gathers each block's columns and multiplies them.  The block is solved by one batched eigvalsh, unless every Gram G
-    of the block is finite and one batched Cholesky of G - lo I and
-    hi I - G succeeds, lo and hi being the extremes found so far: then no
-    support of the block moves either.  Cholesky is backward stable, so a
-    skipped Gram lies within about s eps ||G|| of [lo, hi], the accuracy
-    eigvalsh has; a NaN can factor, hence the finiteness test.  A sampled
-    support is the sorted indices of the s smallest entries of a row of
-    rng.random((B, n)), so a call draws samples * n doubles whatever
-    RIP_BLOCK is.  Raises InvalidInputError unless A is finite, nonempty
-    and 2-d, s is an integer in [1, n] and samples an integer >= 1 (in
-    every mode; see checked_count); then, naming the first visited
-    support that fails, OverflowingMatrixError when its Gram overflows
-    double range and AssumptionViolatedError when it has lambda_min <= 0.  The first block
-    is always solved, so lo > 0 after it and a support with lambda_min <= 0
-    is never skipped.
+    otherwise it gathers each block's columns and multiplies them.  The
+    block is solved by one batched eigvalsh, unless every Gram G of the
+    block is finite and one batched Cholesky of G - lo I and hi I - G
+    succeeds, lo and hi being the extremes found so far: then no support
+    of the block moves either.  Cholesky is backward stable, so a skipped
+    Gram lies within about s eps ||G|| of [lo, hi], the accuracy eigvalsh
+    has; a NaN can factor, hence the finiteness test.  That test is made
+    once per call on a formed A^T A, and a block scans its own Grams only
+    when A^T A is not finite or is not formed.  A sampled support is the
+    sorted indices of the s smallest entries of a row of
+    rng.random((B, n)): the indices of the entries at or below the row's
+    s-th smallest, or, in a block where a tie leaves some row more than s
+    of them, np.sort(np.argpartition(...)) of the block.  A call draws
+    samples * n doubles, so the supports and the generator's end state do
+    not depend on RIP_BLOCK.  Raises InvalidInputError unless A is finite,
+    nonempty and 2-d, s is an integer in [1, n] and samples an integer
+    >= 1 (in every mode; see checked_count); then, naming the first
+    visited support that fails, OverflowingMatrixError when its Gram
+    overflows double range and AssumptionViolatedError when it has
+    lambda_min <= 0.  The first block is always solved, so lo > 0 after it
+    and a support with lambda_min <= 0 is never skipped.
     """
     A = checked_matrix(A)
     m, n = A.shape
@@ -309,33 +324,40 @@ def rip_constants(
     if _forms_gram(m, n, s, count):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             flat = (A.T @ A).ravel()
+        scan = not np.isfinite(flat).all()  # else no Gram needs its own scan
 
         def grams(idx):
             return flat.take(idx[:, :, None] * n + idx[:, None, :])
     else:
-        columns = np.ascontiguousarray(A.T)  # row j is column j of A
+        scan, columns = True, np.ascontiguousarray(A.T)  # row j is column j of A
 
         def grams(idx):
             cols = columns[idx]  # (B, s, m): the columns of each A_S
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
                 return cols @ cols.transpose(0, 2, 1)
     eye = np.eye(s)
+    screen = np.empty((2 * min(RIP_BLOCK, count), s, s))  # G - lo I over hi I - G
     lo, hi = math.inf, -math.inf
     for idx in _support_blocks(n, s, count, rng):
         gram = grams(idx)  # (B, s, s): each A_S^T A_S
-        finite = np.isfinite(gram).all(axis=(1, 2))
-        if lo <= hi and finite.all():
+        B = len(gram)
+        finite = np.isfinite(gram).all(axis=(1, 2)) if scan else None
+        if lo <= hi and (finite is None or finite.all()):
+            np.subtract(gram, lo * eye, out=screen[:B])
+            np.subtract(hi * eye, gram, out=screen[B : 2 * B])
             try:
-                np.linalg.cholesky(np.concatenate((gram - lo * eye, hi * eye - gram)))
+                np.linalg.cholesky(screen[: 2 * B])
                 continue  # every spectrum lies in [lo, hi]
             except np.linalg.LinAlgError:
                 pass
-        # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
-        w = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))
-        bad = np.flatnonzero(~finite | (w[:, 0] <= 0.0))
+        if finite is not None:
+            # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
+            gram = np.where(finite[:, None, None], gram, 0.0)
+        w = np.linalg.eigvalsh(gram)
+        bad = np.flatnonzero(w[:, 0] <= 0.0 if finite is None else ~finite | (w[:, 0] <= 0.0))
         if bad.size:
             S = tuple(idx[bad[0]].tolist())
-            if not finite[bad[0]]:
+            if finite is not None and not finite[bad[0]]:
                 raise OverflowingMatrixError(f"support {S}: A_S^T A_S overflows double range")
             raise AssumptionViolatedError(f"support {S} has lambda_min <= 0")
         lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))

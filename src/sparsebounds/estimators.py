@@ -193,7 +193,8 @@ def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
 
     The reference coordinate q passes y_q through; every other coordinate
     is damped by exp(-(2 y_q x0q + x0q^2) / (2 sigma_x0^2)), the
-    likelihood ratio between -x0q and 0 at coordinate q.
+    likelihood ratio between -x0q and 0 at coordinate q.  A row whose
+    estimate is not finite fails, with no warning.
     """
     s0sq = positive_sigma_x_squared(model, x0)
     q = x0.support[0]
@@ -201,10 +202,11 @@ def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
 
     def kernel(Y: np.ndarray):
         yq = Y[:, q]
-        damp = np.exp(-(2.0 * yq * x0q + x0q**2) / (2.0 * s0sq))
-        X = Y * damp[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # failed below
+            damp = np.exp(-(2.0 * yq * x0q + x0q**2) / (2.0 * s0sq))
+            X = Y * damp[:, None]
         X[:, q] = yq
-        return X, {}
+        return X, _not_finite(X)
 
     return kernel
 
@@ -214,11 +216,9 @@ def _noise_exploiting(Y: np.ndarray):
     largest-magnitude coordinate k of each row, and the failures."""
     rows = np.arange(len(Y))
     peak_at = np.abs(Y).argmax(axis=1)
-    den = 2.0 * Y[rows, peak_at]
-    # only a zero row has a zero peak: NaN fails it below without the 0/0
-    # warning, and costs far less than np.errstate
-    den[den == 0.0] = np.nan
-    peak = row_dot(Y) / den
+    # an overflowing energy, an infinite peak or a zero row's 0/0 fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = row_dot(Y) / (2.0 * Y[rows, peak_at])
     X = np.zeros(Y.shape)
     X[rows, peak_at] = peak
     errors = _not_finite(peak[:, None])

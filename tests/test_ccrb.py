@@ -10,6 +10,7 @@ import scipy.linalg
 
 from sparsebounds.ccrb import (
     RIP_BLOCK,
+    RIP_DEFAULT_SAMPLES,
     NoiseLevels,
     RipConstants,
     ccrb_bound,
@@ -679,6 +680,52 @@ class TestRipConstants:
         assert idx.shape == (count, s)
         assert (np.diff(idx, axis=1) > 0).all()  # sorted and duplicate-free
         assert idx.min() >= 0 and idx.max() < n
+
+    def test_tied_draws_fall_back_to_argpartition(self):
+        n, s, count = 10, 3, 2 * RIP_BLOCK + 5
+        real = np.random.default_rng(9)
+
+        class TiedRng:
+            def __init__(self):
+                self.draws = []
+
+            def random(self, shape):
+                # every other block on a grid of quarters: rows tie at their s-th smallest
+                d = real.random(shape)
+                if len(self.draws) % 2 == 0:
+                    d = np.floor(4.0 * d) / 4.0
+                self.draws.append(d)
+                return d
+
+        rng = TiedRng()
+        blocks = list(ccrb_module._support_blocks(n, s, count, rng))
+        kth = [np.sort(d, axis=1)[:, s - 1 : s + 1] for d in rng.draws]
+        assert any((k[:, 0] == k[:, 1]).any() for k in kth)  # the fallback runs
+        assert not all((k[:, 0] == k[:, 1]).any() for k in kth)  # and the threshold path
+        for block, draws in zip(blocks, rng.draws, strict=True):
+            want = np.sort(np.argpartition(draws, s - 1, axis=1)[:, :s], axis=1)
+            np.testing.assert_array_equal(block, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", ["zero", "overflow"])
+    @pytest.mark.parametrize(
+        "m, n, s, column, from_gram",
+        [(4, 12, 2, 5, True), (3, 100, 2, 87, False)],  # the latter first drawn in block 3
+        ids=["gram", "gathered"],
+    )
+    def test_sampled_mode_names_the_first_failing_support(self, m, n, s, column, from_gram, fault):
+        samples = RIP_DEFAULT_SAMPLES
+        assert ccrb_module._forms_gram(m, n, s, samples) == from_gram
+        A = generate_gaussian_matrix(m, n, np.random.default_rng(2))
+        A[:, column] = 0.0 if fault == "zero" else 1e200 * A[:, column]
+        rng = np.random.default_rng(4)
+        # the documented law, all samples as one block, on a copy of the generator
+        draws = np.random.default_rng(4).random((samples, n))
+        supports = np.sort(np.argpartition(draws, s - 1, axis=1)[:, :s], axis=1)
+        first = next(tuple(S.tolist()) for S in supports if column in S)
+        error = AssumptionViolatedError if fault == "zero" else OverflowingMatrixError
+        with pytest.raises(error, match=re.escape(f"support {first}")):
+            rip_constants(A, s, mode="sampled", samples=samples, rng=rng)
 
     def test_sampled_columns_are_uniform(self):
         n, s, count = 40, 5, 20_000

@@ -309,6 +309,8 @@ def _per_row(spec, y):
         s0sq = 0.1**2 * 0.8**2 + 0.3**2
         out = y * np.exp(-(2.0 * y[0] * 0.8 + 0.8**2) / (2.0 * s0sq))
         out[0] = y[0]
+        if not np.isfinite(out).all():
+            return None, "x must be finite"
         return out, None
     if spec.kind == "maximum_likelihood":
         if not np.isfinite(y).all():  # at every s, whatever the kept entries
@@ -340,7 +342,7 @@ class TestBlockKernels:
         EstimatorSpec.noise_exploiting(),
     ]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite rows overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # kernels fail rows without one
     @settings(max_examples=60)
     @given(Y=_blocks())
     def test_each_row_equals_its_one_row_block(self, Y):
@@ -358,7 +360,8 @@ class TestBlockKernels:
                     assert errors_i == {}
                     np.testing.assert_array_equal(X[i], Xi[0])
                 if spec.kind != "oracle":  # the oracle block map calls estimate_oracle
-                    want_x, want_error = _per_row(spec, Y[i])
+                    with np.errstate(all="ignore"):  # the reference overflows on bad rows
+                        want_x, want_error = _per_row(spec, Y[i])
                     assert (str(errors[i]) if i in errors else None) == want_error
                     if want_error is None:
                         np.testing.assert_array_equal(X[i], want_x)
@@ -407,3 +410,33 @@ def test_unit_estimators_require_the_identity_matrix(A, name):
         estimator_kernel(model, spec)
     with pytest.raises(UnsupportedMatrixError):
         apply_estimator(model, np.ones(A.shape[0]), spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unbiased_fails_an_estimate_that_is_not_finite(bad):
+    # used to return [nan, nan, nan] for a NaN and [inf, 0, 0] for an inf
+    model = ProblemModel(np.eye(3), 0.1, 0.1, 1)
+    spec = EstimatorSpec.locally_unbiased(SparseSignal(np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(InvalidInputError, match="^x must be finite$"):
+        apply_estimator(model, np.array([bad, 0.0, 0.0]), spec)
+    # in a block, the row fails alone
+    _, errors = estimator_kernel(model, spec)(np.array([[bad, 0.0, 0.0], [1.0, 0.5, 0.0]]))
+    assert list(errors) == [0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "y", [[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e200, 1e200, 0.0], [-1e308, 1e308, 0.0]]
+)
+@pytest.mark.parametrize("name", ["oracle", "ml", "unbiased", "noise"])
+def test_an_extreme_measurement_fails_or_gives_a_finite_estimate_without_warning(name, y):
+    # noise used to warn on all but the NaN y; unbiased warned or gave a
+    # non-finite estimate on all but the third
+    model = ProblemModel(np.eye(3), 0.1, 0.1, 1)
+    spec = EstimatorSpec.named(name, model, SparseSignal(np.array([1.0, 0.0, 0.0])))
+    try:
+        xhat = apply_estimator(model, np.array(y), spec)
+    except InvalidInputError as exc:
+        assert str(exc) == "x must be finite"
+    else:
+        assert np.isfinite(xhat).all()
