@@ -23,33 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccrb import (
-    ccrb_bound,
-    ccrb_maximal,
-    gamma_approx,
-    sigmas_at_levels,
-    transition_ce,
-)
+from .ccrb import ccrb_bound, ccrb_maximal, gamma_approx, sigmas_at_levels, transition_ce
 from .errors import (DegenerateModelError, InvalidInputError, NoUnbiasedEstimatorError,
                      SingularMatrixError, SparseBoundsError)
 from .estimators import EstimatorSpec
 from .hcrb import d_hcrb, hcrb_unit_closed_form
-from .model import (
-    ProblemModel,
-    SparseSignal,
-    checked_count,
-    checked_seed,
-    generate_bernoulli_signal,
-    generate_gaussian_matrix,
-)
-from .montecarlo import (
-    TRIAL_CHUNK,
-    chunk_moments,
-    key_stream,
-    merge_moments,
-    run_trials,
-    std_error_of_mean,
-)
+from .model import (ProblemModel, SparseSignal, checked_count, checked_seed,
+                    generate_bernoulli_signal, generate_gaussian_matrix)
+from .montecarlo import (TRIAL_CHUNK, chunk_moments, key_stream, merge_moments, run_trials,
+                         std_error_of_mean)
 
 __all__ = ["ExperimentConfig", "figure_rows", "main"]
 
@@ -274,7 +256,11 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
         sn, label = grid[pi], f"sigma_e={model.sigma_e:g}"
         for j, spec in enumerate(specs):
             out = run_trials(model, signal, spec, cfg.trials, cfg.seed, (ei, pi, j))
-            rows.append((sn, f"mse_{spec.name}_{label}", out.mse, out.std_error_mse))
+            curve = f"mse_{spec.name}_{label}"
+            if out.failures:  # the CSV has no column for them
+                print(f"{curve} sigma_n={_fmt(sn)}: {out.failures}/{out.trials} trials failed",
+                      file=sys.stderr)
+            rows.append((sn, curve, out.mse, out.std_error_mse))
         rows.append((sn, f"hcrb_{label}", hcrb.bound, 0.0))
         rows.append((sn, f"ccrb_{label}", hcrb.support_part, 0.0))
     return rows
@@ -349,7 +335,7 @@ def load_config(path: str) -> dict[str, str]:
 
     The keys are the long options of the subcommands, except --config.
     """
-    keys = _config_keys(build_parser())
+    keys = frozenset().union(*_command_options().values())
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -372,21 +358,26 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _preset_flags(args) -> list[str]:
-    """--seed from the environment, then one flag per config key that the
-    command has an option for.  They go before the user's own flags and
-    argparse keeps the last value it reads, so a flag beats the config file,
-    which beats the environment, which beats the option's default.  The
-    '=' form keeps a value such as '-1,0,0' from reading as a flag."""
-    flags = []
+def _preset_flags(argv: list[str]) -> list[str]:
+    """The flags main puts between the command name and the user's own, read
+    before its one parse: --seed from the environment, then one per config
+    key the command has an option for, required ones included.  Argparse
+    keeps the last value it reads, so a flag beats the config file, which
+    beats the environment, which beats the default.  None with -h or
+    --help, or no known command.  The '=' form keeps a value such as
+    '-1,0,0' from reading as a flag."""
+    options = _command_options().get(argv[0]) if argv else None
+    try:
+        pre = _preset_finder().parse_known_args(argv[1:])[0]
+    except argparse.ArgumentError:  # such as --config without a value,
+        return []  # which the one parse reports
+    if options is None or pre.help:
+        return []
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        flags.append(f"--seed={env}")
-    if args.config:
-        for key, value in load_config(args.config).items():
-            if hasattr(args, key):
-                flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
+    flags = [] if env is None else [f"--seed={env}"]
+    config = load_config(pre.config) if pre.config else {}
+    return flags + [f"--{key.replace('_', '-')}={value}"
+                    for key, value in config.items() if key in options]
 
 
 def _out_path(args, default_name: str | None = None) -> Path | None:
@@ -414,7 +405,7 @@ def _read_csv(path: str, ndmin: int) -> np.ndarray:
 
 
 def _parse_vector(spec: str, n: int) -> np.ndarray:
-    x = _read_csv(spec, 1).ravel() if os.path.exists(spec) else np.array(_floats(spec))
+    x = _read_csv(spec, 1).ravel() if os.path.isfile(spec) else np.array(_floats(spec))
     if x.size != n:
         raise InvalidInputError(f"signal has {x.size} entries, expected n={n}")
     return x
@@ -633,24 +624,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Every subcommand's long options, as config keys, except --config."""
-    (commands,) = parser._subparsers._group_actions
-    actions = [a for p in commands.choices.values() for a in p._actions]
-    return {a.dest for a in actions if a.option_strings} - {"help", "config"}
+@functools.cache
+def _command_options() -> dict[str, frozenset[str]]:
+    """Each subcommand's long options as config keys, except --config."""
+    (commands,) = build_parser()._subparsers._group_actions
+    return {name: frozenset(a.dest for a in p._actions if a.option_strings) - {"help", "config"}
+            for name, p in commands.choices.items()}
+
+
+@functools.cache
+def _preset_finder() -> argparse.ArgumentParser:
+    """Reads --config and -h/--help in each form build_parser's parser reads."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    finder.add_argument("-h", "--help", action="store_true")
+    return finder
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        preset = _preset_flags(args)
-        if preset:
-            # parse again with the environment and config values first, so
-            # argparse checks each one with its option's own type
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + preset + argv[at:])
+        args = parser.parse_args(argv[:1] + _preset_flags(argv) + argv[1:])
         # looked up here, not stored on the cached parser, so that a cmd_*
         # replaced after the first call is the one that runs
         handlers = {"bounds": cmd_bounds, "figure": cmd_figure, "simulate": cmd_simulate}

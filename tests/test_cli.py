@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -463,6 +464,25 @@ class TestFigureCommand:
                 want.append((sigma_n, f"ccrb_sigma_e={sigma_e:g}", ccrb, 0.0))
         assert rows == want
 
+    def test_fig_estimators_reports_failed_trials(self, tmp_path, monkeypatch, capsys):
+        # failures have no CSV column, so each cell with any goes to stderr
+        argv = ["figure", "fig-estimators", "--points", "2", "--trials", "50"]
+        assert run(argv + ["--out-dir", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        real = cli.run_trials
+
+        def failing(model, signal, spec, trials, seed, key):
+            return dataclasses.replace(real(model, signal, spec, trials, seed, key), failures=1)
+
+        monkeypatch.setattr(cli, "run_trials", failing)
+        assert run(argv + ["--out-dir", str(tmp_path / "failing")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 8  # 2 sigma_e x 2 sigma_n x 2 estimators
+        assert lines[0] == "mse_ml_sigma_e=0.1 sigma_n=0.001: 1/50 trials failed"
+        assert lines[-1] == "mse_unbiased_sigma_e=1 sigma_n=10: 1/50 trials failed"
+        got = (tmp_path / "failing" / "fig-estimators.csv").read_bytes()
+        assert got == (tmp_path / "clean" / "fig-estimators.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "fig, knob",
         [(fig, knob) for fig, defaults in README_DEFAULTS.items() for knob in defaults],
@@ -627,6 +647,103 @@ class TestConfigFile:
         assert got == (tmp_path / "flag" / "fig7.csv").read_bytes()
 
 
+RUN_CONF = "n = 6\nm = 6\ns = 2\nsigma-e = 0.1\n"
+HCRB_ROW = (
+    "bound,support_part,nonsupport_part,ratio,regime\n"
+    "0.5992473380652471,0.59411764705882353,0.0051296910064236277,0.0086341333771486808,"
+    "maximal\n"
+)
+
+
+class TestConfigSuppliesAnyOption:
+    """The config and environment values go in before the only parse, so
+    they can supply required options too; a flag still wins."""
+
+    @pytest.mark.parametrize(
+        "form", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+        ids=["space", "equals", "abbreviated"],
+    )
+    def test_required_options_from_config(self, form, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(RUN_CONF)
+        argv = ["bounds", "ccrb", *(tok.format(cfg) for tok in form), "--sigma-n", "0.5"]
+        assert run(argv + ["--x", "1,0,2,0,0,0"]) == 0
+        assert capsys.readouterr().out == (
+            "bound,first_term,correction,gamma,regime\n"
+            "0.59411764705882353,0.59999999999999998,0.0058823529411764705,"
+            "0.0098039215686274508,maximal\n"
+        )
+
+    def test_required_x_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "x.conf"
+        cfg.write_text("x = 1,0,2,0,0,0\n")
+        argv = ["bounds", "hcrb", "--n", "6", "--m", "6", "--s", "2", "--sigma-e", "0.1",
+                "--sigma-n", "0.5", "--config", str(cfg)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == HCRB_ROW
+
+    def test_simulate_from_config_matches_flags(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(RUN_CONF)
+        tail = ["--sigma-n", "0.1", "--x", "1,0,2,0,0,0", "--trials", "100"]
+        argv = ["simulate", "--config", str(cfg), *tail, "--output", str(tmp_path / "cfg.csv")]
+        assert run(argv) == 0
+        argv = ["simulate", "--n", "6", "--m", "6", "--s", "2", "--sigma-e", "0.1", *tail,
+                "--output", str(tmp_path / "flag.csv")]
+        assert run(argv) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_flag_beats_a_required_option_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(RUN_CONF.replace("sigma-e = 0.1", "sigma-e = 7"))
+        argv = ["bounds", "hcrb", "--config", str(cfg), "--sigma-e", "0.1", "--sigma-n", "0.5"]
+        assert run(argv + ["--x", "1,0,2,0,0,0"]) == 0
+        assert capsys.readouterr().out == HCRB_ROW
+
+    @pytest.mark.parametrize("preset", [False, True], ids=["bare", "preset"])
+    def test_one_parse_per_call(self, preset, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("points = 3\nx = 1\n")  # figure has no --x
+        argv = ["figure", "fig3", "--points", "2", "--out-dir", str(tmp_path)]
+        if preset:
+            monkeypatch.setenv(SEED_ENV_VAR, "5")
+            argv += ["--config", str(cfg)]
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, args=None, namespace=None):
+            seen.append(list(args))
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+        presets = ["--seed=5", "--points=3"] if preset else []
+        assert seen == [argv[:1] + presets + argv[1:]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "-h", "--config", "missing.conf"],
+         ["bounds", "--config", "missing.conf", "--help"],
+         ["simulate", "--config=missing.conf", "--he"]],
+        ids=["h-first", "help-last", "abbreviated"],
+    )
+    def test_help_comes_before_the_config(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith(f"usage: sparsebounds {argv[0]}")
+
+    def test_config_is_read_before_argv_is_checked(self, tmp_path, capsys):
+        # the one precedence change: a missing config file is an I/O error
+        # (4) even where argv alone is a usage error (2)
+        assert run(["bounds", "--n", "abc", "--config", str(tmp_path / "missing.conf")]) == 4
+        assert "missing.conf" in capsys.readouterr().err
+
+    def test_config_without_a_value_is_a_usage_error(self, capsys):
+        assert run(TestRepeatedMain.BOUNDS + ["--config"]) == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("fig", ["fig4", "fig5"])
     @pytest.mark.parametrize("draws", ["0", "-1"])
@@ -672,6 +789,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "identity" in err and "gaussian" in err and repr(kind) in err
         assert not (tmp_path / "s.csv").exists()
+
+    BOUNDS_3 = ["bounds", "ccrb", "--n", "3", "--m", "3", "--s", "1",
+                "--sigma-e", "0.1", "--sigma-n", "0.1"]
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--x", "cannot parse numbers in"), ("--matrix", "a CSV file, got")],
+    )
+    def test_directory_is_not_a_file(self, flag, message, tmp_path, capsys):
+        # --x and --matrix read a path only when it is a file
+        argv = self.BOUNDS_3 + ["--x", "1,0,0", flag, str(tmp_path)]
+        assert run(argv) == 2
+        assert f"{message} {str(tmp_path)!r}" in capsys.readouterr().err
+
+    def test_matrix_file_of_the_wrong_shape(self, tmp_path, capsys):
+        p = tmp_path / "A.csv"
+        p.write_text("1,0\n0,1\n")
+        assert run(self.BOUNDS_3 + ["--x", "1,0,0", "--matrix", str(p)]) == 2
+        assert "matrix file has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
 
     def test_fig_estimators_fails_without_its_bounds(self, tmp_path, capsys, monkeypatch):
         # simulate leaves a bound it cannot compute empty; fig-estimators
