@@ -49,6 +49,10 @@ MAX_DEVIATION = 1e75
 # of a Gram null direction, counts as zero.
 SINGULARITY_RTOL = 1e-12
 
+# Share of its trace that gram_inverse's Cholesky screen takes off a Gram's
+# diagonal; a Gram that still factors skips the eigensolve.
+_SCREEN_SHIFT = 1e-8
+
 
 def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     """Both deviations as floats, raising InvalidInputError unless each is
@@ -292,6 +296,20 @@ def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float
     return sx2
 
 
+def _clears_screen(gram: np.ndarray, t: float) -> bool:
+    """Whether gram is finite, its trace t is finite and positive, and
+    gram - _SCREEN_SHIFT * t I has a Cholesky factor; gram is not written."""
+    if not (0.0 < t < math.inf and np.isfinite(gram).all()):
+        return False
+    shifted = gram.copy()
+    shifted.ravel()[:: len(gram) + 1] -= _SCREEN_SHIFT * t  # the diagonal, in place
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def gram_inverse(A_S: np.ndarray) -> np.ndarray:
     """The read-only (A_S^T A_S)^{-1}, for the bounds and the oracle alike.
 
@@ -299,14 +317,26 @@ def gram_inverse(A_S: np.ndarray) -> np.ndarray:
     SINGULARITY_RTOL * lambda_max, and OverflowingMatrixError when the
     Gram, its eigenvalues or its inverse are not finite: a NaN eigenvalue
     fails every comparison, so it would pass as regular.
+
+    A screen spares most Grams the eigensolve: a finite Gram with a finite,
+    positive trace t clears it when a copy with tau = _SCREEN_SHIFT * t
+    taken off its diagonal has a Cholesky factor.  Cholesky is backward
+    stable, so that success means lambda_min > tau - O(s^2 eps) lambda_max
+    for s columns, and t >= lambda_max: a cleared Gram passes the
+    singularity test above with four orders of magnitude to spare for s up
+    to several thousand.  Every other Gram takes the eigensolve, which
+    decides and raises exactly as without the screen.  G is the inverse
+    of the same Gram either way, so its bytes do not depend on the screen.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gram = A_S.T @ A_S
-    w = np.linalg.eigvalsh(gram)
-    if not np.isfinite(w).all():
-        raise OverflowingMatrixError("A_S^T A_S overflows double range")
-    if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
-        raise SingularMatrixError("A_S^T A_S is singular")
+        t = float(gram.trace())
+    if not _clears_screen(gram, t):
+        w = np.linalg.eigvalsh(gram)
+        if not np.isfinite(w).all():
+            raise OverflowingMatrixError("A_S^T A_S overflows double range")
+        if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
+            raise SingularMatrixError("A_S^T A_S is singular")
     G = np.linalg.inv(gram)
     if not np.isfinite(G).all():
         raise OverflowingMatrixError("(A_S^T A_S)^{-1} overflows double range")
@@ -348,10 +378,15 @@ def generate_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.nda
     """Random m-by-n matrix with iid N(0, 1/m) entries.
 
     Columns then have expected squared norm 1; no explicit normalization
-    is applied.
+    is applied.  The standard normal draw is scaled in place, which skips
+    the location pass of rng.normal(0.0, 1/sqrt(m), (m, n)) and matches
+    its bits and the generator's end state (bar a draw of exactly -0.0,
+    which normal's 0.0 + scale * z turns into +0.0).
     """
     m, n = checked_count("m", m), checked_count("n", n)
-    return rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, n))
+    A = rng.standard_normal((m, n))
+    A *= 1.0 / math.sqrt(m)
+    return A
 
 
 def generate_bernoulli_signal(n: int, s: int, rng: np.random.Generator) -> SparseSignal:

@@ -20,6 +20,7 @@ from sparsebounds.ccrb import (
 from sparsebounds.errors import (
     InvalidInputError,
     OverflowingMatrixError,
+    SingularMatrixError,
     UnsupportedSizeError,
 )
 from sparsebounds.estimators import (
@@ -40,6 +41,7 @@ from sparsebounds.model import (
     SparseSignal,
     generate_bernoulli_signal,
     generate_gaussian_matrix,
+    gram_inverse,
     model_measurement,
     positive_sigma_x_squared,
     sample_measurement,
@@ -663,3 +665,112 @@ def test_a_float64_measurement_passes_without_a_copy():
     Y = np.arange(12.0).reshape(4, 3)
     for y in (Y[1], Y[:, 1][:3], Y.ravel()[::4]):
         assert model_measurement(_UNIT3, y) is y
+
+
+def _eigensolve_gram_inverse(A_S):
+    """gram_inverse without its Cholesky screen: the eigensolve decides
+    every Gram."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A_S.T @ A_S
+    w = np.linalg.eigvalsh(gram)
+    if not np.isfinite(w).all():
+        raise OverflowingMatrixError("A_S^T A_S overflows double range")
+    if w[-1] <= 0.0 or w[0] <= model_module.SINGULARITY_RTOL * w[-1]:
+        raise SingularMatrixError("A_S^T A_S is singular")
+    G = np.linalg.inv(gram)
+    if not np.isfinite(G).all():
+        raise OverflowingMatrixError("(A_S^T A_S)^{-1} overflows double range")
+    return G
+
+
+def _outcome(invert, A_S):
+    """The error class and message, or the inverse's shape and bytes."""
+    try:
+        G = invert(A_S)
+    except Exception as exc:  # numpy's LinAlgError too: every outcome is compared
+        return type(exc), str(exc)
+    return G.shape, G.tobytes()
+
+
+def _screen_cases():
+    """(id, A_S) pairs on both sides of the screen and of SINGULARITY_RTOL."""
+    rng = np.random.default_rng(2024)
+    for k in range(150):
+        m, s = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        yield f"random-{m}x{s}-{k}", rng.standard_normal((m, s))
+    for eps in np.logspace(-9, -3, 25):
+        for s, m in ((2, 2), (3, 20), (8, 50)):
+            A = rng.standard_normal((m, s))
+            A[:, 1] = A[:, 0] + eps * rng.standard_normal(m)
+            yield f"duplicate-{eps:.1e}-{m}x{s}", A
+    for s, m in ((1, 4), (3, 10)):
+        A = rng.standard_normal((m, s))
+        A[:, -1] = 0.0
+        yield f"zero-column-{m}x{s}", A
+    for e in (-160, -155, -150, -145, 145, 150, 155, 160):
+        for s, m in ((1, 3), (4, 12)):
+            yield f"scaled-1e{e}-{m}x{s}", rng.standard_normal((m, s)) * 10.0**e
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in ((0, 0), (2, 1)):
+            A = rng.standard_normal((6, 3))
+            A[i, j] = bad
+            yield f"{bad}-at-{i},{j}", A
+
+
+class TestGramInverseScreen:
+    @pytest.mark.parametrize("case", list(_screen_cases()), ids=lambda c: c[0])
+    def test_the_screen_never_changes_a_decision_or_a_byte(self, case):
+        _, A_S = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(gram_inverse, A_S) == _outcome(_eigensolve_gram_inverse, A_S)
+
+    def test_random_near_duplicate_supports_decide_as_the_eigensolve(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            m, s = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+            A = rng.standard_normal((m, s))
+            if s > 1 and rng.random() < 0.5:
+                A[:, 1] = A[:, 0] + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(m)
+            assert _outcome(gram_inverse, A) == _outcome(_eigensolve_gram_inverse, A)
+
+    def test_the_cases_reach_both_sides_of_the_singularity_test(self):
+        outcomes = {_outcome(gram_inverse, A)[0] for _, A in _screen_cases()}
+        assert {SingularMatrixError, OverflowingMatrixError} <= outcomes
+        assert any(isinstance(o, tuple) for o in outcomes)
+
+    def _count_eigvalsh(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_a_well_conditioned_support_skips_the_eigensolve(self, monkeypatch):
+        A_S = generate_gaussian_matrix(300, 30, np.random.default_rng(5))
+        calls = self._count_eigvalsh(monkeypatch)
+        gram_inverse(A_S)
+        assert calls == []
+
+    def test_a_near_singular_support_takes_the_eigensolve(self, monkeypatch):
+        A_S = generate_gaussian_matrix(300, 30, np.random.default_rng(5))
+        A_S[:, 1] = A_S[:, 0] + 1e-7 * A_S[:, 2]
+        calls = self._count_eigvalsh(monkeypatch)
+        with pytest.raises(SingularMatrixError, match="A_S\\^T A_S is singular"):
+            gram_inverse(A_S)
+        assert calls == [(30, 30)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 91])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (6, 1), (9, 4), (3000, 300)])
+def test_gaussian_matrix_keeps_the_bits_and_end_state_of_normal(seed, m, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    A = generate_gaussian_matrix(m, n, rng)
+    want = ref.normal(0.0, 1.0 / math.sqrt(m), size=(m, n))
+    assert A.shape == want.shape and A.dtype == want.dtype
+    assert A.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
