@@ -40,6 +40,7 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
+    _has_cholesky,
     checked_count,
     checked_matrix,
     checked_support,
@@ -132,16 +133,20 @@ def _rank_one_report(
 ) -> CcrbReport:
     # bound = (first - t) + t / (1 + r), d = t / (1 + 1/r) with u = G x, c = 2 m se^4,
     # t = sx2 ||u||^2 / x^T u and r = c x^T u / sx2; first - t is exactly 0 at s = 1
-    first = float(sx2 * np.trace(G))
-    u = G @ x
-    xu = float(x @ u)
-    r = 2.0 * model.m * model.sigma_e**4 * xu / sx2
-    if r == 0.0:
-        return CcrbReport(first, first, 0.0, 0.0, regime)
-    t = sx2 * float(u @ u) / xu
-    d = t / (1.0 + 1.0 / r)
-    bound = (first - t if x.size > 1 else 0.0) + t / (1.0 + r)
-    return CcrbReport(bound, first, d, d / first, regime)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        first = float(sx2 * np.trace(G))
+        u = G @ x
+        xu = float(x @ u)
+        r = 2.0 * model.m * model.sigma_e**4 * xu / sx2
+        if r == 0.0:
+            bound, d = first, 0.0
+        else:
+            t = sx2 * float(u @ u) / xu
+            d = t / (1.0 + 1.0 / r)
+            bound = (first - t if x.size > 1 else 0.0) + t / (1.0 + r)
+    if not all(map(math.isfinite, (bound, first, d))):
+        raise OverflowingMatrixError("CCRB overflows double range")
+    return CcrbReport(bound, first, d, d / first if d else 0.0, regime)
 
 
 def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
@@ -176,27 +181,22 @@ def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     """CCRB for a signal with exactly s nonzero entries.
 
     Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
-    A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0.
+    A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0, and
+    OverflowingMatrixError when the bound passes double range.
     """
     return maximal_report(model, signal, *maximal_support(model, signal))
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
-    """CCRB for a signal with fewer than s nonzero entries.
+    """CCRB for a signal with fewer than s nonzero entries: tr(J^{-1}) for
+    the unconstrained Fisher information J, with d_ccrb = 0 when A is rank
+    deficient.
 
-    Equals tr(J^{-1}) for the unconstrained Fisher information J, with
-    sigma_x^2 J = A^T A + (c / sigma_x^2) x x^T and c = 2 m sigma_e^4.  A
-    full-rank A takes the maximal bound's rank-one update form with the
-    full matrix and signal.  When A^T A = Q diag(w) Q^T has one null
-    direction Q[:, 0], the Schur complement of J on it gives, with
-    a = Q[:, 0]^T x and z = Q[:, 1:]^T x over the other eigenpairs,
-    tr(J^{-1}) = sigma_x^2 (sum 1/w + (sigma_x^2/c + sum z^2/w) / a^2),
-    reported as (bound, 0); no term of it grows with c.
-
-    Raises NoUnbiasedEstimatorError when J is singular (c = 0, rank below
-    n - 1, or a^2 <= SINGULARITY_RTOL ||x||^2): no unbiased estimator of
-    such a signal has finite variance.  Raises OverflowingMatrixError
-    when the bound passes double range.
+    Raises NoUnbiasedEstimatorError when J is singular (c = 2 m sigma_e^4
+    = 0, rank below n - 1, or a^2 <= SINGULARITY_RTOL ||x||^2 for the
+    signal's share a of the null direction): no unbiased estimator of such
+    a signal has finite variance.  Raises OverflowingMatrixError when the
+    bound passes double range.
     """
     _check_signal(model, signal)
     if signal.nonzero_count >= model.s:
@@ -208,6 +208,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
     try:
         G = support_factor(model, tuple(range(model.n)))[1]
     except SingularMatrixError:
+        # the Schur complement of J on the null direction Q[:, 0] of A^T A = Q diag(w) Q^T
         x = signal.x
         w, Q = np.linalg.eigh(model.A.T @ model.A)
         a = float(Q[:, 0] @ x)
@@ -219,8 +220,9 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
                 "signal has finite variance"
             ) from None
         w = w[1:]
-        first = sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a))
-        if not math.isfinite(first):  # c near underflow
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            first = sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a))
+        if not math.isfinite(first):  # c near underflow, or a subnormal eigenvalue
             raise OverflowingMatrixError("J^{-1} overflows double range")
         return CcrbReport(first, first, 0.0, 0.0, "nonmaximal")
     return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
@@ -241,10 +243,7 @@ def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -
 
 def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None):
     """`count` sorted size-s supports of range(n) as (B, s) blocks, B <= RIP_BLOCK: in
-    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row.
-    A row's support is the indices of its entries at or below its s-th smallest, found
-    in index order; a block where a tie leaves some row more than s such entries takes
-    them by np.sort(np.argpartition(...)) instead."""
+    lexicographic order if rng is None, else the s smallest of each rng.random((B, n)) row."""
     combos = itertools.combinations(range(n), s)
     for start in range(0, count, RIP_BLOCK):
         B = min(RIP_BLOCK, count - start)
@@ -279,33 +278,13 @@ def rip_constants(
     """Restricted eigenvalue extremes over supports of size s.
 
     mode "exhaustive" enumerates all supports, "sampled" draws `samples`
-    uniform supports from rng (default_rng(0) if None), and "auto"
-    enumerates iff C(n, s) <= RIP_ENUMERATION_LIMIT.  A block of RIP_BLOCK
-    supports reads its Grams from one A^T A formed per call when n^2 <=
-    min(RIP_BLOCK s m, 2 count s^2) for `count` visited supports, that is
-    when A^T A is no larger than one block of gathered columns and no
-    costlier than multiplying out every support (see _forms_gram);
-    otherwise it gathers each block's columns and multiplies them.  The
-    block is solved by one batched eigvalsh, unless every Gram G of the
-    block is finite and one batched Cholesky of G - lo I and hi I - G
-    succeeds, lo and hi being the extremes found so far: then no support
-    of the block moves either.  Cholesky is backward stable, so a skipped
-    Gram lies within about s eps ||G|| of [lo, hi], the accuracy eigvalsh
-    has; a NaN can factor, hence the finiteness test.  That test is made
-    once per call on a formed A^T A, and a block scans its own Grams only
-    when A^T A is not finite or is not formed.  A sampled support is the
-    sorted indices of the s smallest entries of a row of
-    rng.random((B, n)): the indices of the entries at or below the row's
-    s-th smallest, or, in a block where a tie leaves some row more than s
-    of them, np.sort(np.argpartition(...)) of the block.  A call draws
-    samples * n doubles, so the supports and the generator's end state do
-    not depend on RIP_BLOCK.  Raises InvalidInputError unless A is finite,
-    nonempty and 2-d, s is an integer in [1, n] and samples an integer
-    >= 1 (in every mode; see checked_count); then, naming the first
-    visited support that fails, OverflowingMatrixError when its Gram
-    overflows double range and AssumptionViolatedError when it has
-    lambda_min <= 0.  The first block is always solved, so lo > 0 after it
-    and a support with lambda_min <= 0 is never skipped.
+    uniform supports from rng (default_rng(0) if None), taking samples * n
+    doubles from it, and "auto" enumerates iff C(n, s) <=
+    RIP_ENUMERATION_LIMIT.  Raises InvalidInputError unless A is finite,
+    nonempty and 2-d, s is an integer in [1, n] and samples an integer >= 1
+    (in every mode; see checked_count); then, naming the first visited
+    support that fails, OverflowingMatrixError when its Gram overflows
+    double range and AssumptionViolatedError when it has lambda_min <= 0.
     """
     A = checked_matrix(A)
     m, n = A.shape
@@ -342,14 +321,13 @@ def rip_constants(
         gram = grams(idx)  # (B, s, s): each A_S^T A_S
         B = len(gram)
         finite = np.isfinite(gram).all(axis=(1, 2)) if scan else None
+        # the first block is solved, so lo > 0 and a Gram with lambda_min <= 0 never
+        # factors here; a NaN can factor, so only finite Grams are screened
         if lo <= hi and (finite is None or finite.all()):
             np.subtract(gram, lo * eye, out=screen[:B])
             np.subtract(hi * eye, gram, out=screen[B : 2 * B])
-            try:
-                np.linalg.cholesky(screen[: 2 * B])
+            if _has_cholesky(screen[: 2 * B]):
                 continue  # every spectrum lies in [lo, hi]
-            except np.linalg.LinAlgError:
-                pass
         if finite is not None:
             # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
             gram = np.where(finite[:, None, None], gram, 0.0)

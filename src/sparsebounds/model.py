@@ -296,15 +296,10 @@ def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float
     return sx2
 
 
-def _clears_screen(gram: np.ndarray, t: float) -> bool:
-    """Whether gram is finite, its trace t is finite and positive, and
-    gram - _SCREEN_SHIFT * t I has a Cholesky factor; gram is not written."""
-    if not (0.0 < t < math.inf and np.isfinite(gram).all()):
-        return False
-    shifted = gram.copy()
-    shifted.ravel()[:: len(gram) + 1] -= _SCREEN_SHIFT * t  # the diagonal, in place
+def _has_cholesky(a: np.ndarray) -> bool:
+    """Whether the matrix a, or every matrix of the stack a, has a Cholesky factor."""
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -313,25 +308,22 @@ def _clears_screen(gram: np.ndarray, t: float) -> bool:
 def gram_inverse(A_S: np.ndarray) -> np.ndarray:
     """The read-only (A_S^T A_S)^{-1}, for the bounds and the oracle alike.
 
-    Raises SingularMatrixError when the Gram has lambda_min <=
-    SINGULARITY_RTOL * lambda_max, and OverflowingMatrixError when the
-    Gram, its eigenvalues or its inverse are not finite: a NaN eigenvalue
-    fails every comparison, so it would pass as regular.
-
-    A screen spares most Grams the eigensolve: a finite Gram with a finite,
-    positive trace t clears it when a copy with tau = _SCREEN_SHIFT * t
-    taken off its diagonal has a Cholesky factor.  Cholesky is backward
-    stable, so that success means lambda_min > tau - O(s^2 eps) lambda_max
-    for s columns, and t >= lambda_max: a cleared Gram passes the
-    singularity test above with four orders of magnitude to spare for s up
-    to several thousand.  Every other Gram takes the eigensolve, which
-    decides and raises exactly as without the screen.  G is the inverse
-    of the same Gram either way, so its bytes do not depend on the screen.
+    Raises OverflowingMatrixError when the Gram is not finite,
+    SingularMatrixError when it has lambda_min <= SINGULARITY_RTOL *
+    lambda_max, and OverflowingMatrixError when its eigenvalues or its
+    inverse are not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gram = A_S.T @ A_S
         t = float(gram.trace())
-    if not _clears_screen(gram, t):
+    if not np.isfinite(gram).all():
+        raise OverflowingMatrixError("A_S^T A_S overflows double range")
+    shifted = gram.copy()
+    # Cholesky is backward stable: a Gram that factors with tau = _SCREEN_SHIFT * t
+    # off its diagonal has lambda_min > tau - O(s^2 eps) t, so it passes the
+    # singularity test by four orders of magnitude for s up to several thousand
+    shifted.ravel()[:: len(gram) + 1] -= _SCREEN_SHIFT * t
+    if not (0.0 < t < math.inf and _has_cholesky(shifted)):
         w = np.linalg.eigvalsh(gram)
         if not np.isfinite(w).all():
             raise OverflowingMatrixError("A_S^T A_S overflows double range")

@@ -24,7 +24,8 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
+from .errors import (ExcessiveFailureError, InvalidInputError, OverflowingMatrixError,
+                     SparseBoundsError)
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .model import (
     ProblemModel, SparseSignal, checked_count, checked_seed, real_array, sigma_x_squared,
@@ -224,17 +225,15 @@ def std_error_of_mean(moments: tuple[int, float, float]) -> float:
 
 
 def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummary:
-    """The Monte Carlo engine: the TrialSummary of one block map.
+    """The Monte Carlo engine: the TrialSummary of one block map over the
+    blocks of draw_blocks(mean, sx, seed, key, 0, trials).
 
-    Trial t draws y = mean + sx z with z from trial_stream(seed, t, key)
-    into a row of a block (draw_blocks), and the map estimates the whole
-    block: Y (k, m) -> (Xhat, {row: error}), with x the true signal.  Xhat
-    must be a new array, as the engine overwrites it with the errors.
-    Within each TRIAL_CHUNK the errors are summed in trial order from zero
-    and the squared errors reduced to (count, mean, M2) by chunk_moments.
-    The chunks are combined in chunk order, the moments by merge_moments:
-    the merged mean is the MSE and M2 gives its standard error.  More than
-    FAILURE_BUDGET failed trials abort the run with the first diagnostic.
+    The map estimates a whole block, Y (k, m) -> (Xhat, {row: error}), with
+    x the true signal; Xhat must be a new array, as the engine overwrites
+    it with the errors.  The moments are reduced by chunk_moments per
+    TRIAL_CHUNK and merged in chunk order by merge_moments.  More than
+    FAILURE_BUDGET failed trials abort the run with the first diagnostic;
+    an MSE, M2 or bias that is not finite raises OverflowingMatrixError.
     """
     moments, failures, first_error = (0, 0.0, 0.0), 0, None
     sum_err = np.zeros(x.size)
@@ -248,16 +247,20 @@ def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummar
                     row = min(errors)
                     first_error = f"trial {t0 + row}: {errors[row]}"
                 xhat = np.delete(xhat, list(errors), axis=0)
-            err = np.subtract(xhat, x, out=xhat)  # the map's Xhat is its own
-            c_qs.append(row_dot(err))
-            # in trial order: cumsum adds one row at a time, where sum
-            # would add pairwise
-            c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
-        moments = merge_moments(moments, chunk_moments(np.concatenate(c_qs)))
-        sum_err += c_err
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                err = np.subtract(xhat, x, out=xhat)  # the map's Xhat is its own
+                c_qs.append(row_dot(err))
+                # in trial order: cumsum adds one row at a time, where sum
+                # would add pairwise
+                c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            moments = merge_moments(moments, chunk_moments(np.concatenate(c_qs)))
+            sum_err += c_err
     if failures > FAILURE_BUDGET * trials:
         raise _excessive_failures(failures, trials, first_error)
-    ok, mse, _ = moments
+    ok, mse, m2 = moments
+    if not (math.isfinite(mse) and math.isfinite(m2) and np.isfinite(sum_err).all()):
+        raise OverflowingMatrixError("the trials' MSE or bias overflows double range")
     return TrialSummary(
         mse=mse,
         bias=sum_err / ok,
@@ -290,7 +293,8 @@ def run_trials(
     trials drawn as y = Ax + sigma_x z with z from
     trial_stream(seed, t, stream_key).  The seed and each element of the
     stream_key tuple must be integers >= 0 (checked_seed).  More than
-    FAILURE_BUDGET failed trials abort the run with the first diagnostic.
+    FAILURE_BUDGET failed trials abort the run with the first diagnostic,
+    and a summary that is not finite raises OverflowingMatrixError.
     """
     trials = checked_count("trials", trials)
     seed = checked_seed("seed", seed)

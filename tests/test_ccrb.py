@@ -260,6 +260,21 @@ class TestOverflowingGram:
             assert str(exc) == message
 
 
+class TestOverflowingReport:
+    """A bound whose value leaves double range raises instead of reporting
+    inf or NaN; the reduction's products warned and the row read
+    nan,inf,nan,nan."""
+
+    # s = 2 is the maximal regime; s = 3 the nonmaximal one on a full-rank A
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_bound_past_double_range_is_an_overflow(self, s):
+        A = np.random.default_rng(1).standard_normal((8, 3)) * 1e-150
+        model = ProblemModel(A=A, sigma_e=0.1, sigma_n=0.1, s=s)
+        with pytest.raises(OverflowingMatrixError, match="^CCRB overflows double range$"):
+            ccrb_bound(model, SparseSignal(np.array([4e99, 2.4e99, 0.0])))
+
+
 class TestNonmaximal:
     def test_orthogonal_matrix_no_matrix_noise(self, rng):
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))

@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -191,6 +192,41 @@ class TestBoundsCommand:
         )
         assert code == 3
         assert capsys.readouterr().err == "error: A_S^T A_S overflows double range\n"
+
+    # finite entries of 1e160 give a Gram of inf and NaN, which ended in a
+    # numpy LinAlgError from the eigensolve: a traceback and exit 1
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_support_gram_is_a_math_error(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        np.savetxt(p, np.random.default_rng(0).standard_normal((12, 4)) * 1e160, delimiter=",")
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "4", "--m", "12", "--s", "3",
+                "--sigma-e", "0.1", "--sigma-n", "0.1",
+                "--x", "1,1,1,0",
+                "--matrix", str(p),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: A_S^T A_S overflows double range\n"
+
+    # the row read nan,inf,nan,nan,maximal with exit 0
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ccrb_is_a_math_error(self, tmp_path, capsys):
+        p = tmp_path / "small.csv"
+        np.savetxt(p, np.random.default_rng(1).standard_normal((8, 3)) * 1e-150, delimiter=",")
+        code = run(
+            [
+                "bounds", "ccrb",
+                "--n", "3", "--m", "8", "--s", "2",
+                "--sigma-e", "0.1", "--sigma-n", "0.1",
+                "--x", "4e99,2.4e99,0",
+                "--matrix", str(p),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: CCRB overflows double range\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma_e", ["1e70", "1e-170"])
@@ -846,10 +882,17 @@ def _no_trial(*args, **kwargs):
     raise AssertionError("a trial was drawn")
 
 
-def _outcome(argv, config: bytes | None):
-    """(exit code, stderr) of one in-process run, with an optional config."""
-    err = io.StringIO()
+def _outcome(argv, config: bytes | None = None, files: dict | None = None):
+    """(exit code, stderr, output CSV text) of one in-process run, with an
+    optional config and optional input files: each files[name] array is
+    written as a CSV of that name in the run's directory, where an argv
+    token equal to the name points.  The text is "" when no output was
+    written."""
+    err, files = io.StringIO(), files or {}
     with tempfile.TemporaryDirectory() as d:
+        for name, arr in files.items():
+            np.savetxt(os.path.join(d, name), arr, delimiter=",")
+        argv = [os.path.join(d, tok) if tok in files else tok for tok in argv]
         if config is not None:
             cfg = os.path.join(d, "run.conf")
             with open(cfg, "wb") as fh:
@@ -858,7 +901,11 @@ def _outcome(argv, config: bytes | None):
         argv = argv + ["--out-dir", d, "--output", "out.csv"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, err.getvalue()
+        text = ""
+        if os.path.exists(os.path.join(d, "out.csv")):
+            with open(os.path.join(d, "out.csv")) as fh:
+                text = fh.read()
+    return code, err.getvalue(), text
 
 
 _CONFIG_KEYS = [
@@ -926,15 +973,49 @@ _BASE = {
 }
 
 
+# Scale families of the matrix and signal files: A * 10**k and x * 10**k.
+_A_SCALES = [0, 150, -150, 155, 160, -160, 200, -200, 300]
+_X_SCALES = [0, 100, -100, 160]
+
+
+@st.composite
+def _extreme_inputs(draw):
+    """(argv, files) of a bounds ccrb, bounds hcrb or oracle simulate run
+    on a matrix file (or the identity) and a signal file of extreme scale,
+    some with near-duplicate columns."""
+    n, identity = draw(st.integers(1, 6)), draw(st.booleans())
+    m, s = n if identity else draw(st.integers(1, 8)), draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    if n > 1 and draw(st.booleans()):
+        A[:, 1] = A[:, 0] + 10.0 ** draw(st.integers(-12, -4)) * rng.standard_normal(m)
+    x = np.zeros(n)
+    k = draw(st.integers(1, s))
+    x[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+    x *= 10.0 ** draw(st.sampled_from(_X_SCALES))
+    matrix = "identity" if identity else "A.csv"
+    argv = ["--n", str(n), "--m", str(m), "--s", str(s), "--x", "x.csv", "--matrix", matrix,
+            "--sigma-e", draw(st.sampled_from(["0", "0.1"]))]
+    command = draw(st.sampled_from(["bounds ccrb", "bounds hcrb", "simulate"]))
+    if command == "simulate":
+        argv += ["--sigma-n", "0.1,1", "--trials", "20", "--estimators", "oracle"]
+    else:
+        argv += ["--sigma-n", "0.1"]
+    files = {"A.csv": A * 10.0 ** draw(st.sampled_from(_A_SCALES)), "x.csv": x}
+    return command.split() + argv, files
+
+
 class TestFuzz:
-    """Config files and numeric flags never end in a traceback: every run
-    exits 0, 2 (usage or configuration), 3 (math domain) or 4 (I/O)."""
+    """Config files, numeric flags and input files of extreme scale never
+    end in a traceback: every run exits 0, 2 (usage or configuration),
+    3 (math domain) or 4 (I/O)."""
 
     @staticmethod
-    def check(argv, config=None):
-        code, err = _outcome(argv, config)
+    def check(argv, config=None, files=None):
+        code, err, out = _outcome(argv, config, files)
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+        return code, out
 
     @settings(max_examples=60)
     @given(command=st.sampled_from(sorted(_BASE)), config=_CONFIGS)
@@ -948,6 +1029,23 @@ class TestFuzz:
         name = data.draw(st.sampled_from(sorted(_FLAGS[command])))
         value = repr(data.draw(_FLAGS[command][name]))
         self.check(_BASE[command] + [tok for flag in name.split() for tok in (flag, value)])
+
+    @settings(max_examples=150)
+    @given(inputs=_extreme_inputs())
+    def test_input_files_of_extreme_scale(self, inputs):
+        argv, files = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning escapes main
+            code, out = self.check(argv, files=files)
+        if code == 0:
+            cells = [c for row in csv.DictReader(io.StringIO(out)) for c in row.values()]
+            assert cells
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # an empty cell, a name or a regime
+                assert math.isfinite(value), out
 
 
 FIG5_LEVELS = [(c_e, c_n) for _, c_e, c_n in cli._FIG5_LEVELS]

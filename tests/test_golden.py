@@ -7,7 +7,10 @@ must leave them all unchanged.
 
 The bytes depend on numpy's generators and the BLAS build, so the table
 records the numpy version it was made with; on another version every case
-skips with a reason naming both.  The package imports no scipy, so the
+skips with a reason naming both.  They also depend on the BLAS thread
+count: the hashes hold with OpenBLAS at two or more threads, and under
+OPENBLAS_NUM_THREADS=1 the fig5 case fails, as 8 of its 90 rows move by
+at most 2.2e-16 relative (README, determinism).  The package imports no scipy, so the
 scipy version plays no part.  A change that alters output
 bytes on purpose prints a fresh table with
 

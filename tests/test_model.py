@@ -668,10 +668,12 @@ def test_a_float64_measurement_passes_without_a_copy():
 
 
 def _eigensolve_gram_inverse(A_S):
-    """gram_inverse without its Cholesky screen: the eigensolve decides
-    every Gram."""
+    """gram_inverse without its Cholesky screen: a non-finite Gram raises
+    before any factorisation, and the eigensolve decides every other one."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = A_S.T @ A_S
+    if not np.isfinite(gram).all():
+        raise OverflowingMatrixError("A_S^T A_S overflows double range")
     w = np.linalg.eigvalsh(gram)
     if not np.isfinite(w).all():
         raise OverflowingMatrixError("A_S^T A_S overflows double range")

@@ -19,6 +19,7 @@ from sparsebounds.cli import ExperimentConfig, figure_rows
 from sparsebounds.errors import (
     ExcessiveFailureError,
     InvalidInputError,
+    OverflowingMatrixError,
     SingularMatrixError,
     SparseBoundsError,
 )
@@ -216,6 +217,15 @@ class TestRunTrials:
         assert "500" in msg
         assert "500/500 trials failed" in msg
         assert "first failure: trial 0: A_S^T A_S is singular" in msg
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squared_errors_are_an_overflow(self):
+        # every estimate is finite, but the squared errors pass double range:
+        # the reduction warned and the standard error read inf
+        model = ProblemModel(np.random.default_rng(3).standard_normal((4, 5)), 0.1, 0.1, 1)
+        x = SparseSignal(np.array([8.6e99, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(OverflowingMatrixError, match="^the trials' MSE or bias overflows"):
+            run_trials(model, x, EstimatorSpec.oracle((0,)), 20, 1)
 
     def test_chunk_moments_reads_a_list_or_an_array_alike(self):
         qs = [0.25, 3.0, 1e-3, 7.5]
