@@ -1,13 +1,6 @@
-"""Lower bounds for sparse estimation when the sensing matrix is noisy.
-
-The package computes the constrained Cramer-Rao bound and the
-Hammersley-Chapman-Robbins bound for the model y = (A + E)x + n with an
-s-sparse x, provides the reference estimators the bounds are validated
-against, and ships a Monte Carlo harness plus a CLI reproducing the
-experiment protocols.
-
-The public names are those in each layer's ``__all__``.
-"""
+"""CCRB and HCRB lower bounds for sparse estimation when the sensing matrix
+is noisy, with reference estimators, a Monte Carlo harness and a command
+line.  The public names are those in each layer's ``__all__``."""
 
 from . import ccrb, errors, estimators, fisher, hcrb, model, montecarlo
 from .ccrb import *  # noqa: F403

@@ -1,23 +1,6 @@
-"""Constrained Cramer-Rao bounds for sparse estimation under perturbation.
-
-For a signal with full support (||x||_0 = s) the bound on the MSE of any
-unbiased estimator is
-
-    CCRB = sigma_x^2 tr(G) - d,
-    d    = sigma_x^2 * 2 m sigma_e^4 ||G x_S||^2
-           / (sigma_x^2 + 2 m sigma_e^4 x_S^T G x_S),
-
-with G = (A_S^T A_S)^{-1}.  The first term is the classical oracle bound;
-d is the reduction created by the signal-dependent noise, and
-gamma = d / first quantifies it.  The bound is computed as a sum of two
-nonnegative parts that no sigma_e cancels (Sherman-Morrison), so
-first - d equals it only in exact arithmetic.  For ||x||_0 < s the bound
-is tr(J^{-1}) with J the full Fisher information, when J is invertible.
-
-The gamma ratio admits matrix-free two-sided bounds from restricted
-eigenvalue extremes and is approximated by a function of two scalar noise
-levels c_e and c_n alone.
-"""
+"""Constrained Cramer-Rao bounds (CCRB) under matrix perturbation, the
+restricted-eigenvalue bounds on their ratio gamma, and its approximation
+in the scalar noise levels c_e and c_n."""
 
 from __future__ import annotations
 
@@ -40,6 +23,7 @@ from .model import (
     ProblemModel,
     SparseSignal,
     _check_signal,
+    _finite,
     _has_cholesky,
     checked_count,
     checked_matrix,
@@ -92,13 +76,9 @@ class CcrbReport:
 
 @dataclass(frozen=True)
 class RipConstants:
-    """Extremes of the restricted Gram spectrum over size-s supports.
-
-    theta_upper = max lambda_max(A_S^T A_S) - 1 and
-    theta_lower = 1 - min lambda_min(A_S^T A_S); either may be <= 0 for
-    well-conditioned matrices (exactly 0 for the identity).  `exact` marks
-    whether every support was enumerated or only a sample.
-    """
+    """theta_upper = max lambda_max(A_S^T A_S) - 1 and theta_lower = 1 -
+    min lambda_min(A_S^T A_S) over the size-s supports visited: every one
+    if `exact`, else a sample."""
 
     theta_lower: float
     theta_upper: float
@@ -121,8 +101,7 @@ class NoiseLevels:
 
 
 def _check_levels(name: str, values) -> None:
-    """Raise InvalidInputError unless every value is finite and
-    nonnegative; NaN fails the test too."""
+    """Raise InvalidInputError unless every value is finite and nonnegative."""
     for v in values:
         if not 0.0 <= v < math.inf:
             raise InvalidInputError(f"{name} must be {'nonnegative' if v < 0.0 else 'finite'}")
@@ -133,7 +112,7 @@ def _rank_one_report(
 ) -> CcrbReport:
     # bound = (first - t) + t / (1 + r), d = t / (1 + 1/r) with u = G x, c = 2 m se^4,
     # t = sx2 ||u||^2 / x^T u and r = c x^T u / sx2; first - t is exactly 0 at s = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
         first = float(sx2 * np.trace(G))
         u = G @ x
         xu = float(x @ u)
@@ -144,8 +123,7 @@ def _rank_one_report(
             t = sx2 * float(u @ u) / xu
             d = t / (1.0 + 1.0 / r)
             bound = (first - t if x.size > 1 else 0.0) + t / (1.0 + r)
-    if not all(map(math.isfinite, (bound, first, d))):
-        raise OverflowingMatrixError("CCRB overflows double range")
+    _finite("CCRB overflows double range", bound, first, d)
     return CcrbReport(bound, first, d, d / first if d else 0.0, regime)
 
 
@@ -158,10 +136,9 @@ def ccrb_bound(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
 
 
 def maximal_support(model: ProblemModel, signal: SparseSignal) -> tuple[tuple[int, ...], float]:
-    """(S, sigma_x^2) when ||x||_0 = s, the maximal regime: S holds the
-    indices of the signal's nonzero entries, and a wider declared support
-    plays no part.  The one check of a maximal instance, in this order:
-    the signal's length, the regime (WrongRegimeError), sigma_x^2 > 0."""
+    """(S, sigma_x^2) of a maximal instance, S being the signal's nonzero
+    indices, checked in this order: the signal's length, ||x||_0 = s
+    (WrongRegimeError), sigma_x^2 > 0."""
     _check_signal(model, signal)
     S = tuple(np.flatnonzero(signal.x).tolist())
     if len(S) != model.s:
@@ -178,26 +155,18 @@ def maximal_report(model: ProblemModel, signal: SparseSignal, S, sx2: float) -> 
 
 
 def ccrb_maximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
-    """CCRB for a signal with exactly s nonzero entries.
-
-    Raises WrongRegimeError when ||x||_0 != s, SingularMatrixError when
-    A_S is rank deficient, DegenerateModelError when sigma_x^2 = 0, and
-    OverflowingMatrixError when the bound passes double range.
-    """
+    """The CCRB of a signal with exactly s nonzero entries.  Raises
+    WrongRegimeError when ||x||_0 != s, SingularMatrixError when A_S is rank
+    deficient, DegenerateModelError when sigma_x^2 = 0, and
+    OverflowingMatrixError past double range."""
     return maximal_report(model, signal, *maximal_support(model, signal))
 
 
 def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
-    """CCRB for a signal with fewer than s nonzero entries: tr(J^{-1}) for
-    the unconstrained Fisher information J, with d_ccrb = 0 when A is rank
-    deficient.
-
-    Raises NoUnbiasedEstimatorError when J is singular (c = 2 m sigma_e^4
-    = 0, rank below n - 1, or a^2 <= SINGULARITY_RTOL ||x||^2 for the
-    signal's share a of the null direction): no unbiased estimator of such
-    a signal has finite variance.  Raises OverflowingMatrixError when the
-    bound passes double range.
-    """
+    """The CCRB tr(J^{-1}) of a signal with fewer than s nonzero entries, J
+    being the full Fisher information.  Raises WrongRegimeError when
+    ||x||_0 >= s, NoUnbiasedEstimatorError when J is singular, and
+    OverflowingMatrixError past double range."""
     _check_signal(model, signal)
     if signal.nonzero_count >= model.s:
         raise WrongRegimeError(
@@ -220,20 +189,17 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
                 "signal has finite variance"
             ) from None
         w = w[1:]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            first = sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a))
-        if not math.isfinite(first):  # c near underflow, or a subnormal eigenvalue
-            raise OverflowingMatrixError("J^{-1} overflows double range")
+        # c near underflow, or a subnormal eigenvalue, overflows the bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = _finite("J^{-1} overflows double range",
+                            sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a)))
         return CcrbReport(first, first, 0.0, 0.0, "nonmaximal")
     return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
 
 
 def oracle_mse_theoretical(model: ProblemModel, support, signal: SparseSignal) -> float:
-    """Exact MSE of the support-aware least-squares estimator.
-
-    sigma_x^2 tr((A_S^T A_S)^{-1}) for a known support S covering the
-    signal's nonzeros.
-    """
+    """The exact MSE sigma_x^2 tr((A_S^T A_S)^{-1}) of least squares on a
+    support S covering the signal's nonzeros."""
     S = checked_support(model, support)
     if not set(np.flatnonzero(signal.x)) <= set(S):
         raise InvalidInputError("support must cover the signal's nonzero entries")
@@ -261,10 +227,8 @@ def _support_blocks(n: int, s: int, count: int, rng: np.random.Generator | None)
 
 
 def _forms_gram(m: int, n: int, s: int, count: int) -> bool:
-    """Whether rip_constants reads the Grams of `count` size-s supports from
-    one A^T A of the m x n A: only when A^T A takes no more memory than one
-    block of gathered columns and no more multiply-adds (n^2 m / 2) than
-    multiplying out each support's columns (count s^2 m)."""
+    """Whether rip_constants reads the Grams of `count` size-s supports of
+    the m x n A from one A^T A, the rule README states."""
     return n * n <= min(RIP_BLOCK * s * m, 2 * count * s * s)
 
 
@@ -275,17 +239,12 @@ def rip_constants(
     samples: int = RIP_DEFAULT_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> RipConstants:
-    """Restricted eigenvalue extremes over supports of size s.
-
-    mode "exhaustive" enumerates all supports, "sampled" draws `samples`
-    uniform supports from rng (default_rng(0) if None), taking samples * n
-    doubles from it, and "auto" enumerates iff C(n, s) <=
-    RIP_ENUMERATION_LIMIT.  Raises InvalidInputError unless A is finite,
-    nonempty and 2-d, s is an integer in [1, n] and samples an integer >= 1
-    (in every mode; see checked_count); then, naming the first visited
-    support that fails, OverflowingMatrixError when its Gram overflows
-    double range and AssumptionViolatedError when it has lambda_min <= 0.
-    """
+    """The restricted eigenvalue extremes over every size-s support
+    ("exhaustive", or "auto" when C(n, s) <= RIP_ENUMERATION_LIMIT), else
+    over `samples` uniform ones drawn with samples * n doubles from rng
+    (default_rng(0)).  Raises InvalidInputError on a bad argument; then,
+    naming the first visited support that fails, OverflowingMatrixError or
+    AssumptionViolatedError (lambda_min <= 0)."""
     A = checked_matrix(A)
     m, n = A.shape
     s, samples = checked_count("s", s), checked_count("samples", samples)
@@ -328,26 +287,23 @@ def rip_constants(
             np.subtract(hi * eye, gram, out=screen[B : 2 * B])
             if _has_cholesky(screen[: 2 * B]):
                 continue  # every spectrum lies in [lo, hi]
-        if finite is not None:
-            # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
-            gram = np.where(finite[:, None, None], gram, 0.0)
-        w = np.linalg.eigvalsh(gram)
+        # one non-finite Gram fails eigvalsh on the whole stack; the filler is never read
+        filled = gram if finite is None else np.where(finite[:, None, None], gram, 0.0)
+        w = np.linalg.eigvalsh(filled)
         bad = np.flatnonzero(w[:, 0] <= 0.0 if finite is None else ~finite | (w[:, 0] <= 0.0))
         if bad.size:
             S = tuple(idx[bad[0]].tolist())
-            if finite is not None and not finite[bad[0]]:
-                raise OverflowingMatrixError(f"support {S}: A_S^T A_S overflows double range")
+            _finite(f"support {S}: A_S^T A_S overflows double range", gram[bad[0]])
             raise AssumptionViolatedError(f"support {S} has lambda_min <= 0")
         lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
     return RipConstants(theta_lower=1.0 - lo, theta_upper=hi - 1.0, s=s, exact=exhaustive)
 
 
 def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
-    """(||x||^2, tr(A_S^T A_S)) for the signal's support S; both must be
-    positive and finite for the noise levels to be defined.  A_S is
-    scanned for a NaN or inf entry only once a sum is not finite, and x
-    for a nonzero entry only once ||x||^2 is 0, to tell a bad input
-    (InvalidInputError) from an overflow or underflow."""
+    """(||x||^2, tr(A_S^T A_S)) for the signal's support S.  Raises
+    InvalidInputError for an empty support, a zero signal, a NaN or inf in
+    A_S or an A_S of zero energy, and OverflowingMatrixError when a sum
+    leaves double range."""
     S = list(signal.support)
     if not S:
         raise InvalidInputError("signal support is empty")
@@ -355,31 +311,26 @@ def _support_energy(A: np.ndarray, signal: SparseSignal) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         energy, tr_gram = float(x @ x), float(np.einsum("ij,ij->", A_S, A_S))
     if energy == 0.0:
-        if x.any():
+        if x.any():  # x is finite: its squares underflowed
             raise OverflowingMatrixError("||x||^2 underflows double range")
         raise InvalidInputError("noise levels are undefined for the zero signal")
-    if not (math.isfinite(energy) and math.isfinite(tr_gram)):
+    if not math.isfinite(tr_gram):  # a NaN or inf entry, or an overflow
         checked_matrix(A_S)  # "A must be finite"
-        name = "tr(A_S^T A_S)" if math.isfinite(energy) else "||x||^2"
-        raise OverflowingMatrixError(f"{name} overflows double range")
+    _finite("||x||^2 overflows double range", energy)
+    _finite("tr(A_S^T A_S) overflows double range", tr_gram)
     if tr_gram <= 0.0:
         raise InvalidInputError("A_S has zero energy")
     return energy, tr_gram
 
 
 def noise_levels(model: ProblemModel, signal: SparseSignal) -> NoiseLevels:
-    """Scalar noise levels of an instance.
-
-    c_e = m s sigma_e^2 / tr(A_S^T A_S) and c_n = m sigma_n^2 / ||x||^2.
-    Raises OverflowingMatrixError when either passes double range.
-    """
+    """The noise levels c_e = m s sigma_e^2 / tr(A_S^T A_S) and c_n = m
+    sigma_n^2 / ||x||^2.  Raises OverflowingMatrixError past double range."""
     _check_signal(model, signal)
     energy, tr_gram = _support_energy(model.A, signal)
     c_e = model.m * model.s * model.sigma_e**2 / tr_gram
     c_n = model.m * model.sigma_n**2 / energy
-    if not (math.isfinite(c_e) and math.isfinite(c_n)):
-        raise OverflowingMatrixError("noise levels overflow double range")
-    return NoiseLevels(c_e=c_e, c_n=c_n)
+    return NoiseLevels(*_finite("noise levels overflow double range", c_e, c_n))
 
 
 def sigmas_for_levels(
@@ -393,12 +344,10 @@ def sigmas_for_levels(
 def sigmas_at_levels(
     A: np.ndarray, signal: SparseSignal, levels: list[tuple[float, float]], s: int
 ) -> list[tuple[float, float]]:
-    """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass
-    over A_S.  Every level is checked to be finite and nonnegative before
-    A is read.  An A that is not a real 2-d array (real_array) with the
-    signal's n columns raises InvalidInputError, as does a NaN or inf in
-    A_S; an overflowing sum raises OverflowingMatrixError (see
-    _support_energy)."""
+    """sigmas_for_levels at each (c_e, c_n) of `levels`, from one pass over
+    A_S.  Raises InvalidInputError unless every level is finite and
+    nonnegative and A a real 2-d array with n columns; then as
+    _support_energy raises."""
     _check_levels("noise levels", itertools.chain.from_iterable(levels))
     A = real_array("A", A)
     if A.ndim != 2 or A.shape[1] != signal.n:
@@ -420,13 +369,10 @@ def _gamma(ta: float, tb: float, levels: NoiseLevels, s: int) -> float:
 
 
 def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float, float]:
-    """Two-sided matrix-free bounds on gamma from restricted eigenvalues.
-
-    Each side is (1/s) (1+t_a)^3/(1+t_b)^2 * 2 c_e /
-    (2 (1+t_b) c_e + (1+t_a) + c_n/c_e) where the upper bound takes
-    t_a = theta_upper, t_b = -theta_lower and the lower bound swaps them.
-    Both collapse to gamma_approx when the thetas vanish.  s must be rip.s.
-    """
+    """(lower, upper) bounds on gamma: _gamma(lo, hi, ...) and _gamma(hi, lo,
+    ...) with lo = 1 - theta_lower and hi = 1 + theta_upper.  Raises
+    InvalidInputError unless s = rip.s, and AssumptionViolatedError when
+    theta_lower >= 1."""
     s = checked_count("s", s)
     if s != rip.s:
         raise InvalidInputError(f"s={s} does not match the RIP constants' s={rip.s}")
@@ -440,18 +386,13 @@ def gamma_bounds(rip: RipConstants, levels: NoiseLevels, s: int) -> tuple[float,
 
 
 def gamma_approx(c_e: float, c_n: float, s: int) -> float:
-    """Scalar approximation gamma = (1/s) 2 c_e / (2 c_e + 1 + c_n/c_e).
-
-    Vanishes as c_e -> 0 and saturates at 1/s as c_e -> infinity.
-    """
+    """The scalar approximation gamma = (1/s) 2 c_e / (2 c_e + 1 + c_n/c_e),
+    0 at c_e = 0."""
     return _gamma(1.0, 1.0, NoiseLevels(c_e, c_n), checked_count("s", s))
 
 
 def transition_ce(c_n: float) -> float:
-    """Matrix-noise level where gamma_approx reaches half its ceiling.
-
-    The positive root of 2 c^2 - c - c_n = 0, i.e. (1 + sqrt(1 + 8 c_n))/4;
-    equals 1/2 at c_n = 0 and 1 at c_n = 1.
-    """
+    """The c_e = (1 + sqrt(1 + 8 c_n)) / 4 where gamma_approx reaches half
+    its ceiling 1/s."""
     _check_levels("c_n", (c_n,))
     return (1.0 + math.sqrt(1.0 + 8.0 * c_n)) / 4.0

@@ -1,15 +1,5 @@
-"""Command line front end: bound tables, figure protocols, simulations.
-
-Subcommands
------------
-bounds    one CCRB or HCRB row for a fully specified instance
-figure    reproduce a named experiment protocol as a plot-ready CSV
-simulate  run reference estimators against the bounds over a sigma_n grid
-
-Numbers are serialized at '%.17g' so a fixed seed reproduces output
-files byte for byte.  Exit codes: 0 success, a package error's
-`exit_code` (2 usage, 3 any MathDomainError), 4 I/O failure.
-"""
+"""The command line: bounds, figure and simulate write CSV rows at '%.17g'.
+Exit codes: 0 success, a package error's exit_code, 4 I/O failure."""
 
 from __future__ import annotations
 
@@ -104,14 +94,9 @@ def _logspace(lo: float, hi: float, points: int) -> list[float]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the figure protocols.
-
-    Each protocol reads only some knobs, and fills those left as None with
-    its own default (the protocol table in README, and _FIGURES); it
-    ignores the others.  The counts (trials, points, draws, n, m, s) must
-    be integers >= 1 (checked_count), and the seed an integer >= 0
-    (checked_seed).
-    """
+    """Knobs of the figure protocols, None taking the protocol's default
+    (_FIGURES).  Raises InvalidInputError unless every count is an integer
+    >= 1 (checked_count) and the seed an integer >= 0 (checked_seed)."""
 
     experiment: str
     seed: int = DEFAULT_SEED
@@ -147,12 +132,8 @@ def _rows_fig3(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _instance_gammas(rng: np.random.Generator, m: int, s: int, levels) -> list[float]:
-    """gamma_ccrb of one random instance at each (c_e, c_n) of `levels`,
-    from one model and one cached support inverse.  The bound reads A only
-    through A_S, so the draw is A_S itself: on a support drawn independently
-    of A, the columns of an iid N(0, 1/m) matrix are an iid N(0, 1/m)
-    m x s matrix, and x_S is iid +-1.  The support energy behind every
-    level's deviations is summed once."""
+    """gamma_ccrb at each (c_e, c_n) of `levels` of one random instance,
+    drawn as its m x s A_S and x_S alone (README)."""
     model = ProblemModel(generate_gaussian_matrix(m, s, rng), 0.0, 0.0, s)
     signal = generate_bernoulli_signal(s, s, rng)
     return [
@@ -236,12 +217,8 @@ def _rows_fig7(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
-    """Empirical MSE of the ML and locally unbiased estimators vs the bounds.
-
-    Every point's closed-form HCRB, whose support part is the CCRB, comes
-    before any trial, so a bound's error ends the run first; cell (sigma_e
-    index, sigma_n index, estimator index) runs on that stream key.
-    """
+    """Empirical MSE of the ML and locally unbiased estimators against the
+    bounds, every bound before any trial (README)."""
     grid = _logspace(1e-3, 10.0, cfg.points)
     base = ProblemModel(np.eye(cfg.n), 0.0, 0.0, 1)
     x = np.zeros(cfg.n)
@@ -267,23 +244,9 @@ def _rows_fig_estimators(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _rows_table1(cfg: ExperimentConfig) -> list[tuple]:
-    """Least-squares versus noise-exploiting estimation at high dimension.
-
-    The protocol fixes A = I, x = e_0, sigma_e = 0.01 and sigma_n = 0, so
-    y = x + sigma_e z.  Both estimators put their estimate on the peak
-    coordinate of y, and read only y_0 = 1 + sigma_e z_0 and the energy of
-    the rest, sigma_e^2 Q with Q = sum_{j>=1} z_j^2 ~ chi^2_{n-1}: least
-    squares gives y_0, the noise-exploiting estimator (y_0^2 +
-    sigma_e^2 Q) / (2 y_0).  Each trial therefore draws z_0 and Q alone
-    (Q = 0 when n = 1).  This is the law of the full draw up to one event:
-    the peak leaves coordinate 0 only if some |z_j| + |z_0| >= 1/sigma_e
-    = 100, which has probability below 2n 10^-545 per trial.  The shortcut
-    rests on the protocol's fixed sigma_e, sigma_n, A and x.
-
-    One key_stream(seed, ()) draws TRIAL_CHUNK trials at a time, z_0 then
-    Q, and each chunk's squared errors are reduced as run_trials reduces
-    them: chunk_moments per chunk, merge_moments in chunk order.
-    """
+    """Least squares against noise-exploiting estimation at high dimension,
+    each trial drawing only z_0 and Q ~ chi^2_{n-1} (README), a chunk at a
+    time from key_stream(seed, ()), reduced as run_maps reduces."""
     sigma_e = 0.01
     rng = key_stream(cfg.seed, ())
     ls, ne = (0, 0.0, 0.0), (0, 0.0, 0.0)
@@ -331,13 +294,12 @@ def figure_rows(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment, keys may use dashes.
-
-    The keys are the long options of the subcommands, except --config.
-    """
+    """The key = value pairs of a config file, keys with underscores.
+    Raises InvalidInputError on a line that is not one, a key that is no
+    subcommand's long option, or a file that is not UTF-8 text."""
     keys = frozenset().union(*_command_options().values())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: config file is not UTF-8 text") from None
@@ -359,13 +321,9 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _preset_flags(argv: list[str]) -> list[str]:
-    """The flags main puts between the command name and the user's own, read
-    before its one parse: --seed from the environment, then one per config
-    key the command has an option for, required ones included.  Argparse
-    keeps the last value it reads, so a flag beats the config file, which
-    beats the environment, which beats the default.  None with -h or
-    --help, or no known command.  The '=' form keeps a value such as
-    '-1,0,0' from reading as a flag."""
+    """The flags main puts between the command name and the user's own:
+    --seed from the environment, then one per config key the command has
+    an option for; none with -h or --help, or no known command."""
     options = _command_options().get(argv[0]) if argv else None
     try:
         pre = _preset_finder().parse_known_args(argv[1:])[0]
@@ -373,6 +331,8 @@ def _preset_flags(argv: list[str]) -> list[str]:
         return []  # which the one parse reports
     if options is None or pre.help:
         return []
+    # argparse keeps the last value it reads, so a flag beats these; the '=' form
+    # keeps a value such as '-1,0,0' from reading as a flag
     env = os.environ.get(SEED_ENV_VAR)
     flags = [] if env is None else [f"--seed={env}"]
     config = load_config(pre.config) if pre.config else {}
@@ -492,10 +452,8 @@ def _biased_regime(mse: float, std_error: float, hcrb: float | None) -> bool:
 
 
 def _point_bounds(model: ProblemModel, signal: SparseSignal) -> tuple:
-    """(ccrb, hcrb, oracle_theory) of one simulate point; oracle_theory is
-    the maximal-regime CCRB's first term.  A cell is None only where its
-    bound has no value: wrong regime, A != I or n < 2 (input errors), no
-    unbiased estimator, singular or degenerate; an overflow ends the run."""
+    """(ccrb, hcrb, oracle_theory) of one simulate point, oracle_theory the
+    maximal CCRB's first term; None where a bound has no value (README)."""
     reps = []
     for bound in (ccrb_bound, hcrb_unit_closed_form):
         try:
@@ -578,9 +536,7 @@ def _add_instance(p: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built at the first call.  It holds no
-    per-call state: the handlers are looked up by main at each call, and
-    the environment and config values reach it only as preset flags."""
+    """The one parser of the process, which holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="sparsebounds",
         description="Estimation lower bounds for sparse signals under "

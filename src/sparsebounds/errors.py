@@ -1,9 +1,5 @@
-"""Exception types raised by the bound computations.
-
-A MathDomainError means the input is well formed but the mathematics has
-no answer for it.  `exit_code` is the one map from errors to command-line
-exit codes: 3 for a MathDomainError, 2 for any other SparseBoundsError.
-"""
+"""The package's errors.  `exit_code` is the one map from errors to exit
+codes: 3 for a MathDomainError, 2 for any other SparseBoundsError."""
 
 __all__ = [
     "SparseBoundsError", "InvalidInputError", "MathDomainError", "DegenerateModelError",
@@ -39,8 +35,7 @@ class SingularMatrixError(MathDomainError):
 
 
 class OverflowingMatrixError(OverflowError, MathDomainError):
-    """A required matrix, its spectrum or the equivalent noise variance
-    exceeds double precision."""
+    """A result leaves double range (model._finite)."""
 
 
 class NoUnbiasedEstimatorError(MathDomainError):

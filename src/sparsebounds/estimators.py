@@ -1,16 +1,6 @@
-"""Reference estimators used to validate the bounds by simulation.
-
-Four estimators appear in the experiments:
-
-* oracle: least squares on a known support;
-* maximum likelihood for a unit sensing matrix: keep the s largest
-  magnitudes of y;
-* a locally unbiased estimator built around a 1-sparse reference point,
-  whose off-support components damp y by a likelihood ratio in the
-  reference coordinate;
-* a biased "noise exploiting" estimator for s = 1 that averages the
-  perturbation energy into the peak coordinate.
-"""
+"""The reference estimators the bounds are checked against by simulation:
+oracle least squares, maximum likelihood, a locally unbiased and a biased
+noise-exploiting estimator."""
 
 from __future__ import annotations
 
@@ -45,11 +35,9 @@ _KIND_NAMES = {
 
 @dataclass(frozen=True, eq=False)
 class EstimatorSpec:
-    """Declarative description of one reference estimator.
-
-    Use the factory classmethods; `kind` selects the estimator and the
-    remaining fields carry its parameters.
-    """
+    """One reference estimator, `kind`, with its parameters, built by the
+    factory classmethods.  Raises InvalidInputError on an unknown kind or a
+    missing parameter."""
 
     kind: str
     support: tuple[int, ...] | None = None
@@ -120,10 +108,8 @@ _ZERO_MEASUREMENT = "zero measurement has no identifiable support"
 
 
 def row_dot(E: np.ndarray) -> np.ndarray:
-    """E[i] @ E[i] for every row of a 2-d array, bit for bit: vecdot takes
-    the same dot product per row as the 1-d `@` does (einsum and
-    (E * E).sum(1) add in other orders)."""
-    return np.vecdot(E, E)
+    """E[i] @ E[i] for every row of a 2-d array, bit for bit."""
+    return np.vecdot(E, E)  # einsum and (E * E).sum(1) add in other orders
 
 
 def _not_finite(values: np.ndarray) -> dict:
@@ -134,15 +120,10 @@ def _not_finite(values: np.ndarray) -> dict:
 
 
 def estimate_oracle(model: ProblemModel, y, support) -> np.ndarray:
-    """Least squares restricted to a known support, as a dense estimate of
-    length n.
-
-    Computes G A_S^T y with G = (A_S^T A_S)^{-1} the inverse the bounds use
-    (model.support_factor), computed once per matrix and support.  Raises
-    SingularMatrixError when A_S^T A_S is numerically singular, by the
-    same test as the bounds, and InvalidInputError when the estimate is
-    not finite.
-    """
+    """Least squares G A_S^T y on a known support, with the bounds' G from
+    support_factor, as a dense estimate of length n.  Raises
+    SingularMatrixError as the bounds do, and InvalidInputError when the
+    estimate is not finite."""
     S = checked_support(model, support)
     yv = model_measurement(model, y)
     A_S, G = support_factor(model, S)
@@ -179,8 +160,7 @@ def _oracle(model: ProblemModel, support: tuple[int, ...]):
 def _ml_unit(Y: np.ndarray, s: int):
     """Dense ML estimates for a unit sensing matrix, the s largest
     magnitudes of each row (ties toward the lowest index), and the
-    failures: a row that holds a value that is not finite fails, whatever
-    the entries it would keep."""
+    failures: each row that is not finite."""
     keep = np.sort(np.argsort(-np.abs(Y), axis=1, kind="stable")[:, :s], axis=1)
     rows = np.arange(len(Y))[:, None]
     X = np.zeros(Y.shape)
@@ -189,13 +169,9 @@ def _ml_unit(Y: np.ndarray, s: int):
 
 
 def _locally_unbiased(model: ProblemModel, x0: SparseSignal):
-    """The block map of the unbiased estimator anchored at a 1-sparse x0.
-
-    The reference coordinate q passes y_q through; every other coordinate
-    is damped by exp(-(2 y_q x0q + x0q^2) / (2 sigma_x0^2)), the
-    likelihood ratio between -x0q and 0 at coordinate q.  A row whose
-    estimate is not finite fails, with no warning.
-    """
+    """The block map of the unbiased estimator anchored at a 1-sparse x0:
+    y_q at its coordinate q, every other coordinate damped by exp(-(2 y_q
+    x0q + x0q^2) / (2 sigma_x0^2)); a row that is not finite fails."""
     s0sq = positive_sigma_x_squared(model, x0)
     q = x0.support[0]
     x0q = float(x0.x[q])
@@ -230,14 +206,8 @@ def _noise_exploiting(Y: np.ndarray):
 
 def estimator_kernel(model: ProblemModel, spec: EstimatorSpec):
     """The block map Y (k, m) -> (Xhat (k, n), {row: error}) of one
-    estimator on one model.
-
-    Everything that depends only on (model, spec) is checked here, once;
-    the returned function takes a block of measurements of length m and
-    reports what depends on each row as that row's failure.  Raises the
-    error every call of apply_estimator would raise when the estimator
-    does not fit the model.
-    """
+    estimator on one model.  Raises what apply_estimator would when the
+    estimator does not fit the model."""
     if spec.kind == "oracle":
         return _oracle(model, checked_support(model, spec.support))
     if not model._unit:  # the flag the closed-form HCRB reads

@@ -1,19 +1,5 @@
-"""Likelihood, score, and Fisher information for the perturbed model.
-
-With r = y - Ax and sigma_x^2 = sigma_e^2 ||x||^2 + sigma_n^2 the
-log-likelihood is
-
-    ln p(y; x) = -(m/2) ln(2 pi sigma_x^2) - ||r||^2 / (2 sigma_x^2),
-
-its gradient in x is
-
-    score(y; x) = [A^T r + sigma_e^2 ||r||^2 x / sigma_x^2] / sigma_x^2
-                  - m sigma_e^2 x / sigma_x^2,
-
-and the Fisher information matrix has the closed form
-
-    J(x) = [A^T A + 2 m sigma_e^4 x x^T / sigma_x^2] / sigma_x^2.
-"""
+"""The log-likelihood, score and Fisher information J(x) of the
+equivalent law, in README's closed forms."""
 
 from __future__ import annotations
 
@@ -22,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OverflowingMatrixError
+from .errors import InvalidInputError
 from .model import (
     ProblemModel,
     SparseSignal,
+    _finite,
     checked_count,
     model_measurement,
     positive_sigma_x_squared,
@@ -72,11 +59,7 @@ def log_likelihood(model: ProblemModel, signal: SparseSignal, y) -> float:
 
 
 def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
-    """Gradient of log_likelihood with respect to the signal.
-
-    Both the residual and the x-dependence of sigma_x^2 contribute; the
-    second term of _scores is the latter.
-    """
+    """The gradient of log_likelihood in x."""
     sx2 = positive_sigma_x_squared(model, signal)
     r = model_measurement(model, y) - model.A @ signal.x
     return _scores(model, signal.x, sx2, r[None])[0]
@@ -92,10 +75,9 @@ def _scores(model: ProblemModel, x: np.ndarray, sx2: float, R: np.ndarray) -> np
 def _score_parts(model: ProblemModel, sx2: float, R: np.ndarray):
     """(P, c) for the residual rows r of R (k, m): P = R A and
     c = sigma_e^2 (||r||^2 - m sigma_x^2) / sigma_x^4, so the score at x of
-    row i is P[i] / sigma_x^2 + c[i] x.  c is formed as (sigma_e^2 /
-    sigma_x^2) (||r||^2 / sigma_x^2 - m), never squaring sigma_x^2, which
-    may underflow where sigma_x^2 itself does not."""
+    row i is P[i] / sigma_x^2 + c[i] x."""
     rr = np.einsum("ij,ij->i", R, R)
+    # never squares sigma_x^2, which may underflow where sigma_x^2 does not
     return R @ model.A, (model.sigma_e**2 / sx2) * (rr / sx2 - model.m)
 
 
@@ -115,15 +97,10 @@ def fim_monte_carlo(
     samples: int,
     rng: np.random.Generator,
 ) -> FisherMatrix:
-    """Estimate J(x) as the sample second moment of the score.
-
-    Residuals are drawn in fixed-size chunks directly from the equivalent
-    law r ~ N(0, sigma_x^2 I), so the estimate is deterministic for a given
-    generator state.  Each chunk adds to P^T P, P^T c and c^T c (see
-    _score_parts), whose sum of score outer products is P^T P / sigma_x^4 +
-    v x^T + x v^T + (c^T c) x x^T with v = P^T c / sigma_x^2; no score is
-    formed.  Raises InvalidInputError unless samples is an integer >= 1.
-    """
+    """J(x) estimated as the second moment of the score over `samples`
+    residuals r ~ N(0, sigma_x^2 I) drawn from rng in chunks of
+    DEFAULT_SAMPLE_CHUNK.  Raises InvalidInputError unless samples is an
+    integer >= 1."""
     samples = checked_count("samples", samples)
     sx2 = positive_sigma_x_squared(model, signal)
     sx, x = math.sqrt(sx2), signal.x
@@ -143,9 +120,7 @@ def fim_monte_carlo(
 
 
 def _fisher(J: np.ndarray, sx2: float) -> FisherMatrix:
-    """The FisherMatrix of J symmetrized, raising OverflowingMatrixError
-    when J is not finite: its entries left double range."""
-    J = 0.5 * (J + J.T)
-    if not np.isfinite(J).all():
-        raise OverflowingMatrixError("Fisher information J overflows double range")
+    """The FisherMatrix of J symmetrized.  Raises OverflowingMatrixError
+    past double range."""
+    J = _finite("Fisher information J overflows double range", 0.5 * (J + J.T))
     return FisherMatrix(J, sx2)

@@ -1,32 +1,6 @@
-"""Hammersley-Chapman-Robbins bounds for sparse estimation.
-
-The general bound uses a finite set of test-point offsets {v_i} with
-x + v_i still s-sparse:  Cov >= V H^+ V^T, where V stacks the offsets.
-With s_i^2 = sigma_{x+v_i}^2 = sigma_x^2 (1 + a_i), so that
-a_i = sigma_e^2 (2 x^T v_i + ||v_i||^2) / sigma_x^2, and b_i = A v_i,
-
-    H_ij = (1 - a_i a_j)^{-m/2}
-           * exp((a_j ||b_i||^2 + a_i ||b_j||^2 + 2 b_i^T b_j)
-                 / (2 sigma_x^2 (1 - a_i a_j))) - 1.
-
-1 - a_i a_j has the sign of 1/vs_ij^2 = 1/s_i^2 + 1/s_j^2 - 1/sigma_x^2,
-which must stay positive.  hcrb_general takes the bound in one ridged
-solve, W (K + RIDGE I)^-1 W^T with K = D^-1 H D^-1, W = V D^-1 and
-d_i = sqrt(H_ii): never above V H^+ V^T, never lower when a test point
-is added, and a point with H_ii = 0 (no information) adds nothing.
-
-For a unit sensing matrix and a fully supported signal the supremum over
-offsets has a closed form: the support part is the maximal-support
-CCRB (ccrb_maximal) and the off-support part is sigma_x^2 d with
-
-    d = (n-s) beta e^{-beta} / (e^beta - 1)
-        * (1 - 1/(n - s + e^beta (1 - g(beta))^{-1})),
-
-beta = x_q^2 / sigma_x^2 for the smallest-magnitude nonzero entry x_q and
-
-    g(beta) = beta (1 - 2 sigma_e^2 beta)^2
-              / ((e^beta - 1)(1 + 2 n sigma_e^4 beta)).
-"""
+"""Hammersley-Chapman-Robbins bounds (HCRB) for sparse estimation: the
+general bound from test-point offsets, and the closed form for a unit
+sensing matrix."""
 
 from __future__ import annotations
 
@@ -94,21 +68,13 @@ class HcrbReport:
 
 
 def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPointSet:
-    """Assemble H for a set of offsets.
-
-    H = expm1(L), with L_ij the exponent of the module docstring's form;
-    the pair terms take one product B B^T of the rows b_i = A v_i.  a_i
-    comes from 2 x^T v_i + ||v_i||^2, not from s_i^2 / sigma_x^2 - 1, so
-    no term of L cancels, and at offsets of 1e-8 H keeps its relative
-    accuracy (1e-13 against 80-digit arithmetic).  Raises
-    InvalidInputError for the first offset in index order that is not a
-    finite real (real_array) vector of length n; then, for the first
-    offending offset in index order, InfeasibleOffsetError when x + v_i
-    is not s-sparse and DegenerateModelError when s_i^2 = 0; then, for
-    the first pair (i, j) with j >= i in row-major order,
-    DivergentTestPointError when 1 - a_i a_j <= 0 (vs_ij^2 <= 0) and
-    OverflowingTestPointError (an OverflowError) when H_ij overflows.
-    """
+    """The offsets, V and H = expm1(L) of README's L_ij.  Raises
+    InvalidInputError for the first offset that is not a finite real vector
+    of length n; then, for the first offending offset, InfeasibleOffsetError
+    when x + v_i is not s-sparse and DegenerateModelError when s_i^2 = 0;
+    then, for the first pair (i, j >= i) in row-major order,
+    DivergentTestPointError when 1 - a_i a_j <= 0 and
+    OverflowingTestPointError when H_ij overflows."""
     sx2 = positive_sigma_x_squared(model, signal)
     vs = []
     for i, v in enumerate(offsets):
@@ -160,16 +126,8 @@ def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPoint
 def hcrb_general(
     model: ProblemModel, signal: SparseSignal, offsets
 ) -> tuple[np.ndarray, float]:
-    """Covariance lower bound W (K + RIDGE I)^-1 W^T and its trace.
-
-    K = D^-1 H D^-1 and W = V D^-1 with d_i = sqrt(H_ii), so offsets of
-    mixed scales, whose H spans many decades, weigh alike.  Since
-    a^T C a = sup_c (2 c^T W^T a - c^T (K + RIDGE I) c) and D scales each
-    point on its own, the bound never exceeds V H^+ V^T and never falls
-    when a point is added.  A point with H_ii = 0 carries no information:
-    its column of W is zero.  The offsets are raw vectors, which
-    test_points checks and turns into H.
-    """
+    """The covariance bound C = W (K + RIDGE I)^-1 W^T of README and its
+    trace, from raw offsets.  Raises as test_points raises."""
     tps = test_points(model, signal, offsets)
     h = np.diag(tps.H)
     d = np.sqrt(np.where(h > 0.0, h, 1.0))
@@ -181,11 +139,8 @@ def hcrb_general(
 
 
 def beta_of(model: ProblemModel, signal: SparseSignal) -> float:
-    """Normalized squared smallest nonzero entry, x_q^2 / sigma_x^2.
-
-    At most 1/(k sigma_e^2) for a k-nonzero signal whenever sigma_e > 0,
-    since sigma_x^2 = sigma_e^2 ||x||^2 + sigma_n^2 >= k sigma_e^2 x_q^2.
-    """
+    """beta = x_q^2 / sigma_x^2 for the smallest-magnitude nonzero entry x_q.
+    Raises InvalidInputError for the zero signal."""
     nz = np.flatnonzero(signal.x)
     if nz.size == 0:
         raise InvalidInputError("the zero signal has no smallest nonzero entry")
@@ -199,11 +154,8 @@ def _beta(nonzeros: np.ndarray, sx2: float) -> float:
 
 
 def g_function(beta: float, n: int, sigma_e: float) -> float:
-    """The factor g(beta) in the off-support part; lies in [0, 1).
-
-    Zero exactly at beta = 1/(2 sigma_e^2) and decaying like
-    beta e^{-beta} for large beta.
-    """
+    """The factor g(beta) of the off-support part, in [0, 1).  Raises
+    InvalidInputError unless beta > 0, n >= 2 and sigma_e is a deviation."""
     if not beta > 0.0:
         raise InvalidInputError("beta must be positive")
     n = checked_count("n", n)
@@ -261,14 +213,10 @@ def d_hcrb(model: ProblemModel, signal: SparseSignal) -> float:
 
 
 def hcrb_unit_closed_form(model: ProblemModel, signal: SparseSignal) -> HcrbReport:
-    """Closed-form HCRB for a unit sensing matrix and ||x||_0 = s.
-
-    The support part is maximal_report of the same S and sigma_x^2, so
-    CCRB <= HCRB holds bit for bit; the off-support part sigma_x^2 d closes
-    the gap toward the unconstrained bound as the smallest entry shrinks.
-    The instance is checked once, as _unit_maximal orders it, and the
-    off-support part's own errors come before the support part's.
-    """
+    """The closed-form HCRB of a unit sensing matrix and ||x||_0 = s: the
+    maximal CCRB of the same S and sigma_x^2 plus sigma_x^2 d.  Raises as
+    _unit_maximal orders the checks, then the off-support part's errors
+    before the support part's."""
     S, sx2 = _unit_maximal(model, signal)
     beta, g, d = _off_support(model, signal, S, sx2)
     support_part = maximal_report(model, signal, S, sx2).bound

@@ -1,13 +1,5 @@
-"""Measurement model with a randomly perturbed sensing matrix.
-
-The observation is y = (A + E)x + n where E has iid N(0, sigma_e^2)
-entries, n ~ N(0, sigma_n^2 I), and x is sparse.  Conditioned on x the
-measurement obeys the exact equivalent law
-
-    y - Ax ~ N(0, sigma_x^2 I),   sigma_x^2 = sigma_e^2 ||x||^2 + sigma_n^2,
-
-which is what the sampler and every likelihood expression here use.
-"""
+"""The measurement model y = (A + E)x + n, its equivalent law y - Ax ~
+N(0, sigma_x^2 I), and the input and finite-result checks every layer shares."""
 
 from __future__ import annotations
 
@@ -56,10 +48,9 @@ _SCREEN_SHIFT = 1e-8
 
 def _deviations(sigma_e, sigma_n) -> tuple[float, float]:
     """Both deviations as floats, raising InvalidInputError unless each is
-    a real number (numbers.Real, not a bool) in [0, MAX_DEVIATION).  A
-    numpy scalar is tested as its Python value, so a float32 deviation
-    cannot overflow the comparison."""
-    devs = [v.item() if isinstance(v, np.generic) else v for v in (sigma_e, sigma_n)]
+    a real number, not a bool, in [0, MAX_DEVIATION)."""
+    # a numpy scalar is tested as its Python value, so a float32 cannot overflow the test
+    devs =[v.item() if isinstance(v, np.generic) else v for v in (sigma_e, sigma_n)]
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                and 0.0 <= v < MAX_DEVIATION for v in devs):
         raise InvalidInputError(
@@ -91,10 +82,8 @@ def checked_seed(name: str, value) -> int:
 
 
 def real_array(name: str, value) -> np.ndarray:
-    """value as a float array, raising InvalidInputError naming it unless
-    its entries are real: a complex or text array, or an object array
-    holding anything but numbers.Real, is rejected.  A float64 array passes
-    with one dtype test and no copy."""
+    """value as a float64 array, itself if it is one, raising
+    InvalidInputError naming it unless its entries are real numbers."""
     arr = np.asarray(value)
     if arr.dtype != np.float64:
         kind = arr.dtype.kind
@@ -107,13 +96,12 @@ def real_array(name: str, value) -> np.ndarray:
 
 
 def checked_matrix(A) -> np.ndarray:
-    """A as a float array (real_array), rejected unless it is nonempty, 2-d
-    and finite.  NaN fails too, and neither reduction makes an m x n
-    temporary."""
+    """A as a float array (real_array), raising InvalidInputError unless it
+    is nonempty, 2-d and finite."""
     A = real_array("A", A)
     if A.ndim != 2 or A.size == 0:
         raise InvalidInputError("A must be a nonempty 2-d array")
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN too, and no m x n temporary
         raise InvalidInputError("A must be finite")
     return A
 
@@ -126,8 +114,7 @@ def _is_identity(A: np.ndarray) -> bool:
 
 
 def _frozen(name: str, arr) -> np.ndarray:
-    """A read-only float copy of arr (real_array), which no caller can
-    write through."""
+    """A read-only float copy of arr (real_array)."""
     out = np.array(real_array(name, arr))
     out.setflags(write=False)
     return out
@@ -135,25 +122,10 @@ def _frozen(name: str, arr) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProblemModel:
-    """Sensing matrix plus noise levels and the sparsity budget s.
-
-    Parameters
-    ----------
-    A : (m, n) array
-        Nominal (unperturbed) sensing matrix.
-    sigma_e : float
-        Standard deviation of each entry of the matrix perturbation.
-    sigma_n : float
-        Standard deviation of the additive measurement noise.
-    s : int
-        Sparsity budget, an integer in [1, n] by checked_count's type rule
-        (a float, even 2.0, or a bool is rejected); signals live in
-        {x : ||x||_0 <= s}.
-
-    The model keeps its own read-only copy of A, which no caller can
-    write through, and decides once whether A is the identity, which the
-    closed-form HCRB requires.
-    """
+    """The nominal sensing matrix A (m, n), the deviations sigma_e of each
+    entry of its perturbation and sigma_n of the noise, and the sparsity
+    budget s in [1, n] (checked_count), over a read-only copy of A.
+    Raises InvalidInputError on any other input."""
 
     A: np.ndarray
     sigma_e: float
@@ -176,8 +148,7 @@ class ProblemModel:
 
     def with_noise(self, sigma_e: float, sigma_n: float) -> ProblemModel:
         """This model at other noise deviations, checked as the constructor
-        checks them.  The sibling shares the validated A (no copy, no
-        finiteness scan and no identity test), s and the support cache."""
+        checks them; it shares A, s and the support cache, with no scan."""
         sibling = copy.copy(self)
         for name, value in zip(("sigma_e", "sigma_n"), _deviations(sigma_e, sigma_n)):
             object.__setattr__(sibling, name, value)
@@ -194,13 +165,9 @@ class ProblemModel:
 
 @dataclass(frozen=True, eq=False)
 class SparseSignal:
-    """A parameter vector together with its support.
-
-    The support defaults to the indices of the nonzero entries.  A larger
-    declared support is accepted (entries on it may be zero, which some
-    reference points need), but entries off the declared support must be
-    exactly zero.
-    """
+    """A finite nonempty 1-d x and its support, by default the indices of
+    its nonzero entries; a declared one must be sorted, duplicate free, in
+    range and cover every nonzero.  Raises InvalidInputError otherwise."""
 
     x: np.ndarray
     support: tuple[int, ...] = None  # type: ignore[assignment]
@@ -257,9 +224,8 @@ def checked_indices(support) -> tuple[int, ...]:
 
 
 def checked_support(model: ProblemModel, support) -> tuple[int, ...]:
-    """A support as a sorted tuple, raising InvalidInputError unless its
-    indices are integers (checked_indices) and it is nonempty, duplicate
-    free and within [0, n)."""
+    """support sorted, raising InvalidInputError unless it is nonempty,
+    duplicate free, within [0, n) and of integers (checked_indices)."""
     S = tuple(sorted(checked_indices(support)))
     if not S or len(S) != len(set(S)) or S[0] < 0 or S[-1] >= model.n:
         raise InvalidInputError("support must be nonempty, duplicate free and within [0, n)")
@@ -273,16 +239,23 @@ def _check_signal(model: ProblemModel, signal: SparseSignal) -> None:
         )
 
 
+def _finite(message: str, *values):
+    """values, or the one value, unchanged.  Raises
+    OverflowingMatrixError(message) unless every float and array is finite."""
+    for v in values:
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            raise OverflowingMatrixError(message)
+    return values if len(values) > 1 else values[0]
+
+
 def sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:
-    """Equivalent noise variance sigma_e^2 ||x||^2 + sigma_n^2, raising
-    OverflowingMatrixError where its double is not finite."""
+    """The equivalent noise variance sigma_e^2 ||x||^2 + sigma_n^2.  Raises
+    OverflowingMatrixError past double range."""
     _check_signal(model, signal)
     x = signal.x
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
         sx2 = float(model.sigma_e**2 * (x @ x) + model.sigma_n**2)
-    if not math.isfinite(sx2):
-        raise OverflowingMatrixError("sigma_e^2 ||x||^2 + sigma_n^2 overflows double range")
-    return sx2
+    return _finite("sigma_e^2 ||x||^2 + sigma_n^2 overflows double range", sx2)
 
 
 def positive_sigma_x_squared(model: ProblemModel, signal: SparseSignal) -> float:
@@ -306,42 +279,30 @@ def _has_cholesky(a: np.ndarray) -> bool:
 
 
 def gram_inverse(A_S: np.ndarray) -> np.ndarray:
-    """The read-only (A_S^T A_S)^{-1}, for the bounds and the oracle alike.
-
-    Raises OverflowingMatrixError when the Gram is not finite,
-    SingularMatrixError when it has lambda_min <= SINGULARITY_RTOL *
-    lambda_max, and OverflowingMatrixError when its eigenvalues or its
-    inverse are not finite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    """The read-only (A_S^T A_S)^{-1}.  Raises SingularMatrixError when
+    lambda_min <= SINGULARITY_RTOL * lambda_max, and OverflowingMatrixError
+    when the Gram, its spectrum or its inverse passes double range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
         gram = A_S.T @ A_S
         t = float(gram.trace())
-    if not np.isfinite(gram).all():
-        raise OverflowingMatrixError("A_S^T A_S overflows double range")
+    _finite("A_S^T A_S overflows double range", gram)  # before any factorisation
     shifted = gram.copy()
     # Cholesky is backward stable: a Gram that factors with tau = _SCREEN_SHIFT * t
     # off its diagonal has lambda_min > tau - O(s^2 eps) t, so it passes the
     # singularity test by four orders of magnitude for s up to several thousand
     shifted.ravel()[:: len(gram) + 1] -= _SCREEN_SHIFT * t
     if not (0.0 < t < math.inf and _has_cholesky(shifted)):
-        w = np.linalg.eigvalsh(gram)
-        if not np.isfinite(w).all():
-            raise OverflowingMatrixError("A_S^T A_S overflows double range")
+        w = _finite("A_S^T A_S overflows double range", np.linalg.eigvalsh(gram))
         if w[-1] <= 0.0 or w[0] <= SINGULARITY_RTOL * w[-1]:
             raise SingularMatrixError("A_S^T A_S is singular")
-    G = np.linalg.inv(gram)
-    if not np.isfinite(G).all():
-        raise OverflowingMatrixError("(A_S^T A_S)^{-1} overflows double range")
+    G = _finite("(A_S^T A_S)^{-1} overflows double range", np.linalg.inv(gram))
     G.setflags(write=False)
     return G
 
 
 def support_factor(model: ProblemModel, support: tuple[int, ...]):
-    """(A_S, gram_inverse(A_S)) for a sorted, duplicate-free support S: one
-    entry per A and S, shared by the bounds, the oracle and every
-    with_noise sibling.  The full support's A_S is model.A itself.  A
-    singular or overflowing support is not cached and raises on every
-    call."""
+    """(A_S, gram_inverse(A_S)) for a sorted, duplicate-free support, cached
+    on the model and its siblings; a support that raises is not cached."""
     hit = model._factors.get(support)
     if hit is None:
         A_S = model.A if len(support) == model.n else model.A[:, list(support)]
@@ -353,12 +314,8 @@ def support_factor(model: ProblemModel, support: tuple[int, ...]):
 def sample_measurement(
     model: ProblemModel, signal: SparseSignal, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one measurement y = (A + E)x + n, a read-only array of length m.
-
-    Uses the equivalent law y = Ax + sigma_x z with z standard normal,
-    which matches the joint perturbation-plus-noise distribution exactly
-    and never materializes the m-by-n perturbation.
-    """
+    """One measurement y = (A + E)x + n, drawn by the equivalent law as
+    Ax + sigma_x z: a read-only array of length m."""
     sx = math.sqrt(sigma_x_squared(model, signal))
     z = rng.standard_normal(model.m)
     y = model.A @ signal.x + sx * z
@@ -367,16 +324,11 @@ def sample_measurement(
 
 
 def generate_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random m-by-n matrix with iid N(0, 1/m) entries.
-
-    Columns then have expected squared norm 1; no explicit normalization
-    is applied.  The standard normal draw is scaled in place, which skips
-    the location pass of rng.normal(0.0, 1/sqrt(m), (m, n)) and matches
-    its bits and the generator's end state (bar a draw of exactly -0.0,
-    which normal's 0.0 + scale * z turns into +0.0).
-    """
+    """An m x n matrix with iid N(0, 1/m) entries."""
     m, n = checked_count("m", m), checked_count("n", n)
     A = rng.standard_normal((m, n))
+    # rng.normal(0.0, 1/sqrt(m), (m, n))'s bits and end state without its location
+    # pass, bar a draw of exactly -0.0, which normal's 0.0 + scale * z makes +0.0
     A *= 1.0 / math.sqrt(m)
     return A
 
@@ -393,15 +345,9 @@ def generate_bernoulli_signal(n: int, s: int, rng: np.random.Generator) -> Spars
 
 
 def spark_exceeds(A: np.ndarray, k: int) -> bool:
-    """Decide by enumeration whether spark(A) > k.
-
-    spark(A) is the size of the smallest linearly dependent column subset
-    (n + 1 when the columns are in general position).  One subset size
-    suffices: every subset of size <= k is independent iff each of size k is.
-
-    Raises UnsupportedSizeError when A has more than SPARK_ENUMERATION_LIMIT
-    columns.
-    """
+    """Whether spark(A), the size of its smallest linearly dependent column
+    subset, exceeds k.  Raises UnsupportedSizeError when A has more than
+    SPARK_ENUMERATION_LIMIT columns."""
     A = checked_matrix(A)
     m, n = A.shape
     k = checked_count("k", k)
@@ -412,5 +358,6 @@ def spark_exceeds(A: np.ndarray, k: int) -> bool:
         )
     if k > min(m, n):
         return False  # spark <= n + 1, and any k > m columns in R^m are dependent
+    # every subset of size <= k is independent iff each of size k is
     subsets = itertools.combinations(range(n), k)
     return all(np.linalg.matrix_rank(A[:, cols]) == k for cols in subsets)

@@ -1,18 +1,6 @@
-"""Monte Carlo harness validating the bounds against reference estimators.
-
-run_trials is the one entry point: it runs one estimator on one (model,
-signal) cell under a stream key.  Setting the trials beside the bounds is
-left to the command line.  One engine, run_maps, serves every cell (the
-table1 protocol draws only the two numbers its estimators read, and
-reduces them with the same chunk moments).  Every trial draws from its
-own random stream derived from the master seed and the trial index, into
-one row of a block of trials; the estimator maps the whole block at
-once.  Within fixed chunks of TRIAL_CHUNK trials the errors are summed
-in trial order and the squared errors reduced to moments, whose merged
-mean is the MSE; the chunks are combined in chunk-index order, so a
-result depends only on the seed, the stream key and the trial count,
-not on the block size.  The trials run serially.
-"""
+"""The Monte Carlo harness: run_trials runs one reference estimator on one
+(model, signal) cell, over per-trial keyed streams, through the one
+engine run_maps."""
 
 from __future__ import annotations
 
@@ -24,11 +12,10 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from .errors import (ExcessiveFailureError, InvalidInputError, OverflowingMatrixError,
-                     SparseBoundsError)
+from .errors import ExcessiveFailureError, InvalidInputError, SparseBoundsError
 from .estimators import EstimatorSpec, estimator_kernel, row_dot
 from .model import (
-    ProblemModel, SparseSignal, checked_count, checked_seed, real_array, sigma_x_squared,
+    ProblemModel, SparseSignal, _finite, checked_count, checked_seed, real_array, sigma_x_squared,
 )
 
 __all__ = ["TrialSummary", "trial_stream", "run_trials"]
@@ -64,15 +51,13 @@ def _mix(x, y):
 
 @functools.lru_cache(maxsize=4)
 def _stream_block(seed: int, key: tuple[int, ...], block: int):
-    """Read-only (B, 4) uint64 table: row r is generate_state(4, uint64)
-    of the SeedSequence of trial index (block << STREAM_BLOCK_BITS) + r.
-    The pool of SeedSequence(entropy=seed, spawn_key=key) is that state
-    before the index word is mixed in, and the hash constant there follows
-    from the word count: mix_entropy hashes four times per entropy word, a
-    seed shorter than the pool counting as padded with zeros.  None when
-    an input is not a nonnegative int, which SeedSequence handles."""
+    """Read-only (B, 4) uint64 table whose row r is generate_state(4, uint64)
+    of the SeedSequence of trial index (block << STREAM_BLOCK_BITS) + r, or
+    None when an input is not a nonnegative int."""
     if seed < 0 or not all(type(k) is int and k >= 0 for k in key):
         return None
+    # SeedSequence(entropy=seed, spawn_key=key)'s pool is the state before the index
+    # word is mixed in; mix_entropy hashes four times per word, padding a short seed
     words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
     words += sum(max(1, -(-k.bit_length() // 32)) for k in key)
     hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32
@@ -126,21 +111,15 @@ class _TrialSeed(ISpawnableSeedSequence):
 
 def key_stream(seed: int, key: tuple[int, ...]) -> Generator:
     """Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key))), the one
-    construction of a keyed stream: trial_stream's direct path and the
-    command line's matrix and signal draws."""
+    construction of a keyed stream."""
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def trial_stream(seed: int, index: int, key: tuple[int, ...] = ()) -> Generator:
-    """Independent generator for one trial of one experiment cell.
-
-    The stream is Generator(PCG64(SeedSequence(entropy=seed,
-    spawn_key=(*key, index)))), bit for bit.  Its seed words are hashed a
-    block of 2**STREAM_BLOCK_BITS indices at a time and cached.  An index
-    of 2**32 or more, and a seed, index or key element that is not a
-    nonnegative int, take that direct construction, so SeedSequence still
-    raises its own errors.
-    """
+    """key_stream(seed, (*key, index)) bit for bit, the generator of one
+    trial of one cell, its seed words read from a cached block table."""
+    # an index of 2**32 or more, or an input that is not a nonnegative int, takes
+    # key_stream, so SeedSequence raises its own errors
     if type(index) is int and 0 <= index <= _MASK32 and type(seed) is int and type(key) is tuple:
         try:
             table = _stream_block(seed, key, index >> STREAM_BLOCK_BITS)
@@ -194,9 +173,8 @@ def _excessive_failures(failures: int, trials: int, first_error) -> ExcessiveFai
 
 
 def chunk_moments(qs) -> tuple[int, float, float]:
-    """(count, mean, M2) of one chunk's squared errors, a sequence or a 1-d
-    array of real numbers (real_array), M2 being the sum of squared
-    deviations from the chunk mean."""
+    """(count, mean, M2) of one chunk's squared errors (real_array), M2
+    being the sum of squared deviations from the chunk mean."""
     q = real_array("qs", qs)
     if q.size == 0:
         return 0, 0.0, 0.0
@@ -225,16 +203,11 @@ def std_error_of_mean(moments: tuple[int, float, float]) -> float:
 
 
 def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummary:
-    """The Monte Carlo engine: the TrialSummary of one block map over the
-    blocks of draw_blocks(mean, sx, seed, key, 0, trials).
-
-    The map estimates a whole block, Y (k, m) -> (Xhat, {row: error}), with
-    x the true signal; Xhat must be a new array, as the engine overwrites
-    it with the errors.  The moments are reduced by chunk_moments per
-    TRIAL_CHUNK and merged in chunk order by merge_moments.  More than
-    FAILURE_BUDGET failed trials abort the run with the first diagnostic;
-    an MSE, M2 or bias that is not finite raises OverflowingMatrixError.
-    """
+    """The TrialSummary of a block map Y (k, m) -> (Xhat, {row: error}),
+    Xhat a new array, over draw_blocks(mean, sx, seed, key, 0, trials), x
+    being the true signal.  Raises ExcessiveFailureError past
+    FAILURE_BUDGET failed trials, and OverflowingMatrixError past double
+    range."""
     moments, failures, first_error = (0, 0.0, 0.0), 0, None
     sum_err = np.zeros(x.size)
     for lo in range(0, trials, TRIAL_CHUNK):
@@ -247,20 +220,19 @@ def run_maps(mean, sx, x, block_map, trials: int, seed: int, key) -> TrialSummar
                     row = min(errors)
                     first_error = f"trial {t0 + row}: {errors[row]}"
                 xhat = np.delete(xhat, list(errors), axis=0)
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
                 err = np.subtract(xhat, x, out=xhat)  # the map's Xhat is its own
                 c_qs.append(row_dot(err))
                 # in trial order: cumsum adds one row at a time, where sum
                 # would add pairwise
                 c_err = np.cumsum(np.concatenate((c_err[None], err)), axis=0)[-1]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
             moments = merge_moments(moments, chunk_moments(np.concatenate(c_qs)))
             sum_err += c_err
     if failures > FAILURE_BUDGET * trials:
         raise _excessive_failures(failures, trials, first_error)
     ok, mse, m2 = moments
-    if not (math.isfinite(mse) and math.isfinite(m2) and np.isfinite(sum_err).all()):
-        raise OverflowingMatrixError("the trials' MSE or bias overflows double range")
+    _finite("the trials' MSE or bias overflows double range", mse, m2, sum_err)
     return TrialSummary(
         mse=mse,
         bias=sum_err / ok,
@@ -286,16 +258,11 @@ def run_trials(
     seed: int,
     stream_key: tuple[int, ...] = (),
 ) -> TrialSummary:
-    """Estimate the MSE and bias of one estimator over independent trials.
-
-    The cell is checked and set up once: the mean Ax, the deviation
-    sigma_x and the estimator's block map, which run_maps then runs over
-    trials drawn as y = Ax + sigma_x z with z from
-    trial_stream(seed, t, stream_key).  The seed and each element of the
-    stream_key tuple must be integers >= 0 (checked_seed).  More than
-    FAILURE_BUDGET failed trials abort the run with the first diagnostic,
-    and a summary that is not finite raises OverflowingMatrixError.
-    """
+    """The MSE and bias of one estimator over trials y = Ax + sigma_x z, z
+    drawn by trial_stream(seed, t, stream_key), as run_maps summarises
+    them.  Raises InvalidInputError unless trials >= 1 and the seed and
+    each key element are integers >= 0 (checked_seed), then as run_maps
+    raises."""
     trials = checked_count("trials", trials)
     seed = checked_seed("seed", seed)
     stream_key = _checked_key(stream_key)

@@ -710,6 +710,17 @@ class TestConfigSuppliesAnyOption:
             "0.0098039215686274508,maximal\n"
         )
 
+    @pytest.mark.parametrize("head, newline", [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n")],
+                             ids=["utf-8-bom", "crlf"])
+    def test_config_as_other_editors_save_it(self, head, newline, tmp_path, capsys):
+        cfg = tmp_path / "bom.conf"
+        lines = [b"n = 6", b"m = 6", b"s = 2", b"sigma-e = 0", b"x = 1,0,2,0,0,0", b""]
+        cfg.write_bytes(head + newline.join(lines))
+        assert run(["bounds", "ccrb", "--config", str(cfg), "--sigma-n", "0.5"]) == 0
+        assert capsys.readouterr().out == (
+            "bound,first_term,correction,gamma,regime\n0.5,0.5,0,0,maximal\n"
+        )
+
     def test_required_x_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "x.conf"
         cfg.write_text("x = 1,0,2,0,0,0\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,7 +16,9 @@ from sparsebounds.ccrb import (
     ccrb_nonmaximal,
     noise_levels,
     oracle_mse_theoretical,
+    rip_constants,
     sigmas_at_levels,
+    sigmas_for_levels,
 )
 from sparsebounds.errors import (
     InvalidInputError,
@@ -776,3 +779,75 @@ def test_gaussian_matrix_keeps_the_bits_and_end_state_of_normal(seed, m, n):
     assert A.shape == want.shape and A.dtype == want.dtype
     assert A.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _e0(n=2, scale=1.0):
+    x = np.zeros(n)
+    x[0] = scale
+    return SparseSignal(x)
+
+
+# one reproducer per OverflowingMatrixError text, each raised through
+# model._finite but the underflow; a warning fails the case
+OVERFLOW_TEXTS = {
+    "sigma_x^2": (
+        lambda: sigma_x_squared(make_model(np.eye(2), 1e70, 0.1, 1), _e0(scale=1e200)),
+        "sigma_e^2 ||x||^2 + sigma_n^2 overflows double range",
+    ),
+    "gram": (lambda: gram_inverse(1e200 * np.eye(2)), "A_S^T A_S overflows double range"),
+    "gram spectrum": (
+        lambda: gram_inverse(np.full((2, 2), 0.9e154)), "A_S^T A_S overflows double range",
+    ),
+    "gram inverse": (
+        lambda: gram_inverse(1e-160 * np.eye(2)), "(A_S^T A_S)^{-1} overflows double range",
+    ),
+    "ccrb": (
+        lambda: ccrb_bound(
+            make_model(np.random.default_rng(1).standard_normal((8, 3)) * 1e-150, 0.1, 0.1, 2),
+            SparseSignal(np.array([4e99, 2.4e99, 0.0])),
+        ),
+        "CCRB overflows double range",
+    ),
+    "rank-deficient ccrb": (
+        lambda: ccrb_nonmaximal(make_model(np.diag([1.0, 0.0]), 1e-80, 1.0, 2),
+                                SparseSignal(np.array([0.0, 1.0]))),
+        "J^{-1} overflows double range",
+    ),
+    "rip support": (
+        lambda: rip_constants(1e200 * np.eye(3), 1, mode="exhaustive"),
+        "support (0,): A_S^T A_S overflows double range",
+    ),
+    "energy underflow": (
+        lambda: sigmas_for_levels(np.eye(2), _e0(scale=1e-200), 1.0, 1.0, 1),
+        "||x||^2 underflows double range",
+    ),
+    "energy": (
+        lambda: sigmas_for_levels(np.eye(2), _e0(scale=1e200), 1.0, 1.0, 1),
+        "||x||^2 overflows double range",
+    ),
+    "support trace": (
+        lambda: sigmas_for_levels(1e200 * np.eye(2), _e0(), 1.0, 1.0, 1),
+        "tr(A_S^T A_S) overflows double range",
+    ),
+    "noise levels": (
+        lambda: noise_levels(make_model(1e-100 * np.eye(2), 1e74, 0.1, 1), _e0()),
+        "noise levels overflow double range",
+    ),
+    "fisher": (
+        lambda: fim_closed_form(make_model(1e160 * np.eye(2), 0.1, 0.1, 1), _e0()),
+        "Fisher information J overflows double range",
+    ),
+    "trials": (
+        lambda: run_trials(make_model(np.eye(5), 1.0, 0.0, 1), _e0(5, 1e154),
+                           EstimatorSpec.oracle((0,)), 20, 0),
+        "the trials' MSE or bias overflows double range",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OVERFLOW_TEXTS)
+def test_each_overflow_text_in_full(case):
+    call, message = OVERFLOW_TEXTS[case]
+    with pytest.raises(OverflowingMatrixError, match=f"^{re.escape(message)}$"):
+        call()
