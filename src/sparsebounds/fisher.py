@@ -27,8 +27,7 @@ __all__ = [
     "score",
 ]
 
-# Fixed sampling chunk so the Monte Carlo estimate is reproducible
-# regardless of how chunks would be scheduled.
+# Rows per draw, fixed so the estimate depends only on the generator's state.
 DEFAULT_SAMPLE_CHUNK = 1 << 15
 
 
@@ -52,37 +51,37 @@ class FisherMatrix:
 
 
 def log_likelihood(model: ProblemModel, signal: SparseSignal, y) -> float:
-    """Exact log-density of a measurement under the equivalent noise law."""
+    """Exact log-density of y under the equivalent noise law.  Raises
+    DegenerateModelError where sigma_x^2 = 0 and OverflowingMatrixError
+    past double range."""
     sx2 = positive_sigma_x_squared(model, signal)
-    r = model_measurement(model, y) - model.A @ signal.x
-    return float(-0.5 * model.m * math.log(2.0 * math.pi * sx2) - (r @ r) / (2.0 * sx2))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        r = model_measurement(model, y) - model.A @ signal.x
+        ll = -0.5 * model.m * math.log(2.0 * math.pi * sx2) - (r @ r) / (2.0 * sx2)
+    return _finite("log-likelihood overflows double range", float(ll))
 
 
 def score(model: ProblemModel, signal: SparseSignal, y) -> np.ndarray:
-    """The gradient of log_likelihood in x."""
+    """The gradient of log_likelihood in x.  Raises DegenerateModelError
+    where sigma_x^2 = 0 and OverflowingMatrixError past double range."""
     sx2 = positive_sigma_x_squared(model, signal)
-    r = model_measurement(model, y) - model.A @ signal.x
-    return _scores(model, signal.x, sx2, r[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        r = model_measurement(model, y) - model.A @ signal.x
+        return _finite("score overflows double range", _scores(model, signal.x, sx2, r[None])[0])
 
 
 def _scores(model: ProblemModel, x: np.ndarray, sx2: float, R: np.ndarray) -> np.ndarray:
     """The score at x for each residual row r of R (k, m):
     A^T r / sigma_x^2 + sigma_e^2 (||r||^2 - m sigma_x^2) x / sigma_x^4."""
-    P, c = _score_parts(model, sx2, R)
-    return P / sx2 + c[:, None] * x[None, :]
-
-
-def _score_parts(model: ProblemModel, sx2: float, R: np.ndarray):
-    """(P, c) for the residual rows r of R (k, m): P = R A and
-    c = sigma_e^2 (||r||^2 - m sigma_x^2) / sigma_x^4, so the score at x of
-    row i is P[i] / sigma_x^2 + c[i] x."""
     rr = np.einsum("ij,ij->i", R, R)
     # never squares sigma_x^2, which may underflow where sigma_x^2 does not
-    return R @ model.A, (model.sigma_e**2 / sx2) * (rr / sx2 - model.m)
+    c = (model.sigma_e**2 / sx2) * (rr / sx2 - model.m)
+    return (R @ model.A) / sx2 + c[:, None] * x[None, :]
 
 
 def fim_closed_form(model: ProblemModel, signal: SparseSignal) -> FisherMatrix:
-    """Fisher information J(x) in closed form."""
+    """Fisher information J(x) in closed form.  Raises DegenerateModelError
+    where sigma_x^2 = 0 and OverflowingMatrixError past double range."""
     sx2 = positive_sigma_x_squared(model, signal)
     x = signal.x
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _fisher
@@ -98,24 +97,25 @@ def fim_monte_carlo(
     rng: np.random.Generator,
 ) -> FisherMatrix:
     """J(x) estimated as the second moment of the score over `samples`
-    residuals r ~ N(0, sigma_x^2 I) drawn from rng in chunks of
+    residuals r = sigma_x z, z ~ N(0, I_m), drawn from rng in chunks of
     DEFAULT_SAMPLE_CHUNK.  Raises InvalidInputError unless samples is an
-    integer >= 1."""
+    integer >= 1, DegenerateModelError where sigma_x^2 = 0 and
+    OverflowingMatrixError past double range."""
     samples = checked_count("samples", samples)
     sx2 = positive_sigma_x_squared(model, signal)
-    sx, x = math.sqrt(sx2), signal.x
-    PP, Pc, cc = np.zeros((model.n, model.n)), np.zeros(model.n), 0.0
-    done = 0
+    A, x, m = model.A, signal.x, model.m
+    ZZ, Zc, cc = np.zeros((m, m)), np.zeros(m), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _fisher
-        while done < samples:
+        for done in range(0, samples, DEFAULT_SAMPLE_CHUNK):
             k = min(DEFAULT_SAMPLE_CHUNK, samples - done)
-            P, c = _score_parts(model, sx2, sx * rng.standard_normal((k, model.m)))
-            PP += P.T @ P
-            Pc += P.T @ c
+            Z = rng.standard_normal((k, m))
+            # the score at r = sigma_x z is A^T z / sigma_x + c x
+            c = (model.sigma_e**2 / sx2) * (np.einsum("ij,ij->i", Z, Z) - m)
+            ZZ += Z.T @ Z
+            Zc += Z.T @ c
             cc += float(c @ c)
-            done += k
-        v = Pc / sx2
-        J = PP / sx2 / sx2 + np.outer(v, x) + np.outer(x, v) + cc * np.outer(x, x)
+        v = A.T @ Zc / math.sqrt(sx2)
+        J = A.T @ ZZ @ A / sx2 + np.outer(v, x) + np.outer(x, v) + cc * np.outer(x, x)
         return _fisher(J / samples, sx2)
 
 

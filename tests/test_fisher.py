@@ -197,24 +197,34 @@ class TestMonteCarlo:
 
     def test_is_the_chunked_score_second_moment_bit_for_bit(self):
         # the estimator spelled out: two chunks, the second one short, each
-        # adding to P^T P, P^T c and c^T c for the scores P / sx2 + c x^T
+        # adding to Z^T Z, Z^T c and c^T c for the standard draws z, whose
+        # residual sx z has the score A^T z / sx + c x
         model, x = small_instance()
         samples = DEFAULT_SAMPLE_CHUNK + 1000
         sx2 = sigma_x_squared(model, x)
-        se2 = model.sigma_e**2
+        A, m = model.A, model.m
         rng = np.random.default_rng(9)
-        PP, Pc, cc = np.zeros((model.n, model.n)), np.zeros(model.n), 0.0
+        ZZ, Zc, cc = np.zeros((m, m)), np.zeros(m), 0.0
         for k in (DEFAULT_SAMPLE_CHUNK, 1000):
-            r = np.sqrt(sx2) * rng.standard_normal((k, model.m))
-            P = r @ model.A
-            c = (se2 / sx2) * (np.einsum("ij,ij->i", r, r) / sx2 - model.m)
-            PP += P.T @ P
-            Pc += P.T @ c
+            Z = rng.standard_normal((k, m))
+            c = (model.sigma_e**2 / sx2) * (np.einsum("ij,ij->i", Z, Z) - m)
+            ZZ += Z.T @ Z
+            Zc += Z.T @ c
             cc += float(c @ c)
-        v = Pc / sx2
-        J = (PP / sx2 / sx2 + np.outer(v, x.x) + np.outer(x.x, v) + cc * np.outer(x.x, x.x)) / samples
+        v = A.T @ Zc / math.sqrt(sx2)
+        J = A.T @ ZZ @ A / sx2 + np.outer(v, x.x) + np.outer(x.x, v) + cc * np.outer(x.x, x.x)
+        J /= samples
         est = fim_monte_carlo(model, x, samples, np.random.default_rng(9))
         np.testing.assert_array_equal(est.J, 0.5 * (J + J.T))
+
+    def test_draws_one_standard_normal_row_per_sample(self):
+        # the chunks leave the generator where one (samples, m) draw does
+        model, x = small_instance()
+        samples = DEFAULT_SAMPLE_CHUNK + 1000
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        fim_monte_carlo(model, x, samples, rng)
+        twin.standard_normal((samples, model.m))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("sigma_e", [0.3, 0.0])
     def test_is_the_per_sample_score_second_moment(self, sigma_e):
@@ -227,6 +237,22 @@ class TestMonteCarlo:
         want = S.T @ S / samples
         est = fim_monte_carlo(model, x, samples, np.random.default_rng(10))
         assert np.linalg.norm(est.J - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m, n", [(12, 4), (6, 6)], ids=["tall", "square"])
+    def test_tall_and_square_matrices(self, m, n):
+        # the fixture's A is 4 x 6; these put m past and at n
+        A = generate_gaussian_matrix(m, n, np.random.default_rng(12))
+        model = ProblemModel(A=A, sigma_e=0.3, sigma_n=0.5, s=2)
+        x = SparseSignal(np.r_[1.2, -0.7, np.zeros(n - 2)])
+        samples = DEFAULT_SAMPLE_CHUNK + 1000
+        sx2 = sigma_x_squared(model, x)
+        R = math.sqrt(sx2) * np.random.default_rng(13).standard_normal((samples, m))
+        S = _scores(model, x.x, sx2, R)
+        want = S.T @ S / samples
+        est = fim_monte_carlo(model, x, samples, np.random.default_rng(13))
+        assert np.linalg.norm(est.J - want) <= 1e-12 * np.linalg.norm(want)
+        ref = fim_closed_form(model, x).J
+        assert np.linalg.norm(est.J - ref) <= 0.05 * np.linalg.norm(ref)
 
     @pytest.mark.filterwarnings("error")
     def test_matches_closed_form_where_sigma_x_squared_squared_underflows(self):

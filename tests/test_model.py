@@ -837,6 +837,15 @@ OVERFLOW_TEXTS = {
         lambda: fim_closed_form(make_model(1e160 * np.eye(2), 0.1, 0.1, 1), _e0()),
         "Fisher information J overflows double range",
     ),
+    "score": (
+        lambda: score(make_model(np.eye(3), 0.1, 0.1, 1), _e0(3), np.array([1e200, 0.0, 0.0])),
+        "score overflows double range",
+    ),
+    "log-likelihood": (
+        lambda: log_likelihood(make_model(np.eye(3), 0.1, 0.1, 1), _e0(3),
+                               np.array([1e200, 0.0, 0.0])),
+        "log-likelihood overflows double range",
+    ),
     "trials": (
         lambda: run_trials(make_model(np.eye(5), 1.0, 0.0, 1), _e0(5, 1e154),
                            EstimatorSpec.oracle((0,)), 20, 0),
