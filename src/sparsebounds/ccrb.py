@@ -61,17 +61,14 @@ RIP_BLOCK = 64
 
 @dataclass(frozen=True)
 class CcrbReport:
-    """Bound value with its decomposition into first term and reduction."""
+    """Bound value with its decomposition into first term and reduction;
+    every numeric field is a Python float."""
 
     bound: float
     first_term: float
     d_ccrb: float
     gamma_ccrb: float
     regime: str
-
-    def __post_init__(self):
-        for name in ("bound", "first_term", "d_ccrb", "gamma_ccrb"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def ccrb_nonmaximal(model: ProblemModel, signal: SparseSignal) -> CcrbReport:
         # c near underflow, or a subnormal eigenvalue, overflows the bound
         with np.errstate(over="ignore", invalid="ignore"):
             first = _finite("J^{-1} overflows double range",
-                            sx2 * (np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a)))
+                            sx2 * float(np.sum(1.0 / w) + (sx2 / c + np.sum(z * z / w)) / (a * a)))
         return CcrbReport(first, first, 0.0, 0.0, "nonmaximal")
     return _rank_one_report(model, sx2, G, signal.x, "nonmaximal")
 

@@ -56,10 +56,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -190,11 +188,10 @@ def _rows_fig6(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     for s in s_values:
         n = 10 * s
-        A = np.eye(n)
         x = np.zeros(n)
         x[:s] = cfg.x_q
         signal = SparseSignal(x, tuple(range(s)))
-        base = ProblemModel(A, 0.0, cfg.sigma_n, s)
+        base = ProblemModel(np.eye(n), 0.0, cfg.sigma_n, s)
         for se2 in grid:
             model = base.with_noise(math.sqrt(se2), cfg.sigma_n)
             rows.append((se2, f"s={s}", d_hcrb(model, signal) / (n - s), 0.0))

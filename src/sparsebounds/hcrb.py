@@ -54,17 +54,14 @@ class TestPointSet:
 
 @dataclass(frozen=True)
 class HcrbReport:
-    """Closed-form bound split into support and off-support parts."""
+    """Closed-form bound split into support and off-support parts; every
+    numeric field is a Python float."""
 
     bound: float
     support_part: float
     nonsupport_part: float
     beta: float
     g_beta: float
-
-    def __post_init__(self):
-        for name in ("bound", "support_part", "nonsupport_part", "beta", "g_beta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def test_points(model: ProblemModel, signal: SparseSignal, offsets) -> TestPointSet:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -11,6 +12,7 @@ import scipy.linalg
 from sparsebounds.ccrb import (
     RIP_BLOCK,
     RIP_DEFAULT_SAMPLES,
+    CcrbReport,
     NoiseLevels,
     RipConstants,
     ccrb_bound,
@@ -446,6 +448,34 @@ class TestDispatch:
         model, _ = gaussian_instance(5, m=10, n=8, s=3)
         with pytest.raises(WrongRegimeError, match="non-maximal"):
             ccrb_bound(model, SparseSignal(np.r_[np.ones(4), np.zeros(4)]))
+
+
+class TestReportFields:
+    """Every numeric field of a CcrbReport is a Python float, on each path
+    that builds one."""
+
+    @staticmethod
+    def rank_deficient_instance():
+        a1, a3, a4 = np.random.default_rng(17).normal(size=(3, 3))
+        model = ProblemModel(np.column_stack([a1, -a1, a3, a4]), 0.5, 0.4, 3)
+        return model, SparseSignal(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "path", ["maximal", "maximal_without_matrix_noise", "nonmaximal_full_rank",
+                 "nonmaximal_rank_deficient"],
+    )
+    def test_numeric_fields_are_floats(self, path):
+        if path == "nonmaximal_rank_deficient":
+            model, x = self.rank_deficient_instance()
+        else:
+            sigma_e = 0.0 if path == "maximal_without_matrix_noise" else 0.3
+            model, x = gaussian_instance(3, m=9, n=7, s=3, sigma_e=sigma_e)
+            if path == "nonmaximal_full_rank":
+                x = SparseSignal(np.r_[1.0, np.zeros(6)])
+        rep = ccrb_bound(model, x)
+        assert rep.regime == path.split("_")[0]
+        names = [f.name for f in dataclasses.fields(CcrbReport) if f.name != "regime"]
+        assert {name: type(getattr(rep, name)) for name in names} == dict.fromkeys(names, float)
 
 
 class TestDeclaredWiderSupport:

@@ -1419,6 +1419,24 @@ class TestMatrixHeldOnce:
         assert run(argv + ["--out-dir", str(tmp_path), "--output", "out.csv"]) == 0
         assert alive == [False]
 
+    def test_fig6_identity_is_unreachable_once_the_model_exists(self, monkeypatch, tmp_path):
+        built, alive = [], []
+        model_class, gap = cli.ProblemModel, cli.d_hcrb
+
+        def model_spy(A, *args):
+            built.append(weakref.ref(A))
+            return model_class(A, *args)
+
+        def gap_spy(model, signal):
+            alive.append(built[-1]() is not None)
+            return gap(model, signal)
+
+        monkeypatch.setattr(cli, "ProblemModel", model_spy)
+        monkeypatch.setattr(cli, "d_hcrb", gap_spy)
+        argv = ["figure", "fig6", "--points", "2", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        assert len(built) == 5 and alive == [False] * 10
+
 
 class TestDefaultSeed:
     def test_module_constant(self):

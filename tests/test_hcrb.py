@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -19,6 +20,7 @@ from sparsebounds.errors import (
 import sparsebounds.ccrb as ccrb_module
 import sparsebounds.hcrb as hcrb_module
 from sparsebounds.hcrb import (
+    HcrbReport,
     beta_of,
     d_hcrb,
     g_function,
@@ -632,6 +634,26 @@ class TestClosedForm:
         rep = hcrb_unit_closed_form(model, x)
         assert rep.nonsupport_part == 0.0
         assert rep.bound == pytest.approx(ccrb_maximal(model, x).bound, rel=1e-12)
+
+
+class TestReportFields:
+    """Every numeric field of an HcrbReport is a Python float, on each path
+    of the off-support part."""
+
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (identity_model(10, 0.05, 0.1, 2), [1.0, 0.3] + [0.0] * 8),
+            (identity_model(3, 1e-3, 1.0, 1), [1e-200, 0.0, 0.0]),  # x_q^2 underflows: beta = 0
+            (identity_model(3, 1e-3, 0.01, 1), [1.0, 0.0, 0.0]),  # beta > 700
+            (identity_model(2, 0.1, 0.1, 2), [1.0, 2.0]),  # n = s
+        ],
+        ids=["regular", "beta_zero", "beta_above_700", "n_equals_s"],
+    )
+    def test_numeric_fields_are_floats(self, model, x):
+        rep = hcrb_unit_closed_form(model, SparseSignal(np.array(x)))
+        names = [f.name for f in dataclasses.fields(HcrbReport)]
+        assert {name: type(getattr(rep, name)) for name in names} == dict.fromkeys(names, float)
 
 
 class TestDhcrbSweep:
